@@ -5,7 +5,9 @@
 //! ```
 //!
 //! Prints each figure as an aligned table (the paper-style rows/series)
-//! and writes a CSV per figure under `target/experiments/`.
+//! and writes a CSV per figure, plus each extension's `BENCH_*.json`
+//! record, under `$CARGO_TARGET_DIR/experiments/` (default
+//! `target/experiments/`).
 
 use std::time::Instant;
 
@@ -42,7 +44,7 @@ fn main() {
     for exp in chosen {
         println!("=== {} — {} ===\n", exp.id, exp.title);
         let started = Instant::now();
-        let sets = (exp.run)(&scale);
+        let sets = (exp.run)(&scale, &dir);
         for set in &sets {
             if let Err(e) = emit(&dir, set) {
                 eprintln!("warning: failed to write CSV: {e}");

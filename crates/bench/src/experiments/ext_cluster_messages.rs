@@ -17,6 +17,8 @@
 //! A machine-readable `BENCH_cluster_messages.json` is written next to
 //! the CSVs (`schema` field versions the format).
 
+use std::path::Path;
+
 use dds_cluster::LocalCluster;
 use dds_core::bounds::{drs_theta, lemma4_upper};
 use dds_core::broadcast::BroadcastConfig;
@@ -26,7 +28,7 @@ use dds_proto::cluster::ClusterSpec;
 use dds_sim::metrics::{Series, SeriesSet};
 use dds_sim::SiteId;
 
-use crate::output::default_output_dir;
+use crate::output::write_record;
 use crate::Scale;
 
 /// Full-scale elements per configuration (divided by the scale
@@ -151,7 +153,7 @@ fn to_json(scale: &Scale, points: &[Point]) -> String {
 /// deployment claiming the paper's communication bound is the whole
 /// point of this experiment.
 #[must_use]
-pub fn run(scale: &Scale) -> Vec<SeriesSet> {
+pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let k_grid = [2usize, 4, 8];
     let s_grid = [4usize, 16];
     let mut points = Vec::new();
@@ -184,21 +186,14 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
         msg_set.push(bound);
         msg_set.push(broadcast);
     }
-    let dir = default_output_dir();
-    let path = dir.join("BENCH_cluster_messages.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, to_json(scale, &points)))
-    {
-        eprintln!("warning: failed to write {}: {e}", path.display());
-    } else {
-        println!("   (json: {})\n", path.display());
-    }
+    write_record(dir, "BENCH_cluster_messages.json", &to_json(scale, &points));
     vec![msg_set]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::test_dir;
 
     fn tiny() -> Scale {
         Scale {
@@ -210,7 +205,8 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_grid_and_respects_the_bound() {
-        let sets = run(&tiny());
+        let dir = test_dir("ext_cluster_messages");
+        let sets = run(&tiny(), &dir);
         assert_eq!(sets.len(), 1);
         // Two s values × (deployment, bound, broadcast) series.
         assert_eq!(sets[0].series.len(), 6);
@@ -218,9 +214,9 @@ mod tests {
             assert_eq!(series.points.len(), 3, "k grid has three points");
             assert!(series.points.iter().all(|&(_, y)| y > 0.0));
         }
-        let json =
-            std::fs::read_to_string(default_output_dir().join("BENCH_cluster_messages.json"))
-                .expect("BENCH_cluster_messages.json written");
+        let json = std::fs::read_to_string(dir.join("BENCH_cluster_messages.json"))
+            .expect("BENCH_cluster_messages.json written");
+        std::fs::remove_dir_all(&dir).ok();
         assert!(json.contains("\"schema\": \"dds-cluster-messages/v1\""));
         assert_eq!(json.matches("\"vs_bound\"").count(), 6);
         assert!(!json.contains(",\n  ]"), "trailing comma in results");

@@ -12,6 +12,7 @@
 //! configuration with its elements/s, giving later PRs a perf trajectory
 //! to diff against (`schema` field versions the format).
 
+use std::path::Path;
 use std::time::Instant;
 
 use dds_core::sampler::{SamplerKind, SamplerSpec};
@@ -19,7 +20,7 @@ use dds_data::{MultiTenantStream, TraceProfile};
 use dds_engine::{Engine, EngineConfig, TenantId};
 use dds_sim::metrics::{Series, SeriesSet};
 
-use crate::output::default_output_dir;
+use crate::output::write_record;
 use crate::Scale;
 
 const BASE_SHARDS: usize = 4;
@@ -129,9 +130,9 @@ fn to_json(scale: &Scale, points: &[Point]) -> String {
     out
 }
 
-/// Run the three sweeps and persist `BENCH_engine.json`.
+/// Run the three sweeps and persist `BENCH_engine.json` into `dir`.
 #[must_use]
-pub fn run(scale: &Scale) -> Vec<SeriesSet> {
+pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let mut points = Vec::new();
     let sets = vec![
         sweep(
@@ -156,21 +157,14 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
             &mut points,
         ),
     ];
-    let dir = default_output_dir();
-    let path = dir.join("BENCH_engine.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, to_json(scale, &points)))
-    {
-        eprintln!("warning: failed to write {}: {e}", path.display());
-    } else {
-        println!("   (json: {})\n", path.display());
-    }
+    write_record(dir, "BENCH_engine.json", &to_json(scale, &points));
     sets
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::test_dir;
 
     fn tiny() -> Scale {
         Scale {
@@ -182,7 +176,8 @@ mod tests {
 
     #[test]
     fn sweeps_cover_the_grid_and_json_is_wellformed() {
-        let sets = run(&tiny());
+        let dir = test_dir("ext_engine");
+        let sets = run(&tiny(), &dir);
         assert_eq!(sets.len(), 3);
         for set in &sets {
             assert_eq!(set.series.len(), 1);
@@ -193,8 +188,9 @@ mod tests {
                 set.title
             );
         }
-        let json = std::fs::read_to_string(default_output_dir().join("BENCH_engine.json"))
+        let json = std::fs::read_to_string(dir.join("BENCH_engine.json"))
             .expect("BENCH_engine.json written");
+        std::fs::remove_dir_all(&dir).ok();
         assert!(json.contains("\"schema\": \"dds-engine-throughput/v1\""));
         assert_eq!(json.matches("\"sweep\"").count(), 12);
         assert!(!json.contains(",\n  ]"), "trailing comma in results");

@@ -19,6 +19,7 @@
 //! the CSVs (`schema` field versions the format), giving later PRs a
 //! durability-path trajectory to diff against.
 
+use std::path::Path;
 use std::time::Instant;
 
 use dds_core::sampler::{SamplerKind, SamplerSpec};
@@ -26,7 +27,7 @@ use dds_data::{MultiTenantStream, TraceProfile};
 use dds_engine::{Engine, EngineConfig, TenantId};
 use dds_sim::metrics::{Series, SeriesSet};
 
-use crate::output::default_output_dir;
+use crate::output::write_record;
 use crate::Scale;
 
 const SHARDS: usize = 4;
@@ -128,7 +129,7 @@ fn to_json(scale: &Scale, points: &[Point]) -> String {
 /// Run the checkpoint/restore sweep and persist
 /// `BENCH_engine_checkpoint.json`.
 #[must_use]
-pub fn run(scale: &Scale) -> Vec<SeriesSet> {
+pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let tenant_grid = [100u64, 1_000, 5_000];
     let kinds: [(&str, SamplerKind, usize); 2] = [
         ("infinite, s=8", SamplerKind::Infinite, 8),
@@ -163,21 +164,18 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
         rate_set.push(rate);
         size_set.push(size);
     }
-    let dir = default_output_dir();
-    let path = dir.join("BENCH_engine_checkpoint.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, to_json(scale, &points)))
-    {
-        eprintln!("warning: failed to write {}: {e}", path.display());
-    } else {
-        println!("   (json: {})\n", path.display());
-    }
+    write_record(
+        dir,
+        "BENCH_engine_checkpoint.json",
+        &to_json(scale, &points),
+    );
     vec![rate_set, size_set]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::test_dir;
 
     fn tiny() -> Scale {
         Scale {
@@ -189,7 +187,8 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_grid_and_json_is_wellformed() {
-        let sets = run(&tiny());
+        let dir = test_dir("ext_engine_checkpoint");
+        let sets = run(&tiny(), &dir);
         assert_eq!(sets.len(), 2);
         for set in &sets {
             assert_eq!(set.series.len(), 2);
@@ -202,9 +201,9 @@ mod tests {
                 );
             }
         }
-        let json =
-            std::fs::read_to_string(default_output_dir().join("BENCH_engine_checkpoint.json"))
-                .expect("BENCH_engine_checkpoint.json written");
+        let json = std::fs::read_to_string(dir.join("BENCH_engine_checkpoint.json"))
+            .expect("BENCH_engine_checkpoint.json written");
+        std::fs::remove_dir_all(&dir).ok();
         assert!(json.contains("\"schema\": \"dds-engine-checkpoint/v1\""));
         assert_eq!(json.matches("\"sampler\"").count(), 6);
         assert!(!json.contains(",\n  ]"), "trailing comma in results");

@@ -24,6 +24,7 @@
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,7 +36,7 @@ use dds_server::{Client, Server, ServerConfig};
 use dds_sim::metrics::{Series, SeriesSet};
 use dds_sim::Element;
 
-use crate::output::default_output_dir;
+use crate::output::write_record;
 use crate::Scale;
 
 const SHARDS: usize = 2;
@@ -220,7 +221,7 @@ fn to_json(
 /// Run the connection sweep and parity comparison; persist
 /// `BENCH_engine_conns.json` with its pass/fail gate.
 #[must_use]
-pub fn run(scale: &Scale) -> Vec<SeriesSet> {
+pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let mut points = Vec::new();
 
     // Phase 1 — parity + byte-exactness at 16 connections, per batch.
@@ -323,8 +324,6 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
     );
     sweep_set.push(conn_series);
 
-    let dir = default_output_dir();
-    let path = dir.join("BENCH_engine_conns.json");
     let json = to_json(
         scale,
         &points,
@@ -334,17 +333,14 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
         per_idle_bytes,
         gate,
     );
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {
-        eprintln!("warning: failed to write {}: {e}", path.display());
-    } else {
-        println!("   (json: {})\n", path.display());
-    }
+    write_record(dir, "BENCH_engine_conns.json", &json);
     vec![parity_set, sweep_set]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::test_dir;
 
     fn tiny() -> Scale {
         Scale {
@@ -356,7 +352,8 @@ mod tests {
 
     #[test]
     fn sweep_gates_exactness_and_writes_the_record() {
-        let sets = run(&tiny());
+        let dir = test_dir("ext_engine_conns");
+        let sets = run(&tiny(), &dir);
         assert_eq!(sets.len(), 2);
         assert_eq!(sets[0].series.len(), 2, "parity: threaded + evented");
         assert_eq!(sets[1].series.len(), 1, "sweep: evented only");
@@ -364,8 +361,9 @@ mod tests {
         for series in sets.iter().flat_map(|s| &s.series) {
             assert!(series.points.iter().all(|&(_, y)| y > 0.0));
         }
-        let json = std::fs::read_to_string(default_output_dir().join("BENCH_engine_conns.json"))
+        let json = std::fs::read_to_string(dir.join("BENCH_engine_conns.json"))
             .expect("BENCH_engine_conns.json written");
+        std::fs::remove_dir_all(&dir).ok();
         assert!(json.contains("\"schema\": \"dds-engine-conns/v1\""));
         // Exactness and scale must hold even at test scale; only the
         // timing-dependent parity ratio may flip the overall gate.

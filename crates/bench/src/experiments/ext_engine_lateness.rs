@@ -23,6 +23,7 @@
 //! just the timing. `BENCH_engine_lateness.json` carries the record;
 //! CI greps its `gate` field after a smoke run.
 
+use std::path::Path;
 use std::time::Instant;
 
 use dds_core::sampler::{SamplerKind, SamplerSpec};
@@ -31,7 +32,7 @@ use dds_engine::{Engine, EngineConfig, TenantId};
 use dds_sim::metrics::{Series, SeriesSet};
 use dds_sim::{Element, Slot};
 
-use crate::output::default_output_dir;
+use crate::output::write_record;
 use crate::Scale;
 
 const SHARDS: usize = 4;
@@ -186,7 +187,7 @@ fn to_json(
 /// Run the lateness throughput sweep plus the drop-counter validation
 /// and persist `BENCH_engine_lateness.json` with its pass/fail gate.
 #[must_use]
-pub fn run(scale: &Scale) -> Vec<SeriesSet> {
+pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     // Best-of-runs for the two gated rates so scheduler noise cannot
     // flip the gate; the out-of-order horizons ride the last run.
     let mut best_baseline = 0.0f64;
@@ -270,20 +271,15 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
     }
     set.push(series);
 
-    let dir = default_output_dir();
-    let path = dir.join("BENCH_engine_lateness.json");
     let json = to_json(scale, &results, overhead, drops, gate);
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {
-        eprintln!("warning: failed to write {}: {e}", path.display());
-    } else {
-        println!("   (json: {})\n", path.display());
-    }
+    write_record(dir, "BENCH_engine_lateness.json", &json);
     vec![set]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::test_dir;
 
     fn tiny() -> Scale {
         Scale {
@@ -295,12 +291,14 @@ mod tests {
 
     #[test]
     fn sweep_verifies_correctness_and_writes_the_gated_record() {
-        let sets = run(&tiny());
+        let dir = test_dir("ext_engine_lateness");
+        let sets = run(&tiny(), &dir);
         assert_eq!(sets.len(), 1);
         assert_eq!(sets[0].series[0].points.len(), 4);
         assert!(sets[0].series[0].points.iter().all(|&(_, y)| y > 0.0));
-        let json = std::fs::read_to_string(default_output_dir().join("BENCH_engine_lateness.json"))
+        let json = std::fs::read_to_string(dir.join("BENCH_engine_lateness.json"))
             .expect("BENCH_engine_lateness.json written");
+        std::fs::remove_dir_all(&dir).ok();
         assert!(json.contains("\"schema\": \"dds-engine-lateness/v1\""));
         assert!(json.contains("\"gate\": \"pass\"") || json.contains("\"gate\": \"fail\""));
         assert!(json.contains("\"overhead_ceiling\": 1.1"));

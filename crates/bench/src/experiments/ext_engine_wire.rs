@@ -21,6 +21,7 @@
 //! correctness. A machine-readable `BENCH_engine_wire.json` is written
 //! next to the CSVs (`schema` field versions the format).
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,7 +33,7 @@ use dds_server::{Client, Server};
 use dds_sim::metrics::{Series, SeriesSet};
 use dds_sim::Element;
 
-use crate::output::default_output_dir;
+use crate::output::write_record;
 use crate::Scale;
 
 const SHARDS: usize = 4;
@@ -172,7 +173,7 @@ fn to_json(scale: &Scale, points: &[Point]) -> String {
 /// Run the wire-vs-in-process sweep and persist
 /// `BENCH_engine_wire.json`.
 #[must_use]
-pub fn run(scale: &Scale) -> Vec<SeriesSet> {
+pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let batch_grid = [1usize, 16, 256, 1024];
     let mut points = Vec::new();
     let mut rate_set = SeriesSet::new(
@@ -206,21 +207,14 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
     rate_set.push(in_process);
     rate_set.push(tcp);
     cost_set.push(cost);
-    let dir = default_output_dir();
-    let path = dir.join("BENCH_engine_wire.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, to_json(scale, &points)))
-    {
-        eprintln!("warning: failed to write {}: {e}", path.display());
-    } else {
-        println!("   (json: {})\n", path.display());
-    }
+    write_record(dir, "BENCH_engine_wire.json", &to_json(scale, &points));
     vec![rate_set, cost_set]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::test_dir;
 
     fn tiny() -> Scale {
         Scale {
@@ -232,7 +226,8 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_grid_and_json_is_wellformed() {
-        let sets = run(&tiny());
+        let dir = test_dir("ext_engine_wire");
+        let sets = run(&tiny(), &dir);
         assert_eq!(sets.len(), 2);
         assert_eq!(sets[0].series.len(), 2, "rate: in-process + tcp");
         assert_eq!(sets[1].series.len(), 1, "cost: tcp only");
@@ -247,8 +242,9 @@ mod tests {
             cost[0].1 > cost[cost.len() - 1].1,
             "batch 1 should cost more bytes/observe than batch 1024"
         );
-        let json = std::fs::read_to_string(default_output_dir().join("BENCH_engine_wire.json"))
+        let json = std::fs::read_to_string(dir.join("BENCH_engine_wire.json"))
             .expect("BENCH_engine_wire.json written");
+        std::fs::remove_dir_all(&dir).ok();
         assert!(json.contains("\"schema\": \"dds-engine-wire/v1\""));
         assert_eq!(json.matches("\"transport\"").count(), 8);
         assert!(!json.contains(",\n  ]"), "trailing comma in results");

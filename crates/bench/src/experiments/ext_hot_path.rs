@@ -24,6 +24,7 @@
 //! The `gate` field is `"pass"` only when both gated invariants hold;
 //! CI greps for it after a smoke run.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,7 +36,7 @@ use dds_server::{Client, Server};
 use dds_sim::metrics::{Series, SeriesSet};
 use dds_sim::Element;
 
-use crate::output::default_output_dir;
+use crate::output::write_record;
 use crate::Scale;
 
 const SAMPLE_SIZE: usize = 8;
@@ -252,7 +253,7 @@ fn to_json(
 /// Run the three hot-path measurements and persist
 /// `BENCH_hot_path.json` with its pass/fail gate.
 #[must_use]
-pub fn run(scale: &Scale) -> Vec<SeriesSet> {
+pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let (looped_eps, batched_eps) = measure_sampler(scale);
     let (full_bytes, delta_bytes) = measure_delta();
     let (local_eps, wire_eps) = measure_wire(scale);
@@ -293,8 +294,6 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
     series.push(2.0, wire_eps);
     wire_set.push(series);
 
-    let dir = default_output_dir();
-    let path = dir.join("BENCH_hot_path.json");
     let json = to_json(
         scale,
         looped_eps,
@@ -305,17 +304,14 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
         wire_eps,
         gate,
     );
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {
-        eprintln!("warning: failed to write {}: {e}", path.display());
-    } else {
-        println!("   (json: {})\n", path.display());
-    }
+    write_record(dir, "BENCH_hot_path.json", &json);
     vec![rate_set, wire_set]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::test_dir;
 
     fn tiny() -> Scale {
         Scale {
@@ -327,13 +323,15 @@ mod tests {
 
     #[test]
     fn writes_the_hot_path_record_with_a_gate() {
-        let sets = run(&tiny());
+        let dir = test_dir("ext_hot_path");
+        let sets = run(&tiny(), &dir);
         assert_eq!(sets.len(), 2);
         for series in sets.iter().flat_map(|s| &s.series) {
             assert!(series.points.iter().all(|&(_, y)| y > 0.0));
         }
-        let json = std::fs::read_to_string(default_output_dir().join("BENCH_hot_path.json"))
-            .expect("record written");
+        let json =
+            std::fs::read_to_string(dir.join("BENCH_hot_path.json")).expect("record written");
+        std::fs::remove_dir_all(&dir).ok();
         assert!(json.contains("\"schema\": \"dds-hot-path/v1\""));
         assert!(json.contains("\"gate\": \"pass\"") || json.contains("\"gate\": \"fail\""));
         // The delta bound is deterministic (no timing involved): at this

@@ -19,6 +19,7 @@
 //! instrumented file for `"gate": "pass"` — the observability layer is
 //! overhead-pinned, not just overhead-measured.
 
+use std::path::Path;
 use std::time::Instant;
 
 use dds_core::sampler::{SamplerKind, SamplerSpec};
@@ -26,7 +27,7 @@ use dds_data::{MultiTenantStream, TraceProfile};
 use dds_engine::{Engine, EngineConfig, TenantId};
 use dds_sim::metrics::{Series, SeriesSet};
 
-use crate::output::default_output_dir;
+use crate::output::write_record;
 use crate::Scale;
 
 const SHARDS: usize = 4;
@@ -133,9 +134,10 @@ fn to_json(
     out
 }
 
-/// Measure this build's ingest rate and persist the overhead record.
+/// Measure this build's ingest rate and persist the overhead record
+/// into `dir` (an instrumented build reads the noop baseline from it).
 #[must_use]
-pub fn run(scale: &Scale) -> Vec<SeriesSet> {
+pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let (elements, rate) = measure(scale);
     let mode = if dds_obs::IS_NOOP {
         "noop"
@@ -154,10 +156,9 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
     series.push(1.0, rate);
     set.push(series);
 
-    let dir = default_output_dir();
-    let (path, json) = if dds_obs::IS_NOOP {
+    let (name, json) = if dds_obs::IS_NOOP {
         (
-            dir.join("BENCH_obs_overhead_noop.json"),
+            "BENCH_obs_overhead_noop.json",
             to_json(scale, elements, rate, None, None),
         )
     } else {
@@ -172,21 +173,18 @@ pub fn run(scale: &Scale) -> Vec<SeriesSet> {
             }
         });
         (
-            dir.join("BENCH_obs_overhead.json"),
+            "BENCH_obs_overhead.json",
             to_json(scale, elements, rate, noop_rate, gate),
         )
     };
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {
-        eprintln!("warning: failed to write {}: {e}", path.display());
-    } else {
-        println!("   (json: {})\n", path.display());
-    }
+    write_record(dir, name, &json);
     vec![set]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::test_dir;
 
     fn tiny() -> Scale {
         Scale {
@@ -198,7 +196,8 @@ mod tests {
 
     #[test]
     fn writes_the_overhead_record_for_this_build() {
-        let sets = run(&tiny());
+        let dir = test_dir("ext_obs_overhead");
+        let sets = run(&tiny(), &dir);
         assert_eq!(sets.len(), 1);
         assert!(sets[0].series[0].points[0].1 > 0.0, "non-positive rate");
         let name = if dds_obs::IS_NOOP {
@@ -206,8 +205,8 @@ mod tests {
         } else {
             "BENCH_obs_overhead.json"
         };
-        let json =
-            std::fs::read_to_string(default_output_dir().join(name)).expect("record written");
+        let json = std::fs::read_to_string(dir.join(name)).expect("record written");
+        std::fs::remove_dir_all(&dir).ok();
         assert!(json.contains("\"schema\": \"dds-obs-overhead/v1\""));
         assert!(json.contains("\"gate\": ") || dds_obs::IS_NOOP);
         let rate = extract_rate(&json).expect("elems_per_sec parses back");

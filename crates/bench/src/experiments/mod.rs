@@ -1,8 +1,10 @@
 //! One module per table / figure of the paper, plus extensions.
 //!
-//! Every experiment is `fn run(&Scale) -> Vec<SeriesSet>`; the returned
-//! sets carry paper-style titles so the binary and the bench targets can
-//! print and persist them uniformly.
+//! Every experiment is `fn run(&Scale) -> Vec<SeriesSet>`, or
+//! `fn run(&Scale, &Path) -> Vec<SeriesSet>` when it also keeps a
+//! `BENCH_*.json` record, which it writes into the directory it is
+//! given. The returned sets carry paper-style titles so the binary and
+//! the bench targets can print and persist them uniformly.
 
 pub mod ext_ablation;
 pub mod ext_bounds;
@@ -26,6 +28,8 @@ pub mod fig5758;
 pub mod fig59510;
 pub mod table51;
 
+use std::path::Path;
+
 use dds_sim::metrics::SeriesSet;
 
 use crate::Scale;
@@ -36,8 +40,9 @@ pub struct Experiment {
     pub id: &'static str,
     /// What the paper shows there.
     pub title: &'static str,
-    /// Produce the figure series at a given scale.
-    pub run: fn(&Scale) -> Vec<SeriesSet>,
+    /// Produce the figure series at a given scale, writing any
+    /// `BENCH_*.json` record into the given directory.
+    pub run: fn(&Scale, &Path) -> Vec<SeriesSet>,
 }
 
 /// The full experiment registry, in paper order.
@@ -47,62 +52,62 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "table51",
             title: "Table 5.1: dataset element/distinct counts",
-            run: table51::run,
+            run: |scale, _| table51::run(scale),
         },
         Experiment {
             id: "fig51",
             title: "Figure 5.1: messages vs elements under flooding/random/round-robin",
-            run: fig51::run,
+            run: |scale, _| fig51::run(scale),
         },
         Experiment {
             id: "fig52",
             title: "Figure 5.2: messages vs sample size s",
-            run: fig52::run,
+            run: |scale, _| fig52::run(scale),
         },
         Experiment {
             id: "fig53",
             title: "Figure 5.3: messages vs number of sites k",
-            run: fig53::run,
+            run: |scale, _| fig53::run(scale),
         },
         Experiment {
             id: "fig54",
             title: "Figure 5.4: Broadcast vs proposed, messages vs elements",
-            run: fig54::run,
+            run: |scale, _| fig54::run(scale),
         },
         Experiment {
             id: "fig55",
             title: "Figure 5.5: Broadcast vs proposed, messages vs sample size",
-            run: fig55::run,
+            run: |scale, _| fig55::run(scale),
         },
         Experiment {
             id: "fig56",
             title: "Figure 5.6: Broadcast vs proposed vs dominate rate",
-            run: fig56::run,
+            run: |scale, _| fig56::run(scale),
         },
         Experiment {
             id: "fig57",
             title: "Figures 5.7 & 5.8: sliding windows vs window size",
-            run: fig5758::run,
+            run: |scale, _| fig5758::run(scale),
         },
         Experiment {
             id: "fig59",
             title: "Figures 5.9 & 5.10: sliding windows vs number of sites",
-            run: fig59510::run,
+            run: |scale, _| fig59510::run(scale),
         },
         Experiment {
             id: "ext_bounds",
             title: "Extension: measured messages vs Lemma 4 / Lemma 9 bounds",
-            run: ext_bounds::run,
+            run: |scale, _| ext_bounds::run(scale),
         },
         Experiment {
             id: "ext_dds_vs_drs",
             title: "Extension: DDS vs DRS message scaling in k",
-            run: ext_dds_vs_drs::run,
+            run: |scale, _| ext_dds_vs_drs::run(scale),
         },
         Experiment {
             id: "ext_ablation",
             title: "Ablations: reply policy; sliding feedback; WR vs WOR",
-            run: ext_ablation::run,
+            run: |scale, _| ext_ablation::run(scale),
         },
         Experiment {
             id: "ext_engine",

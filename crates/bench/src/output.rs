@@ -6,11 +6,33 @@ use std::path::{Path, PathBuf};
 
 use dds_sim::metrics::SeriesSet;
 
-/// Default directory for experiment CSVs, relative to the workspace.
+/// Default directory for experiment CSVs and `BENCH_*.json` records:
+/// `$CARGO_TARGET_DIR/experiments`, else `target/experiments` relative
+/// to the working directory. The `experiments` binary and the bench
+/// targets write here; tests hand experiments a temporary directory.
 #[must_use]
 pub fn default_output_dir() -> PathBuf {
     PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()))
         .join("experiments")
+}
+
+/// Write one `BENCH_*.json` record into `dir` and print where it went
+/// (a write failure is a warning, not an error: the measurement still
+/// printed its tables).
+pub fn write_record(dir: &Path, name: &str, json: &str) {
+    let path = dir.join(name);
+    if let Err(e) = fs::create_dir_all(dir).and_then(|()| fs::write(&path, json)) {
+        eprintln!("warning: failed to write {}: {e}", path.display());
+    } else {
+        println!("   (json: {})\n", path.display());
+    }
+}
+
+/// A directory under the system temp dir for one test's output, unique
+/// per process and `name`; the caller removes it.
+#[cfg(test)]
+pub(crate) fn test_dir(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("dds-bench-{name}-{}", std::process::id()))
 }
 
 /// Slugify a figure title into a file name.
@@ -72,7 +94,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrip_to_disk() {
-        let dir = std::env::temp_dir().join("dds-bench-test-out");
+        let dir = test_dir("csv");
         let mut set = SeriesSet::new("Test Figure", "x", "y");
         let mut s = Series::new("a");
         s.push(1.0, 2.0);

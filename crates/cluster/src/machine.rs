@@ -23,14 +23,18 @@ use dds_core::with_replacement::{WrConfig, WrCoordinator, WrSite};
 use dds_hash::UnitValue;
 use dds_proto::cluster::{ClusterError, ClusterSpec, CoordDown, SiteUp};
 use dds_sim::{CoordinatorNode as CoordinatorTrait, Destination, Element, SiteId, SiteNode, Slot};
+use dds_treap::FlatStaircase;
 
-/// The per-site half of the configured protocol.
+/// The per-site half of the configured protocol. Sliding sites keep
+/// their candidate sets on [`FlatStaircase`], the engine's backend; the
+/// candidate set is invisible to the protocol, so the Treap-based
+/// `dds-sim` twin stays byte-exact.
 #[derive(Debug)]
 pub(crate) enum SiteMachine {
     Infinite(LazySite),
     Wr(WrSite),
-    Sliding(SwSite),
-    SlidingMulti(MultiSwSite),
+    Sliding(SwSite<FlatStaircase>),
+    SlidingMulti(MultiSwSite<FlatStaircase>),
 }
 
 impl SiteMachine {

@@ -9,24 +9,27 @@
 //! a crash. This module is the codec; `dds-engine`'s `checkpoint` module
 //! stacks the multi-tenant container format on top.
 //!
-//! ## Envelope format (version 1)
+//! ## Envelope format (version 2)
 //!
 //! All integers little-endian, in the `dds_core::messages` fixed-layout
 //! style:
 //!
 //! ```text
 //! magic    u32   0x4353_4444  ("DDSC")
-//! version  u16   1
+//! version  u16   2
 //! kind     u8    sampler kind tag (see `kind::*`)
 //! len      u32   payload byte length
 //! payload  [u8]  kind-specific state (below)
-//! check    u64   FNV-1a 64 over [kind byte ‖ payload]
+//! check    u64   MurmurHash64A of the payload, seeded with the kind tag
 //! ```
 //!
-//! The checksum covers the kind tag and the payload, so *any* single-bit
-//! corruption of the state or its dispatch tag is detected; corruption
-//! of `magic`/`version`/`len` is caught by their own validation (and
-//! `len` is bounds-checked against the buffer before any allocation).
+//! The checksum covers the kind tag and the payload: for a fixed payload
+//! MurmurHash64A is a bijection of its seed, and for a fixed seed and
+//! length any change confined to one 8-byte word changes the hash, so
+//! *any* single-bit corruption of the state or its dispatch tag is
+//! detected; corruption of `magic`/`version`/`len` is caught by their
+//! own validation (and `len` is bounds-checked against the buffer
+//! before any allocation).
 //! Restoring a valid envelope with trailing bytes after it is an error
 //! too — an envelope is a complete document, not a prefix.
 //!
@@ -61,7 +64,11 @@ use crate::sampler::DistinctSampler;
 pub const MAGIC: u32 = u32::from_le_bytes(*b"DDSC");
 
 /// Current envelope format version.
-pub const VERSION: u16 = 1;
+///
+/// History: v1 → v2 replaced the byte-serial FNV-1a 64 trailer with
+/// MurmurHash64A; v1 envelopes are refused with
+/// [`CheckpointError::UnsupportedVersion`].
+pub const VERSION: u16 = 2;
 
 /// Sampler kind tags (the envelope's dispatch byte).
 pub mod kind {
@@ -149,6 +156,12 @@ impl StateWriter {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// Reserve room for at least `additional` more bytes, so a writer
+    /// that knows its size up front grows its buffer once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Append one byte.
@@ -344,12 +357,11 @@ pub fn write_envelope(kind_tag: u8, payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&w.into_bytes());
 }
 
-/// FNV-1a 64 over the kind tag followed by the payload, computed
-/// incrementally — this runs once per tenant on both the checkpoint and
-/// restore paths, so it must not copy the payload.
+/// MurmurHash64A of the payload seeded with the kind tag — this runs
+/// once per tenant on both the checkpoint and restore paths, so it must
+/// not copy the payload.
 fn checksum(kind_tag: u8, payload: &[u8]) -> u64 {
-    use dds_hash::fnv::{fnv1a_64_update, FNV1A_64_OFFSET};
-    fnv1a_64_update(fnv1a_64_update(FNV1A_64_OFFSET, &[kind_tag]), payload)
+    dds_hash::murmur2::murmur64a(payload, u64::from(kind_tag))
 }
 
 /// Validate one envelope occupying *all* of `bytes`; return the kind tag

@@ -12,14 +12,14 @@
 //! tenants (live instances *and* eviction-parked blobs), and the same
 //! operational counters.
 //!
-//! ## Container format (version 3)
+//! ## Container format (version 4)
 //!
 //! All integers little-endian, stacked on the primitive codec of
 //! [`dds_core::checkpoint`]:
 //!
 //! ```text
 //! magic          u32   0x4553_4444  ("DDSE")
-//! version        u16   3
+//! version        u16   4
 //! shards         u32
 //! queue_capacity u32
 //! spec           kind u8 ‖ window u64 ‖ s u32 ‖ seed u64
@@ -37,8 +37,16 @@
 //!                element u64) — the reorder buffer, so a checkpoint
 //!                taken between a late element's arrival and its replay
 //!                loses nothing
-//! check          u64   FNV-1a 64 over every preceding byte
+//! check          u64   MurmurHash64A of every preceding byte, seeded
+//!                      with the magic
 //! ```
+//!
+//! Decoders read `magic` and `version` before they verify `check`, so a
+//! document of another version is refused as
+//! [`CheckpointError::UnsupportedVersion`], never as a checksum
+//! mismatch and never misread. Version 4 replaced version 3's
+//! byte-serial FNV-1a 64 trailer with MurmurHash64A, which folds eight
+//! bytes per step.
 //!
 //! ## Incremental checkpoints
 //!
@@ -48,11 +56,11 @@
 //! shard for exactly the tenants stamped after the base document's
 //! `seq` — at low churn the delta is a few percent of the full
 //! document's bytes. Deltas are their own container (`"DDSD"`,
-//! version 2): the same header, then per shard
+//! version 3): the same header, then per shard
 //! `base_seq ‖ new_seq ‖ watermark ‖ counters ‖ changed tenants ‖
 //! buffer` (the buffer is tiny — at most one horizon's worth of late
 //! data — so deltas carry it whole and application replaces the base's
-//! copy).
+//! copy) and the same trailer, seeded with the delta magic.
 //! [`compact`] folds a base plus an in-order delta chain back into a
 //! full current-version document — byte-identical to the full checkpoint the
 //! engine would have produced at the last delta — and
@@ -79,7 +87,7 @@ use crossbeam::channel::{unbounded, Receiver};
 
 use dds_core::checkpoint::{kind, restore_sampler, CheckpointError, StateReader, StateWriter};
 use dds_core::sampler::{DistinctSampler, SamplerKind, SamplerSpec};
-use dds_hash::fnv::fnv1a_64;
+use dds_hash::murmur2::murmur64a;
 use dds_sim::Slot;
 
 use crate::{Engine, EngineConfig, EngineError, ShardCmd, ShardState, TenantId};
@@ -88,13 +96,19 @@ use crate::{Engine, EngineConfig, EngineError, ShardCmd, ShardState, TenantId};
 pub const MAGIC: u32 = u32::from_le_bytes(*b"DDSE");
 
 /// Current container format version.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Delta-container magic: `b"DDSD"` read as a little-endian `u32`.
 pub const DELTA_MAGIC: u32 = u32::from_le_bytes(*b"DDSD");
 
 /// Current delta-container format version.
-pub const DELTA_VERSION: u16 = 2;
+pub const DELTA_VERSION: u16 = 3;
+
+/// Bytes of the `magic ‖ version` header every document opens with.
+const HEADER_BYTES: usize = 4 + 2;
+
+/// Bytes of the checksum trailer every document closes with.
+const TRAILER_BYTES: usize = 8;
 
 /// Per-shard counters carried by the container, in encode order.
 const COUNTERS: usize = 10;
@@ -339,10 +353,7 @@ impl Engine {
             }
             encode_buffer(&state.buffer, &mut w);
         }
-        let mut out = w.into_bytes();
-        let check = fnv1a_64(&out);
-        out.extend_from_slice(&check.to_le_bytes());
-        Ok(out)
+        Ok(seal(MAGIC, w))
     }
 
     /// Infallible wrapper over [`Engine::try_checkpoint`].
@@ -447,10 +458,7 @@ impl Engine {
             }
             encode_buffer(&state.buffer, &mut w);
         }
-        let mut out = w.into_bytes();
-        let check = fnv1a_64(&out);
-        out.extend_from_slice(&check.to_le_bytes());
-        Ok(out)
+        Ok(seal(DELTA_MAGIC, w))
     }
 
     /// Rebuild an engine from a base document plus an in-order chain of
@@ -479,39 +487,12 @@ impl Engine {
     /// Returns a [`CheckpointError`] on truncated, corrupted, or
     /// semantically invalid input; never panics on untrusted bytes.
     pub fn restore(bytes: &[u8]) -> Result<Engine, CheckpointError> {
-        if bytes.len() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let check = u64::from_le_bytes(trailer.try_into().expect("len 8"));
-        if check != fnv1a_64(body) {
-            return Err(CheckpointError::ChecksumMismatch);
-        }
-        let mut r = StateReader::new(body);
-        let magic = r.get_u32()?;
-        if magic != MAGIC {
-            return Err(CheckpointError::BadMagic(magic));
-        }
-        let version = r.get_u16()?;
-        if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
+        let mut r = open(bytes, MAGIC, VERSION)?;
         // `shards` counts the shard records that follow (each at least
         // `SHARD_SECTION_MIN` bytes), so the collection-length bound
-        // applies and caps it against the document size — no thread is
-        // spawned for a count the document cannot actually contain.
-        let shards = r.get_len(SHARD_SECTION_MIN)?;
-        // The queue capacity is a scalar; bound it explicitly, since
-        // bounded channels allocate their capacity up front.
-        let queue_capacity = r.get_u32()? as usize;
-        if shards == 0 || queue_capacity == 0 {
-            return Err(CheckpointError::Corrupt("zero shards or queue capacity"));
-        }
-        if queue_capacity > 1 << 20 {
-            return Err(CheckpointError::Corrupt("queue capacity implausibly large"));
-        }
-        let spec = decode_spec(&mut r)?;
-        let lateness = decode_lateness(&mut r)?;
+        // caps it against the document size — no thread is spawned for
+        // a count the document cannot actually contain.
+        let (shards, queue_capacity, spec, lateness) = parse_shape(&mut r, SHARD_SECTION_MIN)?;
 
         struct ShardRecord {
             watermark: Slot,
@@ -648,17 +629,43 @@ struct Doc {
     per_shard: Vec<DocShard>,
 }
 
-/// Split off and verify the FNV trailer, returning the body.
-fn checked_body(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
-    if bytes.len() < 8 {
+/// The trailer of a document: MurmurHash64A of its body, seeded with
+/// its magic.
+fn checksum(magic: u32, body: &[u8]) -> u64 {
+    murmur64a(body, u64::from(magic))
+}
+
+/// Append the trailer to an encoded document body.
+fn seal(magic: u32, w: StateWriter) -> Vec<u8> {
+    let mut out = w.into_bytes();
+    let check = checksum(magic, &out);
+    out.extend_from_slice(&check.to_le_bytes());
+    out
+}
+
+/// Check a document's magic and version, then its trailer, and return a
+/// reader over the body past the header. The header comes first so a
+/// document of another version is refused as such, not as a checksum
+/// mismatch.
+fn open(bytes: &[u8], magic: u32, version: u16) -> Result<StateReader<'_>, CheckpointError> {
+    let mut r = StateReader::new(bytes);
+    let found = r.get_u32()?;
+    if found != magic {
+        return Err(CheckpointError::BadMagic(found));
+    }
+    let found = r.get_u16()?;
+    if found != version {
+        return Err(CheckpointError::UnsupportedVersion(found));
+    }
+    if bytes.len() < HEADER_BYTES + TRAILER_BYTES {
         return Err(CheckpointError::Truncated);
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let check = u64::from_le_bytes(trailer.try_into().expect("len 8"));
-    if check != fnv1a_64(body) {
+    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_BYTES);
+    let check = u64::from_le_bytes(trailer.try_into().expect("trailer length"));
+    if check != checksum(magic, body) {
         return Err(CheckpointError::ChecksumMismatch);
     }
-    Ok(body)
+    Ok(StateReader::new(&body[HEADER_BYTES..]))
 }
 
 /// Decode the shared deployment-shape header (shard count, queue
@@ -695,15 +702,7 @@ fn parse_tenant(r: &mut StateReader<'_>) -> Result<(u64, (bool, u64, Vec<u8>)), 
 /// Parse a full current-version document into its overlay form. Validates the
 /// checksum and structure but not the tenant blobs (restore does that).
 fn parse_full(bytes: &[u8]) -> Result<Doc, CheckpointError> {
-    let mut r = StateReader::new(checked_body(bytes)?);
-    let magic = r.get_u32()?;
-    if magic != MAGIC {
-        return Err(CheckpointError::BadMagic(magic));
-    }
-    let version = r.get_u16()?;
-    if version != VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
+    let mut r = open(bytes, MAGIC, VERSION)?;
     let (shards, queue_capacity, spec, lateness) = parse_shape(&mut r, SHARD_SECTION_MIN)?;
     let mut per_shard = Vec::with_capacity(shards);
     for _ in 0..shards {
@@ -764,10 +763,7 @@ fn encode_full(doc: &Doc) -> Vec<u8> {
         }
         encode_buffer_map(&shard.buffer, &mut w);
     }
-    let mut out = w.into_bytes();
-    let check = fnv1a_64(&out);
-    out.extend_from_slice(&check.to_le_bytes());
-    out
+    seal(MAGIC, w)
 }
 
 /// Overlay one delta document onto a parsed base. Rejects deltas for a
@@ -776,15 +772,7 @@ fn encode_full(doc: &Doc) -> Vec<u8> {
 /// number (a predecessor is missing), and its `new_seq` must not
 /// predate it (the delta is stale).
 fn apply_delta(doc: &mut Doc, delta: &[u8]) -> Result<(), CheckpointError> {
-    let mut r = StateReader::new(checked_body(delta)?);
-    let magic = r.get_u32()?;
-    if magic != DELTA_MAGIC {
-        return Err(CheckpointError::BadMagic(magic));
-    }
-    let version = r.get_u16()?;
-    if version != DELTA_VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
+    let mut r = open(delta, DELTA_MAGIC, DELTA_VERSION)?;
     let (shards, queue_capacity, spec, lateness) = parse_shape(&mut r, DELTA_SHARD_SECTION_MIN)?;
     if shards != doc.shards
         || queue_capacity != doc.queue_capacity

@@ -58,7 +58,10 @@ pub fn murmur2_32(data: &[u8], seed: u32) -> u32 {
 ///
 /// This is the workhorse hash of the crate: protocols hash a `u64` element
 /// identifier through this function (via [`murmur64a_u64`]) to obtain the
-/// unit-interval value the sampling algorithms compare.
+/// unit-interval value the sampling algorithms compare, and wire frames
+/// and checkpoint documents carry it as their integrity trailer. For
+/// fixed data it is a bijection of `seed`, and for a fixed seed and
+/// length any change confined to one 8-byte word changes the output.
 #[must_use]
 pub fn murmur64a(data: &[u8], seed: u64) -> u64 {
     const M: u64 = 0xc6a4_a793_5bd1_e995;

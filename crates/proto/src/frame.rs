@@ -8,26 +8,30 @@
 //!
 //! ```text
 //! magic    u32   0x5053_4444  ("DDSP")
-//! version  u16   2
+//! version  u16   3
 //! opcode   u8    request/response discriminator (see `crate::opcode`)
 //! len      u32   payload byte length (≤ MAX_PAYLOAD)
 //! payload  [u8]  opcode-specific body (StateWriter layout)
-//! check    u64   FNV-1a 64 over [opcode ‖ payload]
+//! check    u64   MurmurHash64A of the payload, seeded with the opcode
 //! ```
 //!
-//! The checksum covers the opcode and the payload, so any single-bit
-//! corruption of a message or its dispatch byte is detected;
-//! `magic`/`version`/`len` corruption is caught by their own validation,
-//! and `len` is bounded *before* any allocation, so a hostile peer
-//! cannot request a huge buffer with a 4-byte header. This mirrors the
+//! The checksum covers the opcode and the payload. For a fixed payload
+//! MurmurHash64A is a bijection of its seed, and for a fixed seed and
+//! length any change confined to one 8-byte word changes the hash, so
+//! every single-bit corruption of a message or its dispatch byte is
+//! detected; `magic`/`version`/`len` corruption is caught by their own
+//! validation, and `len` is bounded *before* any allocation, so a
+//! hostile peer cannot request a huge buffer with a 4-byte header.
+//! Magic and version are checked before the checksum, so a peer of
+//! another version is refused as such. This mirrors the
 //! checkpoint envelope of `dds_core::checkpoint` — same primitives, same
 //! failure taxonomy ([`CheckpointError`]) — one binary dialect across
 //! durability and transport.
 
 use std::io::{self, Read, Write};
 
-use dds_core::checkpoint::{CheckpointError, StateReader, StateWriter};
-use dds_hash::fnv::{fnv1a_64_update, FNV1A_64_OFFSET};
+use dds_core::checkpoint::{CheckpointError, StateReader};
+use dds_hash::murmur2::murmur64a;
 
 /// Frame magic: `b"DDSP"` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"DDSP");
@@ -40,12 +44,15 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"DDSP");
 /// 15 words (late drops, stale advances, sweeps, reorder-buffer depth)
 /// and added the `LateData` engine-error tag — a v1 peer would misread
 /// both, so mixed versions are rejected at the frame layer instead.
-pub const VERSION: u16 = 2;
+/// v2 → v3 replaced the byte-serial FNV-1a 64 trailer with
+/// MurmurHash64A, which folds eight bytes per step; a v2 peer fails
+/// every v3 checksum, so the version names the change.
+pub const VERSION: u16 = 3;
 
 /// Fixed bytes before the payload: magic + version + opcode + len.
 pub const HEADER_BYTES: usize = 4 + 2 + 1 + 4;
 
-/// Fixed bytes after the payload: the FNV-1a 64 checksum.
+/// Fixed bytes after the payload: the MurmurHash64A checksum.
 pub const TRAILER_BYTES: usize = 8;
 
 /// Per-frame overhead: `wire_bytes = OVERHEAD_BYTES + payload len`.
@@ -98,10 +105,10 @@ impl From<FrameError> for dds_engine::EngineError {
     }
 }
 
-/// FNV-1a 64 over the opcode byte followed by the payload (incremental,
-/// allocation-free — this runs on every message both ways).
+/// MurmurHash64A of the payload seeded with the opcode (allocation-free
+/// — this runs on every message both ways).
 fn checksum(opcode: u8, payload: &[u8]) -> u64 {
-    fnv1a_64_update(fnv1a_64_update(FNV1A_64_OFFSET, &[opcode]), payload)
+    murmur64a(payload, u64::from(opcode))
 }
 
 /// Wrap an opcode + payload into one complete frame.
@@ -111,18 +118,9 @@ fn checksum(opcode: u8, payload: &[u8]) -> u64 {
 /// message does; the limit exists to bound *decoder* allocations).
 #[must_use]
 pub fn frame_bytes(opcode: u8, payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_PAYLOAD,
-        "frame payload exceeds MAX_PAYLOAD"
-    );
-    let mut w = StateWriter::new();
-    w.put_u32(MAGIC);
-    w.put_u16(VERSION);
-    w.put_u8(opcode);
-    w.put_len(payload.len());
-    w.put_bytes(payload);
-    w.put_u64(checksum(opcode, payload));
-    w.into_bytes()
+    let mut frame = Vec::with_capacity(OVERHEAD_BYTES + payload.len());
+    write_frame_to(&mut frame, opcode, payload).expect("writing into a Vec cannot fail");
+    frame
 }
 
 /// Validate one frame occupying *all* of `bytes`; return the opcode and
@@ -171,8 +169,8 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, opcode: u8, payload: &[u8]) -> 
 
 /// Stream one frame to a writer without materializing it: a
 /// stack-allocated header, the caller's payload slice, and a trailer
-/// whose checksum is folded incrementally with [`fnv1a_64_update`] —
-/// no intermediate `Vec`, byte-identical to [`frame_bytes`] output.
+/// whose checksum is hashed straight from that slice — no intermediate
+/// `Vec`, byte-identical to [`frame_bytes`] output.
 ///
 /// This is the encode half of the zero-copy hot path: a buffered writer
 /// sees three `write_all` calls instead of one heap-allocated copy of
@@ -425,6 +423,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dds_core::checkpoint::StateWriter;
 
     #[test]
     fn roundtrip_through_bytes_and_streams() {

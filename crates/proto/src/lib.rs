@@ -14,7 +14,7 @@
 //!
 //! | layer | module | contents |
 //! |---|---|---|
-//! | frames | [`frame`] | `DDSP` magic, version, opcode, `u32` length, FNV-1a 64 checksum — 19 bytes of overhead per message, bounded before allocation |
+//! | frames | [`frame`] | `DDSP` magic, version, opcode, `u32` length, MurmurHash64A checksum seeded with the opcode — 19 bytes of overhead per message, bounded before allocation |
 //! | messages | [`message`] | [`Request`] / [`Response`] payload codecs over `dds_core::checkpoint`'s `StateWriter` / `StateReader` primitives; a structural [`EngineError`](dds_engine::EngineError) codec so failures round-trip losslessly |
 //! | service | [`service`] | [`EngineService`] (request in → response out), implemented by `Engine` directly and by [`EngineHost`] (a replaceable engine slot that also serves `Restore` and `Shutdown`) |
 //! | cluster | [`cluster`] | the site→coordinator dialect `dds-cluster` speaks: protocol ups/downs byte-equivalent to `dds_core::messages`, join/control handshakes keyed by a [`ClusterSpec`] digest, driver commands, typed [`ClusterError`]s |

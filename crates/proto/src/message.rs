@@ -231,6 +231,7 @@ pub enum Response {
 // ---------------------------------------------------------------------
 
 fn put_batch(w: &mut StateWriter, batch: &[(TenantId, Element)]) {
+    w.reserve(4 + 16 * batch.len());
     w.put_len(batch.len());
     for &(t, e) in batch {
         w.put_u64(t.0);

@@ -22,6 +22,15 @@
 //! * **expiry** — dead entries are a prefix; one `drain`;
 //! * **min-hash query** — the front of the vec, `O(1)`.
 //!
+//! Every local observation arrives with the newest expiry (`now + w`),
+//! at or past every stored one, so it lands at the back: a same-slot
+//! arrival with a larger hash than the back entry is dominated in one
+//! compare, and otherwise one `partition_point` over the ascending
+//! hashes finds the cut, everything above it is dominated, and
+//! `truncate` plus `push` finishes. Only coordinator echoes with older
+//! expiries and distinct elements that share a hash take the general
+//! path.
+//!
 //! Semantics are identical to [`crate::Treap`] and
 //! [`crate::StaircaseSet`] (same conformance suite, differential-tested
 //! at the sliding-window protocol level), so `SwSite` can pick a backend
@@ -73,10 +82,36 @@ impl FlatStaircase {
             );
         }
     }
-}
 
-impl CandidateSet for FlatStaircase {
-    fn insert_or_refresh(&mut self, e: Element, hash: u64, expiry: Slot) {
+    /// [`CandidateSet::insert_or_refresh`] past its inlined first check.
+    #[inline(never)]
+    fn insert_slow(&mut self, e: Element, hash: u64, expiry: Slot) {
+        if self.entries.last().map_or(true, |b| b.expiry <= expiry) {
+            // In order: one cut over the ascending hashes.
+            let cut = self.entries.partition_point(|en| en.hash < hash);
+            let mut above = self.entries[cut..].iter();
+            let collides = match above.next() {
+                Some(en) if en.element == e => {
+                    debug_assert_eq!(
+                        en.hash, hash,
+                        "element {e} presented with two different hashes"
+                    );
+                    if en.expiry == expiry {
+                        return; // refresh to the expiry it already has
+                    }
+                    above.next().is_some_and(|next| next.hash == hash)
+                }
+                Some(en) => en.hash == hash,
+                None => false,
+            };
+            if !collides {
+                // Everything from the cut up expires no later and hashes
+                // larger (or is this element's older copy): dominated.
+                self.entries.truncate(cut);
+                self.entries.push(CandidateEntry::new(e, hash, expiry));
+                return;
+            }
+        }
         if let Some(i) = self.position(e) {
             let old = self.entries[i];
             debug_assert_eq!(
@@ -105,6 +140,24 @@ impl CandidateSet for FlatStaircase {
             .partition_point(|en| (en.expiry, en.element) < (expiry, e));
         self.entries
             .insert(at, CandidateEntry::new(e, hash, expiry));
+    }
+}
+
+impl CandidateSet for FlatStaircase {
+    #[inline]
+    fn insert_or_refresh(&mut self, e: Element, hash: u64, expiry: Slot) {
+        // A same-slot arrival hashing above the back entry is dominated.
+        // Entries sharing the back's expiry share its hash (a smaller one
+        // would dominate the rest), and none expires later, so the back
+        // alone decides.
+        if self
+            .entries
+            .last()
+            .is_some_and(|b| b.expiry == expiry && b.hash < hash)
+        {
+            return;
+        }
+        self.insert_slow(e, hash, expiry);
     }
 
     fn expire(&mut self, now: Slot) {
@@ -173,6 +226,81 @@ mod tests {
         }
         flat.validate();
         assert_eq!(flat.entries_sorted(), naive.entries_sorted());
+    }
+
+    /// The in-order path against the oracle: arrivals carry the newest
+    /// expiry, as every local observation does, with same-slot runs,
+    /// repeats (refreshes), equal-expiry echoes, older-expiry echoes
+    /// (the general path), `expire` calls, and distinct elements that
+    /// share a hash (the general path's collision fallback).
+    #[test]
+    fn in_order_stream_agrees_with_naive() {
+        let distinct: fn(u64) -> u64 = conformance::h;
+        // Few hash values over a small universe: collisions are common.
+        let shared: fn(u64) -> u64 = |e| conformance::h(e / 3) % 40;
+        for (seed, hash_of) in [
+            (0x9e37_79b9_7f4a_7c15_u64, distinct),
+            (0x2545_f491_4f6c_dd1d, shared),
+        ] {
+            let mut flat = FlatStaircase::new();
+            let mut naive = NaiveCandidateSet::default();
+            let mut x = seed;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut now = 0u64;
+            let window = 8;
+            for _ in 0..20_000 {
+                let r = next();
+                let e = (r >> 8) % 48;
+                let (e, expiry) = match r % 16 {
+                    // Slot boundary, with the sweep the protocol runs.
+                    0 => {
+                        now += 1 + (r >> 40) % 2;
+                        flat.expire(Slot(now));
+                        naive.expire(Slot(now));
+                        continue;
+                    }
+                    // An older-expiry echo of a stored element (or a
+                    // fresh one), as a coordinator reply would carry.
+                    1 => {
+                        let older = now + 1 + (r >> 40) % window;
+                        let stored = flat.entries_sorted();
+                        let e = if stored.is_empty() {
+                            e
+                        } else {
+                            stored[(r >> 20) as usize % stored.len()].element.0
+                        };
+                        (e, older)
+                    }
+                    // An equal-expiry echo of the back entry.
+                    2 => match flat.entries_sorted().last() {
+                        Some(b) => (b.element.0, b.expiry.0),
+                        None => (e, now + window),
+                    },
+                    // A repeat of a stored element: a refresh.
+                    3 => match flat.entries_sorted().first() {
+                        Some(f) => (f.element.0, now + window),
+                        None => (e, now + window),
+                    },
+                    // A local observation in the current slot.
+                    _ => (e, now + window),
+                };
+                let before = flat.entries_sorted();
+                flat.insert_or_refresh(Element(e), hash_of(e), Slot(expiry));
+                naive.insert_or_refresh(Element(e), hash_of(e), Slot(expiry));
+                flat.validate();
+                assert_eq!(
+                    flat.entries_sorted(),
+                    naive.entries_sorted(),
+                    "insert ({e}, {}, {expiry}) into {before:?}",
+                    hash_of(e)
+                );
+            }
+        }
     }
 
     #[test]
