@@ -12,7 +12,7 @@
 //! [`SlidingOracle`] answers exact sliding-window queries by brute force
 //! for differential tests.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 use dds_hash::{SeededHash, UnitHash, UnitValue};
 use dds_sim::{Element, Slot};
@@ -20,14 +20,22 @@ use dds_sim::{Element, Slot};
 /// The `s` smallest `(hash, element)` pairs seen so far, with the
 /// threshold `u` = largest retained hash once full (else 1).
 ///
+/// One sorted `Vec` of at most `s` pairs: the protocols keep `s` small
+/// (8 in the serving workloads), so a binary search and a short shift
+/// beat any tree or hash map, and the whole sample sits in a few cache
+/// lines.
+///
 /// Inserting the same element twice is a no-op (distinctness is what the
 /// structure is *for*), making every protocol built on it idempotent
-/// against duplicate message delivery.
+/// against duplicate message delivery. Membership is decided on the
+/// `(hash, element)` pair, so callers must offer each element with the
+/// same hash every time — which every protocol does, since the hash is
+/// a function of the element.
 #[derive(Debug, Clone)]
 pub struct BottomS {
     s: usize,
-    set: BTreeSet<(UnitValue, Element)>,
-    members: HashMap<Element, UnitValue>,
+    /// The retained pairs, strictly ascending.
+    sorted: Vec<(UnitValue, Element)>,
 }
 
 impl BottomS {
@@ -38,10 +46,11 @@ impl BottomS {
     #[must_use]
     pub fn new(s: usize) -> Self {
         assert!(s > 0, "sample size must be at least 1");
+        // No capacity from `s`: it may come from a decoded checkpoint,
+        // and the sample grows only as elements arrive.
         Self {
             s,
-            set: BTreeSet::new(),
-            members: HashMap::new(),
+            sorted: Vec::new(),
         }
     }
 
@@ -54,35 +63,32 @@ impl BottomS {
     /// Current sample size, `min(s, d)`.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.sorted.len()
     }
 
     /// True if no elements have been offered yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.sorted.is_empty()
     }
 
     /// Offer an element with its hash. Returns `true` iff the sample
     /// changed (the element was admitted).
     pub fn offer(&mut self, element: Element, hash: UnitValue) -> bool {
-        if self.members.contains_key(&element) {
+        let key = (hash, element);
+        let full = self.sorted.len() >= self.s;
+        if full && self.sorted.last().is_some_and(|&max| key >= max) {
             return false;
         }
-        if self.set.len() < self.s {
-            self.set.insert((hash, element));
-            self.members.insert(element, hash);
-            return true;
-        }
-        let max = *self.set.iter().next_back().expect("non-empty when full");
-        if (hash, element) < max {
-            self.set.remove(&max);
-            self.members.remove(&max.1);
-            self.set.insert((hash, element));
-            self.members.insert(element, hash);
-            true
-        } else {
-            false
+        match self.sorted.binary_search(&key) {
+            Ok(_) => false,
+            Err(at) => {
+                if full {
+                    self.sorted.pop();
+                }
+                self.sorted.insert(at, key);
+                true
+            }
         }
     }
 
@@ -90,29 +96,29 @@ impl BottomS {
     /// while fewer than `s` distinct elements have been seen.
     #[must_use]
     pub fn threshold(&self) -> UnitValue {
-        if self.set.len() < self.s {
-            UnitValue::ONE
-        } else {
-            self.set.iter().next_back().map(|&(h, _)| h).expect("full")
+        match self.sorted.last() {
+            Some(&(h, _)) if self.sorted.len() >= self.s => h,
+            _ => UnitValue::ONE,
         }
     }
 
-    /// Whether `element` is currently in the sample.
+    /// Whether `element` is currently in the sample (a scan of at most
+    /// `s` pairs).
     #[must_use]
     pub fn contains(&self, element: Element) -> bool {
-        self.members.contains_key(&element)
+        self.sorted.iter().any(|&(_, e)| e == element)
     }
 
     /// The sampled elements in ascending hash order.
     #[must_use]
     pub fn elements(&self) -> Vec<Element> {
-        self.set.iter().map(|&(_, e)| e).collect()
+        self.sorted.iter().map(|&(_, e)| e).collect()
     }
 
     /// The sample as `(element, hash)` pairs in ascending hash order.
     #[must_use]
     pub fn entries(&self) -> Vec<(Element, UnitValue)> {
-        self.set.iter().map(|&(h, e)| (e, h)).collect()
+        self.sorted.iter().map(|&(h, e)| (e, h)).collect()
     }
 
     /// Checkpoint encoding: capacity plus the sampled elements in hash
@@ -120,8 +126,8 @@ impl BottomS {
     /// decoder recomputes them from the protocol hash function.
     pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
         w.put_len(self.s);
-        w.put_len(self.set.len());
-        for &(_, e) in &self.set {
+        w.put_len(self.sorted.len());
+        for &(_, e) in &self.sorted {
             w.put_element(e);
         }
     }
@@ -130,7 +136,7 @@ impl BottomS {
     /// under `hasher`.
     pub(crate) fn decode_state(
         r: &mut crate::checkpoint::StateReader<'_>,
-        hasher: &SeededHash,
+        hasher: &impl UnitHash,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
         use crate::checkpoint::CheckpointError;
         // The capacity is a scalar, not a collection length: `s` may far
@@ -347,6 +353,8 @@ impl SlidingOracle {
 mod tests {
     use super::*;
     use dds_hash::family::HashFamily;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn hasher() -> SeededHash {
         HashFamily::default().primary()
@@ -464,5 +472,69 @@ mod tests {
     #[should_panic(expected = "sample size must be at least 1")]
     fn zero_s_rejected() {
         let _ = BottomS::new(0);
+    }
+
+    /// A hash onto `bits` bits that also maps `twin.1` onto `twin.0`'s
+    /// hash, so two distinct elements always share one.
+    struct CollidingHash {
+        bits: u32,
+        twin: (u64, u64),
+    }
+
+    impl UnitHash for CollidingHash {
+        fn unit(&self, element: u64) -> UnitValue {
+            let e = if element == self.twin.1 {
+                self.twin.0
+            } else {
+                element
+            };
+            UnitValue(dds_hash::splitmix::splitmix64(e) >> (64 - self.bits))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `BottomS` against a brute-force oracle: the sorted distinct
+        /// `(hash, element)` pairs offered so far, cut to `s`.
+        #[test]
+        fn bottom_s_matches_the_sorted_distinct_prefix(
+            s in prop_oneof![Just(1usize), Just(2), Just(8), Just(100)],
+            offers in prop::collection::vec(0u64..160, 0..300),
+            bits in 1u32..65,
+            twin in (0u64..160, 0u64..160),
+        ) {
+            prop_assume!(twin.0 != twin.1);
+            let hash = CollidingHash { bits, twin };
+            let mut bottom = BottomS::new(s);
+            let mut seen: BTreeSet<(UnitValue, Element)> = BTreeSet::new();
+            let mut prefix: Vec<(UnitValue, Element)> = Vec::new();
+            for &x in &offers {
+                let e = Element(x);
+                let h = hash.unit(x);
+                seen.insert((h, e));
+                let want: Vec<(UnitValue, Element)> = seen.iter().copied().take(s).collect();
+                let changed = want != prefix;
+                prefix = want;
+                prop_assert_eq!(bottom.offer(e, h), changed, "offer of {:?}", e);
+                let elements: Vec<Element> = prefix.iter().map(|&(_, e)| e).collect();
+                prop_assert_eq!(bottom.elements(), elements);
+                prop_assert_eq!(bottom.len(), prefix.len());
+                let threshold = if prefix.len() < s { UnitValue::ONE } else { prefix[s - 1].0 };
+                prop_assert_eq!(bottom.threshold(), threshold);
+                for &(_, y) in &seen {
+                    prop_assert_eq!(bottom.contains(y), prefix.iter().any(|&(_, p)| p == y));
+                }
+                let mut w = crate::checkpoint::StateWriter::new();
+                bottom.encode_state(&mut w);
+                let bytes = w.into_bytes();
+                let mut r = crate::checkpoint::StateReader::new(&bytes);
+                let back = BottomS::decode_state(&mut r, &hash).expect("round trip decodes");
+                r.expect_end().expect("round trip consumes every byte");
+                prop_assert_eq!(back.s(), s);
+                prop_assert_eq!(back.entries(), bottom.entries());
+                prop_assert_eq!(back.threshold(), bottom.threshold());
+            }
+        }
     }
 }

@@ -58,7 +58,7 @@ use dds_hash::unit::HashKind;
 use dds_hash::SeededHash;
 use dds_sim::{Element, Slot};
 
-use crate::sampler::DistinctSampler;
+use crate::sampler::{AnySampler, DistinctSampler};
 
 /// Envelope magic: `b"DDSC"` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"DDSC");
@@ -388,7 +388,7 @@ pub fn read_envelope(bytes: &[u8]) -> Result<(u8, &[u8]), CheckpointError> {
 }
 
 /// Rebuild a sampler from an envelope produced by
-/// [`DistinctSampler::checkpoint`].
+/// [`DistinctSampler::checkpoint`], as the closed [`AnySampler`] enum.
 ///
 /// The returned instance is observationally identical to the one that
 /// was checkpointed: same sample, threshold, memory, clock, and message
@@ -397,25 +397,30 @@ pub fn read_envelope(bytes: &[u8]) -> Result<(u8, &[u8]), CheckpointError> {
 /// [`CheckpointError`]; this function never panics on untrusted bytes.
 ///
 /// [`DistinctSampler::checkpoint`]: crate::sampler::DistinctSampler::checkpoint
-pub fn restore_sampler(bytes: &[u8]) -> Result<Box<dyn DistinctSampler>, CheckpointError> {
+pub fn restore_instance(bytes: &[u8]) -> Result<AnySampler, CheckpointError> {
+    use crate::sampler::{FusedInfinite, FusedSliding, FusedSlidingMulti, FusedWr};
     let (kind_tag, payload) = read_envelope(bytes)?;
     let mut r = StateReader::new(payload);
-    let sampler: Box<dyn DistinctSampler> = match kind_tag {
-        kind::CENTRALIZED => Box::new(crate::centralized::CentralizedSampler::decode_state(
-            &mut r,
-        )?),
-        kind::INFINITE => Box::new(crate::sampler::FusedInfinite::decode_state(&mut r)?),
-        kind::WITH_REPLACEMENT => Box::new(crate::sampler::FusedWr::decode_state(&mut r)?),
-        kind::SLIDING => Box::new(
-            crate::sampler::FusedSliding::<dds_treap::FlatStaircase>::decode_state(&mut r)?,
+    let sampler = match kind_tag {
+        kind::CENTRALIZED => AnySampler::Centralized(
+            crate::centralized::CentralizedSampler::decode_state(&mut r)?,
         ),
-        kind::SLIDING_MULTI => Box::new(crate::sampler::FusedSlidingMulti::<
-            dds_treap::FlatStaircase,
-        >::decode_state(&mut r)?),
+        kind::INFINITE => AnySampler::Infinite(FusedInfinite::decode_state(&mut r)?),
+        kind::WITH_REPLACEMENT => AnySampler::WithReplacement(FusedWr::decode_state(&mut r)?),
+        kind::SLIDING => AnySampler::Sliding(FusedSliding::decode_state(&mut r)?),
+        kind::SLIDING_MULTI => AnySampler::SlidingMulti(FusedSlidingMulti::decode_state(&mut r)?),
         other => return Err(CheckpointError::UnknownKind(other)),
     };
     r.expect_end()?;
     Ok(sampler)
+}
+
+/// [`restore_instance`] behind the unified interface, boxed.
+///
+/// # Errors
+/// As [`restore_instance`].
+pub fn restore_sampler(bytes: &[u8]) -> Result<Box<dyn DistinctSampler>, CheckpointError> {
+    Ok(Box::new(restore_instance(bytes)?))
 }
 
 #[cfg(test)]

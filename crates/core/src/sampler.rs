@@ -16,7 +16,10 @@
 //!
 //! [`SamplerSpec`] is the value-level description of an instance
 //! (protocol + sample size + hash seed) from which a serving layer can
-//! build boxed samplers per tenant without being generic over protocols.
+//! build samplers per tenant without being generic over protocols:
+//! [`SamplerSpec::instance`] gives the closed [`AnySampler`] enum, which
+//! a host of many tenants stores by value, and [`SamplerSpec::build`]
+//! boxes it behind the trait for everything else.
 //!
 //! ## Time
 //!
@@ -30,7 +33,7 @@
 //! exactly as a distributed deployment would at its slot boundaries.
 
 use dds_hash::family::HashFamily;
-use dds_hash::{SeededHash, UnitValue};
+use dds_hash::{SeededHash, UnitHash, UnitValue};
 use dds_sim::{CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 use dds_treap::{CandidateSet, FlatStaircase};
 
@@ -44,9 +47,9 @@ use crate::with_replacement::{WrCoordinator, WrSite};
 
 /// One self-contained distinct-sampling instance.
 ///
-/// Object-safe and `Send` so serving layers can hold
-/// `Box<dyn DistinctSampler>` per tenant and move whole tenant maps
-/// between worker threads.
+/// Object-safe and `Send`, so callers can hold `Box<dyn DistinctSampler>`
+/// and move instances between worker threads; [`AnySampler`] implements
+/// it by `match` for hosts that store instances by value.
 pub trait DistinctSampler: Send {
     /// Observe one element of the instance's stream at the current clock.
     fn observe(&mut self, e: Element);
@@ -217,9 +220,6 @@ pub struct FusedInfinite {
     coordinator: LazyCoordinator,
     up_buf: Vec<UpElem>,
     down_buf: Vec<(Destination, DownThreshold)>,
-    /// Batch-hash scratch, reused across `observe_batch` calls (transient;
-    /// not part of checkpoints).
-    hash_buf: Vec<u64>,
     messages: u64,
 }
 
@@ -232,7 +232,6 @@ impl FusedInfinite {
             coordinator: config.coordinator(),
             up_buf: Vec::new(),
             down_buf: Vec::new(),
-            hash_buf: Vec::new(),
             messages: 0,
         }
     }
@@ -255,7 +254,6 @@ impl FusedInfinite {
             coordinator,
             up_buf: Vec::new(),
             down_buf: Vec::new(),
-            hash_buf: Vec::new(),
             messages,
         })
     }
@@ -275,15 +273,13 @@ impl DistinctSampler for FusedInfinite {
     }
 
     fn observe_batch(&mut self, batch: &[Element]) {
-        // Hash the whole batch in one pass, then run Algorithm 1's
-        // compare loop against the precomputed hashes; only threshold
-        // beats (rare after warm-up) touch the message pump.
-        let mut hashes = std::mem::take(&mut self.hash_buf);
-        self.site
-            .hasher()
-            .hash_u64_batch_into(batch.iter().map(|e| e.0), &mut hashes);
-        for (&e, &h) in batch.iter().zip(&hashes) {
-            if let Some(up) = self.site.observe_hashed(e, UnitValue(h)) {
+        // Algorithm 1's hash-and-compare loop with no scratch buffer:
+        // an engine tenant's run is often a single element, where a
+        // per-tenant hash buffer costs more than it saves. Only
+        // threshold beats (rare after warm-up) touch the message pump.
+        for &e in batch {
+            let h = self.site.hasher().unit(e.0);
+            if let Some(up) = self.site.observe_hashed(e, h) {
                 self.up_buf.push(up);
                 pump_ups(
                     &mut self.site,
@@ -295,7 +291,6 @@ impl DistinctSampler for FusedInfinite {
                 );
             }
         }
-        self.hash_buf = hashes;
     }
 
     fn sample(&self) -> Vec<Element> {
@@ -767,6 +762,88 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSlidingMulti<T> 
     }
 }
 
+/// Every sampler a [`SamplerSpec`] builds, as one closed enum.
+///
+/// A serving layer that hosts thousands of instances holds this by
+/// value: each call is a `match` over five known kinds rather than a
+/// vtable call, and the state sits inline in the host's table instead of
+/// behind a pointer. It is built only by [`SamplerSpec::instance`] and
+/// [`crate::checkpoint::restore_instance`]; [`SamplerSpec::build`] and
+/// [`crate::checkpoint::restore_sampler`] box it for callers that want
+/// a `Box<dyn DistinctSampler>`.
+#[derive(Debug, Clone)]
+pub enum AnySampler {
+    /// [`SamplerKind::Centralized`].
+    Centralized(CentralizedSampler),
+    /// [`SamplerKind::Infinite`].
+    Infinite(FusedInfinite),
+    /// [`SamplerKind::WithReplacement`].
+    WithReplacement(FusedWr),
+    /// [`SamplerKind::Sliding`].
+    Sliding(FusedSliding),
+    /// [`SamplerKind::SlidingMulti`].
+    SlidingMulti(FusedSlidingMulti),
+}
+
+/// Forward one [`DistinctSampler`] call to whichever kind `$any` holds.
+macro_rules! dispatch {
+    ($any:expr, $inner:ident => $call:expr) => {
+        match $any {
+            AnySampler::Centralized($inner) => $call,
+            AnySampler::Infinite($inner) => $call,
+            AnySampler::WithReplacement($inner) => $call,
+            AnySampler::Sliding($inner) => $call,
+            AnySampler::SlidingMulti($inner) => $call,
+        }
+    };
+}
+
+impl DistinctSampler for AnySampler {
+    fn observe(&mut self, e: Element) {
+        dispatch!(self, s => DistinctSampler::observe(s, e));
+    }
+
+    fn advance(&mut self, now: Slot) {
+        dispatch!(self, s => DistinctSampler::advance(s, now));
+    }
+
+    fn clock(&self) -> Slot {
+        dispatch!(self, s => DistinctSampler::clock(s))
+    }
+
+    fn observe_at(&mut self, e: Element, now: Slot) {
+        dispatch!(self, s => DistinctSampler::observe_at(s, e, now));
+    }
+
+    fn observe_batch(&mut self, batch: &[Element]) {
+        dispatch!(self, s => DistinctSampler::observe_batch(s, batch));
+    }
+
+    fn observe_batch_at(&mut self, now: Slot, batch: &[Element]) {
+        dispatch!(self, s => DistinctSampler::observe_batch_at(s, now, batch));
+    }
+
+    fn sample(&self) -> Vec<Element> {
+        dispatch!(self, s => DistinctSampler::sample(s))
+    }
+
+    fn threshold(&self) -> Option<UnitValue> {
+        dispatch!(self, s => DistinctSampler::threshold(s))
+    }
+
+    fn memory_tuples(&self) -> usize {
+        dispatch!(self, s => DistinctSampler::memory_tuples(s))
+    }
+
+    fn protocol_messages(&self) -> u64 {
+        dispatch!(self, s => DistinctSampler::protocol_messages(s))
+    }
+
+    fn checkpoint(&self, out: &mut Vec<u8>) {
+        dispatch!(self, s => DistinctSampler::checkpoint(s, out));
+    }
+}
+
 /// Which protocol backs an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SamplerKind {
@@ -861,25 +938,35 @@ impl SamplerSpec {
         self.family().primary()
     }
 
-    /// Build one sampler instance behind the unified interface.
+    /// Build one sampler instance as the closed [`AnySampler`] enum —
+    /// what a host of many instances stores by value.
     #[must_use]
-    pub fn build(&self) -> Box<dyn DistinctSampler> {
+    pub fn instance(&self) -> AnySampler {
         match self.kind {
-            SamplerKind::Centralized => Box::new(CentralizedSampler::new(self.s, self.hasher())),
-            SamplerKind::Infinite => Box::new(FusedInfinite::new(&InfiniteConfig {
+            SamplerKind::Centralized => {
+                AnySampler::Centralized(CentralizedSampler::new(self.s, self.hasher()))
+            }
+            SamplerKind::Infinite => AnySampler::Infinite(FusedInfinite::new(&InfiniteConfig {
                 s: self.s,
                 family: self.family(),
             })),
-            SamplerKind::WithReplacement => Box::new(FusedWr::new(self.s, self.family())),
-            SamplerKind::Sliding { window } => Box::new(FusedSliding::<FlatStaircase>::new(
+            SamplerKind::WithReplacement => {
+                AnySampler::WithReplacement(FusedWr::new(self.s, self.family()))
+            }
+            SamplerKind::Sliding { window } => AnySampler::Sliding(FusedSliding::new(
                 &SlidingConfig::with_seed(window, self.seed),
             )),
-            SamplerKind::SlidingMulti { window } => {
-                Box::new(FusedSlidingMulti::<FlatStaircase>::new(
-                    &MultiSlidingConfig::with_seed(self.s, window, self.seed),
-                ))
-            }
+            SamplerKind::SlidingMulti { window } => AnySampler::SlidingMulti(
+                FusedSlidingMulti::new(&MultiSlidingConfig::with_seed(self.s, window, self.seed)),
+            ),
         }
+    }
+
+    /// Build one sampler instance behind the unified interface: a boxed
+    /// [`SamplerSpec::instance`].
+    #[must_use]
+    pub fn build(&self) -> Box<dyn DistinctSampler> {
+        Box::new(self.instance())
     }
 
     /// The exact-oracle twin of this spec: a [`CentralizedSampler`] over

@@ -80,17 +80,18 @@
 //! against an engine that never crashed — is pinned by
 //! `crates/engine/tests/recovery.rs` for all four sampler kinds.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 
 use crossbeam::channel::{unbounded, Receiver};
 
-use dds_core::checkpoint::{kind, restore_sampler, CheckpointError, StateReader, StateWriter};
-use dds_core::sampler::{DistinctSampler, SamplerKind, SamplerSpec};
+use dds_core::checkpoint::{kind, restore_instance, CheckpointError, StateReader, StateWriter};
+use dds_core::sampler::{SamplerKind, SamplerSpec};
 use dds_hash::murmur2::murmur64a;
 use dds_sim::Slot;
 
-use crate::{Engine, EngineConfig, EngineError, ShardCmd, ShardState, TenantId};
+use crate::shard::{ShardCmd, ShardState, TenantState};
+use crate::{Engine, EngineConfig, EngineError, TenantId};
 
 /// Container magic: `b"DDSE"` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"DDSE");
@@ -195,6 +196,18 @@ fn decode_lateness(r: &mut StateReader<'_>) -> Result<Option<u64>, CheckpointErr
     let slots = r.get_u64()?;
     Ok(present.then_some(slots))
 }
+
+/// Encode one tenant record (shared by full and delta sections).
+fn encode_tenant(w: &mut StateWriter, tenant: u64, parked: bool, stamp: u64, blob: &[u8]) {
+    w.put_u64(tenant);
+    w.put_bool(parked);
+    w.put_u64(stamp);
+    w.put_len(blob.len());
+    w.put_bytes(blob);
+}
+
+/// The refusal for a document that names one tenant twice.
+const REPEATED_TENANT: CheckpointError = CheckpointError::Corrupt("tenant listed twice");
 
 /// Encode one shard's reorder buffer (ascending by slot; entries keep
 /// arrival order).
@@ -344,12 +357,8 @@ impl Engine {
                 w.put_u64(counter);
             }
             w.put_len(state.tenants.len());
-            for (tenant, parked, stamp, blob) in state.tenants {
-                w.put_u64(tenant);
-                w.put_bool(parked);
-                w.put_u64(stamp);
-                w.put_len(blob.len());
-                w.put_bytes(&blob);
+            for (tenant, parked, stamp, blob) in &state.tenants {
+                encode_tenant(&mut w, *tenant, *parked, *stamp, blob);
             }
             encode_buffer(&state.buffer, &mut w);
         }
@@ -449,12 +458,8 @@ impl Engine {
                 w.put_u64(counter);
             }
             w.put_len(state.tenants.len());
-            for (tenant, parked, stamp, blob) in state.tenants {
-                w.put_u64(tenant);
-                w.put_bool(parked);
-                w.put_u64(stamp);
-                w.put_len(blob.len());
-                w.put_bytes(&blob);
+            for (tenant, parked, stamp, blob) in &state.tenants {
+                encode_tenant(&mut w, *tenant, *parked, *stamp, blob);
             }
             encode_buffer(&state.buffer, &mut w);
         }
@@ -485,7 +490,9 @@ impl Engine {
     ///
     /// # Errors
     /// Returns a [`CheckpointError`] on truncated, corrupted, or
-    /// semantically invalid input; never panics on untrusted bytes.
+    /// semantically invalid input — including a tenant listed twice,
+    /// in one shard section or across two; never panics on untrusted
+    /// bytes.
     pub fn restore(bytes: &[u8]) -> Result<Engine, CheckpointError> {
         let mut r = open(bytes, MAGIC, VERSION)?;
         // `shards` counts the shard records that follow (each at least
@@ -502,12 +509,13 @@ impl Engine {
         let mut records = Vec::with_capacity(shards);
         // Tenants (and buffered late elements) re-routed by the engine's
         // own placement hash.
-        let mut live: Vec<Vec<(u64, u64, Box<dyn DistinctSampler>)>> = Vec::new();
-        let mut parked: Vec<Vec<(u64, u64, Vec<u8>)>> = Vec::new();
+        let mut tenants: Vec<Vec<(u64, u64, TenantState)>> = Vec::new();
         let mut buffers: Vec<BTreeMap<u64, Vec<(u64, u64)>>> = Vec::new();
-        live.resize_with(shards, Vec::new);
-        parked.resize_with(shards, Vec::new);
+        tenants.resize_with(shards, Vec::new);
         buffers.resize_with(shards, BTreeMap::new);
+        // Re-routing can bring one id from two shard sections together,
+        // so repeats are caught across the whole document.
+        let mut seen = HashSet::new();
 
         let engine = Engine::spawn(EngineConfig {
             shards,
@@ -530,15 +538,19 @@ impl Engine {
                 let stamp = r.get_u64()?;
                 let blob_len = r.get_len(1)?;
                 let blob = r.get_bytes(blob_len)?;
-                let home = engine.shard_of(TenantId(tenant));
-                if is_parked {
-                    // Validate now so a corrupt blob fails the restore,
-                    // not a later rehydration inside a shard worker.
-                    restore_sampler(blob)?;
-                    parked[home].push((tenant, stamp, blob.to_vec()));
-                } else {
-                    live[home].push((tenant, stamp, restore_sampler(blob)?));
+                if !seen.insert(tenant) {
+                    return Err(REPEATED_TENANT);
                 }
+                // A parked blob is validated now too, so a corrupt one
+                // fails the restore, not a later rehydration inside a
+                // shard worker.
+                let sampler = restore_instance(blob)?;
+                let state = if is_parked {
+                    TenantState::Parked(blob.to_vec())
+                } else {
+                    TenantState::Live(sampler)
+                };
+                tenants[engine.shard_of(TenantId(tenant))].push((tenant, stamp, state));
             }
             for (slot, entries) in decode_buffer(&mut r)? {
                 for (tenant, element) in entries {
@@ -557,9 +569,9 @@ impl Engine {
         }
         r.expect_end()?;
 
-        for (i, (record, ((live, parked), buffer))) in records
+        for (i, (record, (tenants, buffer))) in records
             .iter()
-            .zip(live.into_iter().zip(parked).zip(buffers))
+            .zip(tenants.into_iter().zip(buffers))
             .enumerate()
         {
             let shard = &engine.shards[i];
@@ -568,8 +580,7 @@ impl Engine {
                 .send(ShardCmd::Install {
                     watermark: record.watermark,
                     seq: record.seq,
-                    live,
-                    parked,
+                    tenants,
                     buffer: buffer.into_iter().collect(),
                 })
                 .expect("shard worker alive");
@@ -700,11 +711,13 @@ fn parse_tenant(r: &mut StateReader<'_>) -> Result<(u64, (bool, u64, Vec<u8>)), 
 }
 
 /// Parse a full current-version document into its overlay form. Validates the
-/// checksum and structure but not the tenant blobs (restore does that).
+/// checksum and structure — a tenant may appear once in the whole
+/// document — but not the tenant blobs (restore does that).
 fn parse_full(bytes: &[u8]) -> Result<Doc, CheckpointError> {
     let mut r = open(bytes, MAGIC, VERSION)?;
     let (shards, queue_capacity, spec, lateness) = parse_shape(&mut r, SHARD_SECTION_MIN)?;
     let mut per_shard = Vec::with_capacity(shards);
+    let mut seen = HashSet::new();
     for _ in 0..shards {
         let watermark = r.get_slot()?;
         let seq = r.get_u64()?;
@@ -716,6 +729,9 @@ fn parse_full(bytes: &[u8]) -> Result<Doc, CheckpointError> {
         let mut tenants = BTreeMap::new();
         for _ in 0..tenant_count {
             let (tenant, record) = parse_tenant(&mut r)?;
+            if !seen.insert(tenant) {
+                return Err(REPEATED_TENANT);
+            }
             tenants.insert(tenant, record);
         }
         let buffer = decode_buffer(&mut r)?;
@@ -755,11 +771,7 @@ fn encode_full(doc: &Doc) -> Vec<u8> {
         }
         w.put_len(shard.tenants.len());
         for (&tenant, (parked, stamp, blob)) in &shard.tenants {
-            w.put_u64(tenant);
-            w.put_bool(*parked);
-            w.put_u64(*stamp);
-            w.put_len(blob.len());
-            w.put_bytes(blob);
+            encode_tenant(&mut w, tenant, *parked, *stamp, blob);
         }
         encode_buffer_map(&shard.buffer, &mut w);
     }
@@ -770,7 +782,9 @@ fn encode_full(doc: &Doc) -> Vec<u8> {
 /// different deployment shape and chains applied out of order: a
 /// delta's `base_seq` must not postdate the overlay's current sequence
 /// number (a predecessor is missing), and its `new_seq` must not
-/// predate it (the delta is stale).
+/// predate it (the delta is stale). A tenant may appear once per delta
+/// section, and never in a section other than the one the overlay
+/// already holds it in.
 fn apply_delta(doc: &mut Doc, delta: &[u8]) -> Result<(), CheckpointError> {
     let mut r = open(delta, DELTA_MAGIC, DELTA_VERSION)?;
     let (shards, queue_capacity, spec, lateness) = parse_shape(&mut r, DELTA_SHARD_SECTION_MIN)?;
@@ -783,8 +797,9 @@ fn apply_delta(doc: &mut Doc, delta: &[u8]) -> Result<(), CheckpointError> {
             "delta is for a different deployment shape",
         ));
     }
-    for shard in &mut doc.per_shard {
+    for i in 0..doc.per_shard.len() {
         let base_seq = r.get_u64()?;
+        let shard = &doc.per_shard[i];
         let new_seq = r.get_u64()?;
         if base_seq > shard.seq {
             return Err(CheckpointError::Corrupt(
@@ -796,16 +811,29 @@ fn apply_delta(doc: &mut Doc, delta: &[u8]) -> Result<(), CheckpointError> {
                 "delta predates the state it is applied to",
             ));
         }
-        shard.watermark = r.get_slot()?;
-        shard.seq = new_seq;
-        for c in &mut shard.counters {
+        let watermark = r.get_slot()?;
+        let mut counters = [0u64; COUNTERS];
+        for c in &mut counters {
             *c = r.get_u64()?;
         }
         let changed = r.get_len(TENANT_RECORD_MIN)?;
+        let mut seen = HashSet::new();
         for _ in 0..changed {
             let (tenant, record) = parse_tenant(&mut r)?;
-            shard.tenants.insert(tenant, record);
+            let elsewhere = doc
+                .per_shard
+                .iter()
+                .enumerate()
+                .any(|(j, other)| j != i && other.tenants.contains_key(&tenant));
+            if !seen.insert(tenant) || elsewhere {
+                return Err(REPEATED_TENANT);
+            }
+            doc.per_shard[i].tenants.insert(tenant, record);
         }
+        let shard = &mut doc.per_shard[i];
+        shard.watermark = watermark;
+        shard.seq = new_seq;
+        shard.counters = counters;
         // The buffer is tiny and carried whole in every delta, so it
         // replaces rather than merges.
         shard.buffer = decode_buffer(&mut r)?;
@@ -835,6 +863,7 @@ pub fn compact(base: &[u8], deltas: &[Vec<u8>]) -> Result<Vec<u8>, CheckpointErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dds_core::sampler::DistinctSampler;
     use dds_sim::Element;
 
     fn sliding_spec() -> SamplerSpec {
@@ -1082,6 +1111,110 @@ mod tests {
             );
         }
         let _ = engine.shutdown();
+    }
+
+    /// A live and a parked envelope of `sliding_spec()` tenants.
+    fn tenant_blobs() -> (Vec<u8>, Vec<u8>) {
+        let mut live = sliding_spec().instance();
+        live.observe_at(Element(5), Slot(3));
+        let mut drained = sliding_spec().instance();
+        drained.observe_at(Element(6), Slot(1));
+        drained.advance(Slot(20));
+        let (mut live_blob, mut parked_blob) = (Vec::new(), Vec::new());
+        live.checkpoint(&mut live_blob);
+        drained.checkpoint(&mut parked_blob);
+        (live_blob, parked_blob)
+    }
+
+    /// A document sealed with this module's own encoders: shard section
+    /// `i` lists `sections[i]` as `(tenant, parked, blob)` records, at
+    /// seq 1 for a full document or from seq 1 to 2 for a delta.
+    fn hand_sealed(delta: bool, sections: &[Vec<(u64, bool, Vec<u8>)>]) -> Vec<u8> {
+        let (magic, version) = if delta {
+            (DELTA_MAGIC, DELTA_VERSION)
+        } else {
+            (MAGIC, VERSION)
+        };
+        let mut w = StateWriter::new();
+        w.put_u32(magic);
+        w.put_u16(version);
+        w.put_len(sections.len());
+        w.put_len(8);
+        encode_spec(&sliding_spec(), &mut w);
+        encode_lateness(None, &mut w);
+        for tenants in sections {
+            if delta {
+                w.put_u64(1);
+                w.put_u64(2);
+                w.put_slot(Slot(3));
+            } else {
+                w.put_slot(Slot(3));
+                w.put_u64(1);
+            }
+            for _ in 0..COUNTERS {
+                w.put_u64(0);
+            }
+            w.put_len(tenants.len());
+            for (tenant, parked, blob) in tenants {
+                encode_tenant(&mut w, *tenant, *parked, 1, blob);
+            }
+            encode_buffer(&[], &mut w);
+        }
+        seal(magic, w)
+    }
+
+    #[test]
+    fn a_tenant_listed_twice_is_refused() {
+        let (live, parked) = tenant_blobs();
+        let distinct = hand_sealed(
+            false,
+            &[
+                vec![(7, false, live.clone())],
+                vec![(8, true, parked.clone())],
+            ],
+        );
+        let restored = Engine::restore(&distinct).expect("distinct ids restore");
+        assert_eq!(restored.metrics().tenants(), 2);
+        let _ = restored.shutdown();
+
+        // Once live and once parked, in two shard sections (restore
+        // re-routes both copies to one shard) or in one.
+        for doc in [
+            hand_sealed(
+                false,
+                &[
+                    vec![(7, false, live.clone())],
+                    vec![(7, true, parked.clone())],
+                ],
+            ),
+            hand_sealed(
+                false,
+                &[
+                    vec![(7, false, live.clone()), (7, true, parked.clone())],
+                    vec![],
+                ],
+            ),
+        ] {
+            assert_eq!(Engine::restore(&doc).err(), Some(REPEATED_TENANT));
+            assert_eq!(compact(&doc, &[]).err(), Some(REPEATED_TENANT));
+        }
+
+        // A delta may name a tenant once per section, and only in the
+        // section the base already holds it in.
+        let base = hand_sealed(false, &[vec![(7, false, live.clone())], vec![]]);
+        let once = hand_sealed(true, &[vec![(7, true, parked.clone())], vec![]]);
+        assert!(compact(&base, &[once]).is_ok());
+        let twice = hand_sealed(
+            true,
+            &[
+                vec![(7, true, parked.clone()), (7, false, live.clone())],
+                vec![],
+            ],
+        );
+        let moved = hand_sealed(true, &[vec![], vec![(7, true, parked)]]);
+        for delta in [twice, moved] {
+            assert_eq!(compact(&base, &[delta]).err(), Some(REPEATED_TENANT));
+        }
     }
 
     #[test]

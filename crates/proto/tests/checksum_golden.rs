@@ -1,5 +1,7 @@
-//! Frozen integrity trailers for the three checksummed formats: a
-//! `DDSP` frame, a `DDSC` sampler envelope and a `DDSD` delta document.
+//! Frozen integrity trailers for the checksummed formats: a `DDSP`
+//! frame, a `DDSC` sampler envelope, a `DDSD` delta document and two
+//! full `DDSE` engine documents (one of bottom-`s` tenants, one with
+//! parked tenants).
 //!
 //! Each trailer is MurmurHash64A seeded with the format's dispatch tag
 //! (the opcode, the kind tag, the document magic). The pinned values
@@ -24,6 +26,8 @@ use dds_sim::{Element, Slot};
 const FRAME_TRAILER: u64 = 0x71cf_041d_8520_b43f;
 const ENVELOPE_TRAILER: u64 = 0x544f_a3e5_7986_43f1;
 const DELTA_TRAILER: u64 = 0x5cb1_7235_af0d_ebe7;
+const INFINITE_DOCUMENT_TRAILER: u64 = 0x5ddb_8120_2ac4_4bb6;
+const WINDOWED_DOCUMENT_TRAILER: u64 = 0xe453_71e7_9e25_fa76;
 
 fn trailer(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8-byte trailer"))
@@ -181,4 +185,57 @@ fn delta_trailer_is_frozen_and_every_bit_flip_is_rejected() {
     let refused = CheckpointError::UnsupportedVersion(container::VERSION - 1);
     assert_eq!(Engine::restore(&old_full).err(), Some(refused));
     assert_eq!(compact(&old_full, &[]).err(), Some(refused));
+}
+
+/// A full document of an `Infinite` s = 8 engine over 20 tenants: every
+/// tenant record carries a bottom-`s` sample.
+fn golden_infinite_document() -> Vec<u8> {
+    let spec = SamplerSpec::new(SamplerKind::Infinite, 8, 2015);
+    let engine = Engine::spawn(EngineConfig::new(spec).with_shards(2));
+    for round in 0..4u64 {
+        let batch: Vec<(TenantId, Element)> = (0..100u64)
+            .map(|i| (TenantId(i % 20), Element((round * 100 + i) * 7_919 % 1_009)))
+            .collect();
+        engine.observe_batch(batch);
+    }
+    engine.observe(TenantId(3), Element(4_242));
+    engine.flush();
+    let doc = engine.checkpoint();
+    let _ = engine.shutdown();
+    doc
+}
+
+/// A full document of a windowed engine after an `advance` that parked
+/// the tenants whose window drained (half of the twelve).
+fn golden_windowed_document() -> Vec<u8> {
+    let spec = SamplerSpec::new(SamplerKind::Sliding { window: 4 }, 1, 77);
+    let engine = Engine::spawn(EngineConfig::new(spec).with_shards(2));
+    for t in 0..12u64 {
+        engine.observe_at(TenantId(t), Element(t * 5), Slot(1 + (t % 2) * 4));
+    }
+    engine.advance(Slot(7));
+    engine.flush();
+    assert_eq!(engine.metrics().total_evictions(), 6, "the advance parks");
+    let doc = engine.checkpoint();
+    let _ = engine.shutdown();
+    doc
+}
+
+#[test]
+fn engine_document_trailers_are_frozen_and_restore_byte_exact() {
+    for (doc, pinned) in [
+        (golden_infinite_document(), INFINITE_DOCUMENT_TRAILER),
+        (golden_windowed_document(), WINDOWED_DOCUMENT_TRAILER),
+    ] {
+        assert_eq!(
+            trailer(&doc),
+            pinned,
+            "engine document trailer drifted: {:#018x}",
+            trailer(&doc)
+        );
+        assert_eq!(compact(&doc, &[]).expect("golden document folds"), doc);
+        let restored = Engine::restore(&doc).expect("golden document restores");
+        assert_eq!(restored.checkpoint(), doc, "restore changed the document");
+        let _ = restored.shutdown();
+    }
 }
