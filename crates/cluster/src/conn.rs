@@ -1,10 +1,15 @@
-//! One framed, lock-step cluster connection.
+//! One framed, blocking cluster connection: the driver's and the site
+//! daemons' side of the wire (the coordinator runs every connection
+//! from its event loop instead).
 //!
-//! Every conversation in the cluster dialect is strictly
-//! request/reply: write one [`ClusterRequest`] frame, read one outcome
-//! frame. [`Framed`] owns the buffered halves of a
-//! [`Stream`](dds_server::net::Stream) and flushes after every send —
-//! lock-step protocols cannot afford a frame parked in a write buffer.
+//! Conversations in the cluster dialect are request/reply — write one
+//! [`ClusterRequest`] frame, read one outcome frame — with one
+//! exception: a site's [`ClusterRequest::Done`] marker is one-way, sent
+//! with [`Framed::send_request`] and never answered. A driver may also
+//! write to several connections before reading any reply, which is how
+//! a barrier reaches every site at once. [`Framed`] owns the buffered
+//! halves of a [`Stream`](dds_server::net::Stream) and flushes after
+//! every send — a frame parked in a write buffer would stall its peer.
 //! Dropping it closes the connection (a clean EOF on the far side).
 
 use std::io::{BufReader, BufWriter, Write};
@@ -65,7 +70,7 @@ impl Framed {
         }
     }
 
-    /// One lock-step round trip.
+    /// One round trip.
     pub(crate) fn call(
         &mut self,
         request: &ClusterRequest,

@@ -1,4 +1,5 @@
-//! The coordinator node: `k` site connections, one protocol state.
+//! The coordinator node: one event loop, `k` site connections, one
+//! protocol state.
 //!
 //! Accepts framed connections over TCP or a Unix socket (the same
 //! [`Listener`] plumbing as `dds-server`). The first frame on every
@@ -8,81 +9,91 @@
 //! parameters is rejected with a typed
 //! [`ClusterError::ConfigMismatch`] before it can touch the sample.
 //!
-//! Every site `Up` is answered with exactly one
-//! [`ClusterResponse::Downs`] frame carrying that up's protocol
-//! replies, which keeps the deployment in lock-step with
-//! `dds_sim::Cluster`'s settle loop: same handling order, same
-//! [`dds_sim::MessageCounters`] totals, same sample at every query
-//! point.
+//! ## The loop
 //!
-//! **Failure model:** a site connection that ends without a graceful
-//! `Leave` marks the site *failed*. The coordinator neither hangs nor
-//! panics: `Sample` and `Advance` answer [`ClusterError::SiteDown`]
-//! (the continuous query can no longer be trusted cluster-wide), while
+//! One thread blocks in [`dds_reactor::Poller::wait`] over the listener
+//! and every site and control connection. It owns the protocol state
+//! ([`CoordMachine`], the slot clock, the paper's
+//! [`MessageCounters`]), the membership table and the held ups, so
+//! nothing here takes a lock per request. In-process callers
+//! ([`ClusterCoordinator::stats`], [`ClusterCoordinator::telemetry`])
+//! post a query to the loop and wake it.
+//!
+//! ## The hold rule
+//!
+//! A driver numbers every event of the stream — each observed element,
+//! and each slot boundary's coordinator start followed by every site's
+//! slot start — in the order `dds_sim::Cluster` would run them, and
+//! sites stamp each up with the number of the event that caused it
+//! ([`ClusterRequest::SeqUp`]). The coordinator applies stamped ups and
+//! slot advances strictly in that order. It holds an up numbered `n`
+//! until every other live site has sent a later up or a one-way
+//! [`ClusterRequest::Done`] marker past `n`, and until the driver's
+//! [`ClusterRequest::Sync`] has announced every slot advance up to `n`.
+//! This is conservative (Chandy–Misra) synchronization, and it is exact
+//! here because `machine.rs` enforces that every reply is unicast to
+//! the sender and that coordinator slot starts are silent: a site's
+//! state changes only through its own events and the replies to its
+//! own ups, so the order in which ups are applied is the only coupling
+//! between sites. A `Sync` is answered once everything numbered up to
+//! it is applied, and the control connection's later requests wait
+//! behind it, so a `Sample` or `Stats` after a barrier sees exactly the
+//! in-process twin's state. Each site has at most one up in flight, so
+//! at most `k` ups are ever held.
+//!
+//! An up without a number ([`ClusterRequest::Up`], sent by a directly
+//! driven [`SiteDaemon`](crate::SiteDaemon)) is applied on arrival.
+//! Every applied up is answered with exactly one
+//! [`ClusterResponse::Downs`] frame carrying its protocol replies.
+//!
+//! ## Failure model
+//!
+//! A seat no site has joined yet holds like a live site, because a
+//! driver's first barrier may race a site's `Join`. A site connection
+//! that ends without a graceful `Leave`, or breaks the protocol, marks
+//! the site *failed*. The coordinator neither hangs
+//! nor panics: a failed site stops holding anyone (its own held up is
+//! dropped), so surviving sites finish their batches; every later
+//! `Sync` and `Sample` answers [`ClusterError::SiteDown`] (the
+//! continuous query can no longer be trusted cluster-wide), while
 //! `Stats` keeps working so an operator can see exactly which site
 //! died and what it had contributed.
 
+use std::collections::VecDeque;
+use std::io::{Read, Write};
 use std::net::SocketAddr;
+use std::os::unix::io::AsRawFd;
 #[cfg(unix)]
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use dds_obs::{Counter, Registry, TelemetrySnapshot};
+use dds_obs::{Counter, Histogram, Registry, TelemetrySnapshot};
 use dds_proto::cluster::{
-    ClusterError, ClusterRequest, ClusterResponse, ClusterSpec, ClusterStats, SiteUp,
+    encode_cluster_outcome, ClusterError, ClusterRequest, ClusterResponse, ClusterSpec,
+    ClusterStats, SiteUp,
 };
+use dds_proto::frame::FrameDecoder;
+use dds_reactor::{Events, Interest, Poller, Token, Waker};
 use dds_server::net::{Endpoint, Listener, Stream};
-use dds_sim::{AtomicMessageCounters, Direction, SiteId, Slot};
+use dds_sim::{Direction, MessageCounters, SiteId, Slot};
 
-use crate::conn::Framed;
 use crate::machine::CoordMachine;
 
-/// Everything the protocol knows, behind one lock. Connection handler
-/// threads take it only for the duration of one request, and the
-/// driver serializes the protocol itself, so there is no contention on
-/// the hot path — the lock exists for the *failure* paths, where a
-/// dying connection races a live query.
-struct CoordState {
-    machine: CoordMachine,
-    now: Slot,
-    joined: Vec<bool>,
-    departed: Vec<bool>,
-    failed: Vec<bool>,
-}
+/// Token of the listening socket.
+const LISTENER: Token = Token(0);
+/// Token of the waker (local queries, shutdown).
+const WAKER: Token = Token(1);
+/// Connection `slot` is registered as `FIRST_CONN + slot`.
+const FIRST_CONN: usize = 2;
+/// How long accepting pauses after an accept error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-impl CoordState {
-    fn first_failure(&self) -> Option<SiteId> {
-        self.failed.iter().position(|&f| f).map(SiteId)
-    }
-
-    fn live_sites(&self, k: usize) -> usize {
-        (0..k)
-            .filter(|&i| self.joined[i] && !self.departed[i] && !self.failed[i])
-            .count()
-    }
-
-    fn stats(&self, k: usize, counters: &AtomicMessageCounters) -> ClusterStats {
-        ClusterStats {
-            k,
-            now: self.now,
-            joined: self.live_sites(k),
-            departed: self.departed.iter().filter(|&&d| d).count(),
-            failed: self
-                .failed
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &f)| f.then_some(SiteId(i)))
-                .collect(),
-            counters: counters.snapshot(),
-            memory_tuples: self.machine.memory_tuples(),
-            threshold: self.machine.threshold(),
-        }
-    }
-}
-
-/// Lifecycle counters registered under the coordinator's registry.
+/// Lifecycle and synchronization metrics registered under the
+/// coordinator's registry.
 struct CoordObs {
     joins: Counter,
     leaves: Counter,
@@ -93,21 +104,28 @@ struct CoordObs {
     /// coordinator — the coordinator-visible late-data signal, the
     /// cluster analogue of the engine's `engine_late_dropped_total`.
     late_ups: Vec<Counter>,
+    /// How long each sequenced up waited for the other sites.
+    hold_nanos: Histogram,
+    /// Per-site `Done` markers: transport control, counted apart from
+    /// the paper's messages.
+    sync_msgs: Vec<Counter>,
 }
 
 impl CoordObs {
     fn register(registry: &Registry, k: usize) -> Self {
+        let per_site = |name: &str| -> Vec<Counter> {
+            (0..k)
+                .map(|i| registry.counter_with(name, &[("site", i.to_string().as_str())]))
+                .collect()
+        };
         Self {
             joins: registry.counter("cluster_joins_total"),
             leaves: registry.counter("cluster_leaves_total"),
             faults: registry.counter("cluster_faults_total"),
             accept_errors: registry.counter("cluster_accept_errors_total"),
-            late_ups: (0..k)
-                .map(|i| {
-                    let site = i.to_string();
-                    registry.counter_with("cluster_late_up_msgs_total", &[("site", site.as_str())])
-                })
-                .collect(),
+            late_ups: per_site("cluster_late_up_msgs_total"),
+            hold_nanos: registry.histogram("cluster_up_hold_nanos"),
+            sync_msgs: per_site("cluster_sync_msgs_total"),
         }
     }
 }
@@ -122,93 +140,56 @@ fn is_late(up: &SiteUp, now: Slot) -> bool {
     }
 }
 
-struct Shared {
-    spec: ClusterSpec,
-    state: Mutex<CoordState>,
-    /// The paper's exact message accounting (`Y` / `Yᵢ`), on the same
-    /// lock-free `dds-obs` cells the rest of the workspace counts with.
-    /// Recording does not take the state lock.
-    counters: AtomicMessageCounters,
-    registry: Arc<Registry>,
-    obs: CoordObs,
-    stop: AtomicBool,
-    stopped: Mutex<bool>,
-    stopped_cv: Condvar,
-    conns: Mutex<Vec<(Stream, JoinHandle<()>)>>,
-    endpoint: Endpoint,
-}
-
 /// The coordinator's full telemetry: its registry (lifecycle counters,
-/// per-site `cluster_late_up_msgs_total` late-data counters, events)
+/// late-data and `Done`-marker counters, the up-hold histogram, events)
 /// plus the exact per-site protocol message/byte tallies and
 /// protocol-state gauges (`cluster_memory_tuples` is the coordinator's
 /// buffered-candidate gauge). The registry merge works exactly like an
 /// engine server's `Telemetry` reply: everything registered shows up in
 /// the scrape, no second bookkeeping path.
-fn build_telemetry(shared: &Shared) -> TelemetrySnapshot {
-    let mut snap = shared.registry.snapshot();
-    {
-        let state = shared.state.lock().expect("coordinator state");
-        snap.push_gauge("cluster_now_slot", &[], state.now.0);
-        snap.push_gauge(
-            "cluster_joined_sites",
-            &[],
-            state.live_sites(shared.spec.k) as u64,
-        );
-        snap.push_gauge(
-            "cluster_memory_tuples",
-            &[],
-            state.machine.memory_tuples() as u64,
-        );
-    }
-    let counters = shared.counters.snapshot();
-    for i in 0..shared.spec.k {
+fn telemetry(registry: &Registry, stats: &ClusterStats) -> TelemetrySnapshot {
+    let mut snap = registry.snapshot();
+    snap.push_gauge("cluster_now_slot", &[], stats.now.0);
+    snap.push_gauge("cluster_joined_sites", &[], stats.joined as u64);
+    snap.push_gauge("cluster_memory_tuples", &[], stats.memory_tuples as u64);
+    let counters = &stats.counters;
+    for i in 0..stats.k {
         let site = i.to_string();
         let labels = [("site", site.as_str())];
+        let id = SiteId(i);
         snap.push_counter(
             "cluster_up_msgs_total",
             &labels,
-            counters.up_messages_for(SiteId(i)),
+            counters.up_messages_for(id),
         );
         snap.push_counter(
             "cluster_down_msgs_total",
             &labels,
-            counters.down_messages_for(SiteId(i)),
+            counters.down_messages_for(id),
         );
-        snap.push_counter(
-            "cluster_up_bytes_total",
-            &labels,
-            counters.up_bytes_for(SiteId(i)),
-        );
+        snap.push_counter("cluster_up_bytes_total", &labels, counters.up_bytes_for(id));
         snap.push_counter(
             "cluster_down_bytes_total",
             &labels,
-            counters.down_bytes_for(SiteId(i)),
+            counters.down_bytes_for(id),
         );
     }
     snap
 }
 
-impl Shared {
-    /// Flip the stop flag and wake both the accept loop and any
-    /// [`ClusterCoordinator::wait`]er. Joining handler threads is the
-    /// owner's job (`stop_in_place`) — a handler can reach here too
-    /// (remote `Shutdown`) and must not join itself.
-    fn begin_stop(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = self.endpoint.connect();
-        *self.stopped.lock().expect("stop flag") = true;
-        self.stopped_cv.notify_all();
-    }
-}
-
 /// A running coordinator: the aggregation half of Algorithms 2/4
 /// reachable over sockets.
 pub struct ClusterCoordinator {
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    spec: ClusterSpec,
+    endpoint: Endpoint,
+    registry: Arc<Registry>,
+    queries: Sender<SyncSender<ClusterStats>>,
+    waker: Waker,
+    stop: Arc<AtomicBool>,
+    /// The loop thread, until something waits for its final stats.
+    thread: Mutex<Option<JoinHandle<ClusterStats>>>,
+    /// The stats the loop returned when it exited.
+    ended: OnceLock<ClusterStats>,
 }
 
 impl ClusterCoordinator {
@@ -216,7 +197,7 @@ impl ClusterCoordinator {
     /// accepting site and control connections.
     ///
     /// # Errors
-    /// Propagates bind failures.
+    /// Propagates bind and poller failures.
     pub fn bind_tcp(addr: &str, spec: ClusterSpec) -> std::io::Result<ClusterCoordinator> {
         Self::serve(Listener::bind_tcp(addr)?, spec)
     }
@@ -224,7 +205,7 @@ impl ClusterCoordinator {
     /// Bind a Unix-domain socket at `path` and start accepting.
     ///
     /// # Errors
-    /// Propagates bind failures.
+    /// Propagates bind and poller failures.
     #[cfg(unix)]
     pub fn bind_unix(
         path: impl AsRef<Path>,
@@ -234,62 +215,58 @@ impl ClusterCoordinator {
     }
 
     fn serve(listener: Listener, spec: ClusterSpec) -> std::io::Result<ClusterCoordinator> {
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
+        let waker = poller.waker(WAKER)?;
         let endpoint = listener.endpoint();
-        let k = spec.k;
         let registry = Arc::new(Registry::new());
-        let obs = CoordObs::register(&registry, k);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(CoordState {
-                machine: CoordMachine::new(&spec),
-                now: Slot(0),
-                joined: vec![false; k],
-                departed: vec![false; k],
-                failed: vec![false; k],
-            }),
+        let (queries, query_rx) = mpsc::channel();
+        let stop = Arc::new(AtomicBool::new(false));
+        let state = CoordLoop {
+            obs: CoordObs::register(&registry, spec.k),
+            registry: Arc::clone(&registry),
+            poller,
+            listener,
             spec,
-            counters: AtomicMessageCounters::new(k),
-            registry,
-            obs,
-            stop: AtomicBool::new(false),
-            stopped: Mutex::new(false),
-            stopped_cv: Condvar::new(),
-            conns: Mutex::new(Vec::new()),
-            endpoint,
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::spawn(move || loop {
-            let stream = match listener.accept() {
-                Ok(stream) => stream,
-                Err(_) => {
-                    if accept_shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    accept_shared.obs.accept_errors.inc();
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    continue;
-                }
-            };
-            if accept_shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            spawn_conn(&accept_shared, stream);
-        });
+            machine: CoordMachine::new(&spec),
+            now: Slot(0),
+            counters: MessageCounters::new(spec.k),
+            seats: vec![Seat::VACANT; spec.k],
+            announced: 0,
+            advances: VecDeque::new(),
+            broken: None,
+            conns: Vec::new(),
+            free: Vec::new(),
+            freed: Vec::new(),
+            queries: query_rx,
+            stop: Arc::clone(&stop),
+            exiting: false,
+            accept_paused_until: None,
+        };
+        let thread = std::thread::spawn(move || state.run());
         Ok(ClusterCoordinator {
-            shared,
-            accept: Some(accept),
+            spec,
+            endpoint,
+            registry,
+            queries,
+            waker,
+            stop,
+            thread: Mutex::new(Some(thread)),
+            ended: OnceLock::new(),
         })
     }
 
     /// Where sites and controllers dial this coordinator.
     #[must_use]
     pub fn endpoint(&self) -> Endpoint {
-        self.shared.endpoint.clone()
+        self.endpoint.clone()
     }
 
     /// The bound TCP address (`None` for Unix-socket coordinators).
     #[must_use]
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        match self.shared.endpoint {
+        match self.endpoint {
             Endpoint::Tcp(addr) => Some(addr),
             #[cfg(unix)]
             Endpoint::Unix(_) => None,
@@ -299,290 +276,708 @@ impl ClusterCoordinator {
     /// The deployment this coordinator serves.
     #[must_use]
     pub fn spec(&self) -> ClusterSpec {
-        self.shared.spec
+        self.spec
     }
 
     /// Local (in-process) stats snapshot — what a control connection's
-    /// `Stats` would answer.
+    /// `Stats` would answer. Once the loop has stopped, its final
+    /// stats.
     #[must_use]
     pub fn stats(&self) -> ClusterStats {
-        self.shared
-            .state
-            .lock()
-            .expect("coordinator state")
-            .stats(self.shared.spec.k, &self.shared.counters)
+        let (reply, answer) = mpsc::sync_channel(1);
+        if self.queries.send(reply).is_ok() {
+            self.waker.wake();
+            if let Ok(stats) = answer.recv() {
+                return stats;
+            }
+        }
+        self.final_stats()
     }
 
     /// Local telemetry snapshot — what a control connection's
     /// `Telemetry` would answer.
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        build_telemetry(&self.shared)
+        telemetry(&self.registry, &self.stats())
     }
 
     /// The coordinator's metric registry (lifecycle counters and the
     /// structured event ring).
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.shared.registry
+        &self.registry
     }
 
     /// Block until a control connection sends `Shutdown` (how the
     /// standalone node binary parks its main thread).
     pub fn wait(&self) {
-        let mut stopped = self.shared.stopped.lock().expect("stop flag");
-        while !*stopped {
-            stopped = self.shared.stopped_cv.wait(stopped).expect("stop flag");
-        }
+        let _ = self.final_stats();
     }
 
-    /// Stop accepting, close every connection, join all threads, and
-    /// return the final stats.
+    /// The stats the loop returned when it exited, waiting for it.
+    fn final_stats(&self) -> ClusterStats {
+        self.ended
+            .get_or_init(|| {
+                let thread = self.thread.lock().expect("coordinator thread").take();
+                let thread = thread.expect("the loop is joined once");
+                thread.join().expect("coordinator loop panicked")
+            })
+            .clone()
+    }
+
+    fn begin_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
+    }
+
+    /// Stop the loop, close every connection, and return the final
+    /// stats.
     #[must_use = "final stats carry the message accounting"]
-    pub fn shutdown(mut self) -> ClusterStats {
-        self.stop_in_place();
-        self.stats()
-    }
-
-    fn stop_in_place(&mut self) {
-        self.shared.begin_stop();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conn registry"));
-        for (socket, handle) in conns {
-            socket.shutdown();
-            let _ = handle.join();
-        }
-        self.shared.endpoint.cleanup();
+    pub fn shutdown(self) -> ClusterStats {
+        self.begin_stop();
+        self.final_stats()
     }
 }
 
 impl Drop for ClusterCoordinator {
     fn drop(&mut self) {
-        self.stop_in_place();
+        self.begin_stop();
+        if let Some(thread) = self.thread.get_mut().ok().and_then(Option::take) {
+            let _ = thread.join();
+        }
+        self.endpoint.cleanup();
     }
 }
 
-fn spawn_conn(shared: &Arc<Shared>, socket: Stream) {
-    let Ok(keeper) = socket.try_clone() else {
-        return;
+/// What a site seat is doing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Membership {
+    Vacant,
+    Joined,
+    Departed,
+    Failed,
+}
+
+#[derive(Debug, Clone)]
+struct Seat {
+    membership: Membership,
+    /// The site's connection slot while joined.
+    conn: usize,
+    /// The smallest sequence number this site may still stamp on an up.
+    clock: u64,
+    /// Its sequenced up waiting for the other sites, with its sequence
+    /// number and arrival time.
+    held: Option<(u64, SiteUp, Option<Instant>)>,
+}
+
+impl Seat {
+    const VACANT: Seat = Seat {
+        membership: Membership::Vacant,
+        conn: 0,
+        clock: 0,
+        held: None,
     };
-    let conn_shared = Arc::clone(shared);
-    let handle = std::thread::spawn(move || serve_conn(&conn_shared, socket));
-    let mut conns = shared.conns.lock().expect("conn registry");
-    conns.retain(|(_, handle)| !handle.is_finished());
-    conns.push((keeper, handle));
-}
 
-/// Dispatch one accepted connection by its handshake frame.
-fn serve_conn(shared: &Arc<Shared>, socket: Stream) {
-    let Ok(mut framed) = Framed::new(socket) else {
-        return;
-    };
-    match framed.recv_request() {
-        Ok(Some(ClusterRequest::Join { site, digest })) => {
-            let outcome = admit_site(shared, site, digest);
-            let admitted = outcome.is_ok();
-            if framed.send_outcome(&outcome).is_err() || !admitted {
-                return;
-            }
-            serve_site(shared, &mut framed, site);
-        }
-        Ok(Some(ClusterRequest::Control { digest })) => {
-            let expected = shared.spec.digest();
-            if digest != expected {
-                let _ = framed.send_outcome(&Err(ClusterError::ConfigMismatch {
-                    expected,
-                    got: digest,
-                }));
-                return;
-            }
-            if framed
-                .send_outcome(&Ok(ClusterResponse::Welcome { k: shared.spec.k }))
-                .is_err()
-            {
-                return;
-            }
-            serve_control(shared, &mut framed);
-        }
-        Ok(Some(_)) => {
-            let _ = framed.send_outcome(&Err(ClusterError::Protocol(
-                "first frame must be Join or Control".into(),
-            )));
-        }
-        // EOF before a handshake (e.g. the shutdown wake-up dial) or a
-        // malformed first frame: nothing joined, nothing to unwind.
-        Ok(None) | Err(_) => {}
+    /// Vacant seats count too: a site that has not joined yet will
+    /// still run its share of the stream.
+    fn holds_others(&self) -> bool {
+        matches!(self.membership, Membership::Vacant | Membership::Joined)
     }
 }
 
-fn admit_site(
-    shared: &Arc<Shared>,
-    site: SiteId,
-    digest: u64,
-) -> Result<ClusterResponse, ClusterError> {
-    let expected = shared.spec.digest();
-    if digest != expected {
-        return Err(ClusterError::ConfigMismatch {
-            expected,
-            got: digest,
-        });
-    }
-    if site.0 >= shared.spec.k {
-        return Err(ClusterError::UnknownSite(site));
-    }
-    {
-        let mut state = shared.state.lock().expect("coordinator state");
-        if state.joined[site.0] {
-            return Err(ClusterError::DuplicateSite(site));
-        }
-        state.joined[site.0] = true;
-    }
-    shared.obs.joins.inc();
-    shared
-        .registry
-        .events()
-        .note("site_join", format!("site {} joined", site.0));
-    Ok(ClusterResponse::Welcome { k: shared.spec.k })
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Handshake,
+    Site(SiteId),
+    Control,
 }
 
-/// A joined site's request loop. Any exit that is not a graceful
-/// `Leave` (EOF, transport error, protocol violation) marks the site
-/// failed — unless the whole coordinator is shutting down.
-fn serve_site(shared: &Arc<Shared>, framed: &mut Framed, site: SiteId) {
-    let mark_failed = |shared: &Arc<Shared>| {
-        if shared.stop.load(Ordering::SeqCst) {
+struct Conn {
+    socket: Stream,
+    role: Role,
+    decoder: FrameDecoder,
+    /// Encoded replies not yet on the wire.
+    out: Vec<u8>,
+    interest: Interest,
+    /// A control connection's `Sync` waiting for everything through
+    /// this number to be applied; its later frames wait unread.
+    awaiting: Option<u64>,
+    /// Close once `out` drains.
+    closing: bool,
+}
+
+impl Conn {
+    /// Write what the socket takes without blocking. A hard error drops
+    /// the rest; the reader side sees the dead socket and closes it.
+    fn write_out(&mut self) {
+        while !self.out.is_empty() {
+            match self.socket.write(&self.out) {
+                Ok(0) => break,
+                Ok(n) => drop(self.out.drain(..n)),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        self.out.clear();
+    }
+}
+
+/// Everything the coordinator owns, run by one thread.
+struct CoordLoop {
+    poller: Poller,
+    listener: Listener,
+    spec: ClusterSpec,
+    registry: Arc<Registry>,
+    obs: CoordObs,
+    machine: CoordMachine,
+    now: Slot,
+    /// The paper's exact message accounting (`Y` / `Yᵢ`).
+    counters: MessageCounters,
+    seats: Vec<Seat>,
+    /// Every slot advance numbered below this has been announced.
+    announced: u64,
+    /// Announced slot advances not yet applied, in sequence order.
+    advances: VecDeque<(u64, Slot)>,
+    /// A slot start that emitted messages; every later `Sync` reports it.
+    broken: Option<ClusterError>,
+    conns: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    /// Slots closed during this event batch, reusable after it (a stale
+    /// event of the batch must not reach a new connection).
+    freed: Vec<usize>,
+    queries: Receiver<SyncSender<ClusterStats>>,
+    stop: Arc<AtomicBool>,
+    /// A control connection asked to stop: exit after this batch.
+    exiting: bool,
+    accept_paused_until: Option<Instant>,
+}
+
+impl CoordLoop {
+    fn run(mut self) -> ClusterStats {
+        let mut events = Events::with_capacity(64);
+        loop {
+            let timeout = self
+                .accept_paused_until
+                .map(|t| t.saturating_duration_since(Instant::now()));
+            if self.poller.wait(&mut events, timeout).is_err() {
+                std::thread::yield_now();
+            }
+            if self.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            for ev in &events {
+                match ev.token {
+                    LISTENER => self.accept_ready(),
+                    WAKER => {}
+                    Token(t) => self.read_ready(t - FIRST_CONN),
+                }
+            }
+            self.maybe_resume_accept();
+            while let Ok(reply) = self.queries.try_recv() {
+                let _ = reply.send(self.stats());
+            }
+            self.settle_conns();
+            self.free.append(&mut self.freed);
+            if self.exiting {
+                break;
+            }
+        }
+        // Goodbyes are tiny; let them reach their peers before the
+        // sockets close.
+        for conn in self.conns.iter_mut().flatten() {
+            if !conn.out.is_empty() && conn.socket.set_nonblocking(false).is_ok() {
+                let _ = conn.socket.write_all(&conn.out);
+            }
+        }
+        self.stats()
+    }
+
+    fn stats(&self) -> ClusterStats {
+        let count = |m: Membership| self.seats.iter().filter(|s| s.membership == m).count();
+        ClusterStats {
+            k: self.spec.k,
+            now: self.now,
+            joined: count(Membership::Joined),
+            departed: count(Membership::Departed),
+            failed: self
+                .seats
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.membership == Membership::Failed)
+                .map(|(i, _)| SiteId(i))
+                .collect(),
+            counters: self.counters.clone(),
+            memory_tuples: self.machine.memory_tuples(),
+            threshold: self.machine.threshold(),
+        }
+    }
+
+    fn first_failure(&self) -> Option<SiteId> {
+        self.seats
+            .iter()
+            .position(|s| s.membership == Membership::Failed)
+            .map(SiteId)
+    }
+
+    // -- connections -------------------------------------------------
+
+    fn accept_ready(&mut self) {
+        if self.accept_paused_until.is_some() {
             return;
         }
-        let newly_failed = {
-            let mut state = shared.state.lock().expect("coordinator state");
-            if state.departed[site.0] || state.failed[site.0] {
-                false
-            } else {
-                state.failed[site.0] = true;
-                true
-            }
-        };
-        if newly_failed {
-            shared.obs.faults.inc();
-            shared.registry.events().note(
-                "site_fault",
-                format!("site {} failed without Leave", site.0),
-            );
-        }
-    };
-    loop {
-        match framed.recv_request() {
-            Ok(Some(ClusterRequest::Up(up))) => {
-                shared
-                    .counters
-                    .record(Direction::Up, site, up.protocol_bytes());
-                let outcome = {
-                    let mut state = shared.state.lock().expect("coordinator state");
-                    let now = state.now;
-                    if is_late(&up, now) {
-                        shared.obs.late_ups[site.0].inc();
-                    }
-                    match state.machine.handle(site, up, now) {
-                        Ok(downs) => {
-                            for down in &downs {
-                                shared.counters.record(
-                                    Direction::Down,
-                                    site,
-                                    down.protocol_bytes(),
-                                );
-                            }
-                            Ok(ClusterResponse::Downs { downs })
-                        }
-                        Err(e) => Err(e),
-                    }
-                };
-                let protocol_broken = outcome.is_err();
-                if framed.send_outcome(&outcome).is_err() || protocol_broken {
-                    mark_failed(shared);
+        loop {
+            match self.listener.accept() {
+                Ok(stream) => self.install(stream),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    // EMFILE and friends: pause accepting (through the
+                    // wait timeout), keep serving connected peers.
+                    self.obs.accept_errors.inc();
+                    let _ = self.poller.deregister(self.listener.as_raw_fd());
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
                     return;
                 }
             }
-            Ok(Some(ClusterRequest::Leave)) => {
-                shared.state.lock().expect("coordinator state").departed[site.0] = true;
-                shared.obs.leaves.inc();
-                shared
-                    .registry
-                    .events()
-                    .note("site_leave", format!("site {} left gracefully", site.0));
-                let _ = framed.send_outcome(&Ok(ClusterResponse::Goodbye));
+        }
+    }
+
+    fn maybe_resume_accept(&mut self) {
+        match self.accept_paused_until {
+            Some(until) if Instant::now() >= until => {}
+            _ => return,
+        }
+        self.accept_paused_until = None;
+        let _ = self
+            .poller
+            .register(self.listener.as_raw_fd(), LISTENER, Interest::READABLE);
+        self.accept_ready();
+    }
+
+    fn install(&mut self, socket: Stream) {
+        if socket.set_nonblocking(true).is_err() {
+            return;
+        }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        let token = Token(FIRST_CONN + slot);
+        if self
+            .poller
+            .register(socket.as_raw_fd(), token, Interest::READABLE)
+            .is_err()
+        {
+            self.free.push(slot);
+            return;
+        }
+        self.conns[slot] = Some(Conn {
+            socket,
+            role: Role::Handshake,
+            decoder: FrameDecoder::new(),
+            out: Vec::new(),
+            interest: Interest::READABLE,
+            awaiting: None,
+            closing: false,
+        });
+    }
+
+    fn read_ready(&mut self, slot: usize) {
+        let mut chunk = [0u8; 16 << 10];
+        loop {
+            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+                return;
+            };
+            if conn.closing || conn.awaiting.is_some() {
                 return;
             }
-            Ok(Some(_)) => {
-                let _ =
-                    framed.send_outcome(&Err(ClusterError::Protocol("not a site request".into())));
-                mark_failed(shared);
-                return;
-            }
-            Ok(None) | Err(_) => {
-                mark_failed(shared);
-                return;
+            match conn.socket.read(&mut chunk) {
+                Ok(0) => return self.close(slot),
+                Ok(n) => {
+                    conn.decoder.push(&chunk[..n]);
+                    self.drain(slot);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return self.close(slot),
             }
         }
     }
-}
 
-/// A control connection's request loop: steer the clock, query the
-/// sample, read stats, or stop the node.
-fn serve_control(shared: &Arc<Shared>, framed: &mut Framed) {
-    loop {
-        let request = match framed.recv_request() {
-            Ok(Some(request)) => request,
-            // A controller disconnecting is not a fault.
-            Ok(None) | Err(_) => return,
+    /// Handle every complete frame a connection has buffered, stopping
+    /// at a `Sync` that must wait.
+    fn drain(&mut self, slot: usize) {
+        let mut payload = Vec::new();
+        loop {
+            let Some(conn) = self.conns[slot].as_mut() else {
+                return;
+            };
+            if conn.closing || conn.awaiting.is_some() {
+                return;
+            }
+            let request = match conn.decoder.next_frame(&mut payload) {
+                Ok(Some(op)) => ClusterRequest::decode(op, &payload),
+                Ok(None) => return,
+                Err(e) => Err(e),
+            };
+            match request {
+                Ok(request) => self.dispatch(slot, request),
+                // Framing cannot resync: the connection is over.
+                Err(_) => return self.close(slot),
+            }
+        }
+    }
+
+    fn reply(&mut self, slot: usize, outcome: &Result<ClusterResponse, ClusterError>) {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
         };
+        conn.out.extend_from_slice(&encode_cluster_outcome(outcome));
+        conn.write_out();
+        self.sync_interest(slot);
+    }
+
+    /// Reply, then close the connection once the reply is out.
+    fn reply_and_close(&mut self, slot: usize, outcome: &Result<ClusterResponse, ClusterError>) {
+        self.reply(slot, outcome);
+        if let Some(conn) = self.conns[slot].as_mut() {
+            conn.closing = true;
+        }
+    }
+
+    fn sync_interest(&mut self, slot: usize) {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        let mut want = Interest::NONE;
+        if conn.awaiting.is_none() && !conn.closing {
+            want = want | Interest::READABLE;
+        }
+        if !conn.out.is_empty() {
+            want = want | Interest::WRITABLE;
+        }
+        if want != conn.interest
+            && self
+                .poller
+                .modify(conn.socket.as_raw_fd(), Token(FIRST_CONN + slot), want)
+                .is_ok()
+        {
+            conn.interest = want;
+        }
+    }
+
+    /// Flush, close drained closing connections, reconcile interest.
+    fn settle_conns(&mut self) {
+        for slot in 0..self.conns.len() {
+            let Some(conn) = self.conns[slot].as_mut() else {
+                continue;
+            };
+            conn.write_out();
+            if conn.closing && conn.out.is_empty() {
+                self.close(slot);
+            } else {
+                self.sync_interest(slot);
+            }
+        }
+    }
+
+    /// The connection is over. A joined site that did not `Leave` has
+    /// failed, and stops holding anyone.
+    fn close(&mut self, slot: usize) {
+        let Some(conn) = self.conns[slot].take() else {
+            return;
+        };
+        let _ = self.poller.deregister(conn.socket.as_raw_fd());
+        self.freed.push(slot);
+        if let Role::Site(site) = conn.role {
+            self.fail(site);
+            self.pump();
+        }
+    }
+
+    fn fail(&mut self, site: SiteId) {
+        let seat = &mut self.seats[site.0];
+        if seat.membership != Membership::Joined {
+            return;
+        }
+        seat.membership = Membership::Failed;
+        seat.held = None;
+        self.obs.faults.inc();
+        self.registry.events().note(
+            "site_fault",
+            format!("site {} failed without Leave", site.0),
+        );
+    }
+
+    // -- requests ----------------------------------------------------
+
+    fn dispatch(&mut self, slot: usize, request: ClusterRequest) {
+        let role = self.conns[slot].as_ref().map(|c| c.role);
+        match role {
+            Some(Role::Handshake) => self.handshake(slot, request),
+            Some(Role::Site(site)) => self.site_request(slot, site, request),
+            Some(Role::Control) => self.control_request(slot, request),
+            None => {}
+        }
+    }
+
+    fn handshake(&mut self, slot: usize, request: ClusterRequest) {
+        let expected = self.spec.digest();
         let outcome = match request {
-            ClusterRequest::Advance { now } => {
-                let mut state = shared.state.lock().expect("coordinator state");
-                if let Some(down) = state.first_failure() {
-                    Err(ClusterError::SiteDown(down))
-                } else if now != state.now.next() {
-                    Err(ClusterError::Protocol(format!(
-                        "advance to slot {} but the next slot is {}",
-                        now.0,
-                        state.now.next().0
-                    )))
-                } else {
-                    state.now = now;
-                    state
-                        .machine
-                        .on_slot_start(now)
-                        .map(|()| ClusterResponse::Ack)
-                }
-            }
-            ClusterRequest::Sample => {
-                let state = shared.state.lock().expect("coordinator state");
-                match state.first_failure() {
-                    Some(down) => Err(ClusterError::SiteDown(down)),
-                    None => Ok(ClusterResponse::Sample {
-                        sample: state.machine.sample(),
-                    }),
-                }
-            }
-            ClusterRequest::Stats => {
-                let state = shared.state.lock().expect("coordinator state");
-                Ok(ClusterResponse::Stats {
-                    stats: state.stats(shared.spec.k, &shared.counters),
+            ClusterRequest::Join { digest, .. } | ClusterRequest::Control { digest }
+                if digest != expected =>
+            {
+                Err(ClusterError::ConfigMismatch {
+                    expected,
+                    got: digest,
                 })
             }
+            ClusterRequest::Join { site, .. } => self.admit(slot, site),
+            ClusterRequest::Control { .. } => {
+                self.set_role(slot, Role::Control);
+                Ok(ClusterResponse::Welcome { k: self.spec.k })
+            }
+            _ => Err(ClusterError::Protocol(
+                "first frame must be Join or Control".into(),
+            )),
+        };
+        if outcome.is_ok() {
+            self.reply(slot, &outcome);
+        } else {
+            self.reply_and_close(slot, &outcome);
+        }
+    }
+
+    fn set_role(&mut self, slot: usize, role: Role) {
+        if let Some(conn) = self.conns[slot].as_mut() {
+            conn.role = role;
+        }
+    }
+
+    fn admit(&mut self, slot: usize, site: SiteId) -> Result<ClusterResponse, ClusterError> {
+        let seat = self
+            .seats
+            .get_mut(site.0)
+            .ok_or(ClusterError::UnknownSite(site))?;
+        if seat.membership != Membership::Vacant {
+            return Err(ClusterError::DuplicateSite(site));
+        }
+        seat.membership = Membership::Joined;
+        seat.conn = slot;
+        self.set_role(slot, Role::Site(site));
+        self.obs.joins.inc();
+        self.registry
+            .events()
+            .note("site_join", format!("site {} joined", site.0));
+        Ok(ClusterResponse::Welcome { k: self.spec.k })
+    }
+
+    fn site_request(&mut self, slot: usize, site: SiteId, request: ClusterRequest) {
+        match request {
+            ClusterRequest::Up(up) => {
+                let outcome = self.apply_up(site, up);
+                self.answer_up(slot, site, &outcome);
+            }
+            ClusterRequest::SeqUp { seq, up } => {
+                let seat = &mut self.seats[site.0];
+                if seq < seat.clock || seat.held.is_some() {
+                    let outcome = Err(ClusterError::Protocol(format!(
+                        "up numbered {seq} after the site reached {}",
+                        seat.clock
+                    )));
+                    return self.answer_up(slot, site, &outcome);
+                }
+                seat.clock = seq;
+                seat.held = Some((seq, up, dds_obs::maybe_now()));
+                self.pump();
+            }
+            ClusterRequest::Done { through } => {
+                let seat = &mut self.seats[site.0];
+                seat.clock = seat.clock.max(through.saturating_add(1));
+                self.obs.sync_msgs[site.0].inc();
+                self.pump();
+            }
+            ClusterRequest::Leave => {
+                let seat = &mut self.seats[site.0];
+                seat.membership = Membership::Departed;
+                seat.held = None;
+                self.obs.leaves.inc();
+                self.registry
+                    .events()
+                    .note("site_leave", format!("site {} left gracefully", site.0));
+                self.reply_and_close(slot, &Ok(ClusterResponse::Goodbye));
+                self.pump();
+            }
+            _ => {
+                let outcome = Err(ClusterError::Protocol("not a site request".into()));
+                self.answer_up(slot, site, &outcome);
+            }
+        }
+    }
+
+    /// Send an up's outcome; a site that broke the protocol has failed.
+    fn answer_up(
+        &mut self,
+        slot: usize,
+        site: SiteId,
+        outcome: &Result<ClusterResponse, ClusterError>,
+    ) {
+        if outcome.is_ok() {
+            return self.reply(slot, outcome);
+        }
+        self.reply_and_close(slot, outcome);
+        self.fail(site);
+        self.pump();
+    }
+
+    fn apply_up(&mut self, site: SiteId, up: SiteUp) -> Result<ClusterResponse, ClusterError> {
+        self.counters
+            .record(Direction::Up, site, up.protocol_bytes());
+        if is_late(&up, self.now) {
+            self.obs.late_ups[site.0].inc();
+        }
+        let downs = self.machine.handle(site, up, self.now)?;
+        for down in &downs {
+            self.counters
+                .record(Direction::Down, site, down.protocol_bytes());
+        }
+        Ok(ClusterResponse::Downs { downs })
+    }
+
+    fn control_request(&mut self, slot: usize, request: ClusterRequest) {
+        let outcome = match request {
+            ClusterRequest::Sync { through, advance } => match self.announce(through, advance) {
+                Ok(()) => {
+                    if let Some(conn) = self.conns[slot].as_mut() {
+                        conn.awaiting = Some(through);
+                    }
+                    // Answers this barrier at once if nothing is left.
+                    return self.pump();
+                }
+                Err(e) => Err(e),
+            },
+            ClusterRequest::Sample => match self.first_failure() {
+                Some(down) => Err(ClusterError::SiteDown(down)),
+                None => Ok(ClusterResponse::Sample {
+                    sample: self.machine.sample(),
+                }),
+            },
+            ClusterRequest::Stats => Ok(ClusterResponse::Stats {
+                stats: self.stats(),
+            }),
             ClusterRequest::Telemetry => Ok(ClusterResponse::Telemetry {
-                snapshot: build_telemetry(shared),
+                snapshot: telemetry(&self.registry, &self.stats()),
             }),
             ClusterRequest::Shutdown => {
-                let _ = framed.send_outcome(&Ok(ClusterResponse::Goodbye));
-                shared.begin_stop();
-                return;
+                self.exiting = true;
+                Ok(ClusterResponse::Goodbye)
             }
             _ => Err(ClusterError::Protocol("not a control request".into())),
         };
-        if framed.send_outcome(&outcome).is_err() {
-            return;
+        self.reply(slot, &outcome);
+    }
+
+    /// Record a barrier: its slot advance, if any, and that every
+    /// coordinator event through `through` is now known.
+    fn announce(&mut self, through: u64, advance: Option<(u64, Slot)>) -> Result<(), ClusterError> {
+        if let Some((seq, slot)) = advance {
+            let next = self.advances.back().map_or(self.now, |&(_, s)| s).next();
+            if slot != next || seq < self.announced || seq > through {
+                return Err(ClusterError::Protocol(format!(
+                    "advance to slot {} at {seq} but the next slot is {} from {}",
+                    slot.0, next.0, self.announced
+                )));
+            }
+            self.advances.push_back((seq, slot));
+        }
+        self.announced = self.announced.max(through.saturating_add(1));
+        Ok(())
+    }
+
+    // -- ordering ----------------------------------------------------
+
+    /// Apply, in sequence order, every held up and announced slot
+    /// advance that nothing can still precede; then answer the
+    /// barriers this completes.
+    fn pump(&mut self) {
+        loop {
+            let next_up = self
+                .seats
+                .iter()
+                .enumerate()
+                .filter_map(|(i, seat)| seat.held.as_ref().map(|h| (h.0, i)))
+                .min();
+            let next_advance = self.advances.front().map(|&(seq, _)| seq);
+            let (seq, source) = match (next_up, next_advance) {
+                (Some((seq, i)), None) => (seq, Some(i)),
+                (Some((seq, i)), Some(a)) if seq < a => (seq, Some(i)),
+                (_, Some(a)) => (a, None),
+                (None, None) => break,
+            };
+            let free =
+                seq < self.announced
+                    && self.seats.iter().enumerate().all(|(i, seat)| {
+                        Some(i) == source || !seat.holds_others() || seat.clock > seq
+                    });
+            if !free {
+                break;
+            }
+            match source {
+                Some(i) => self.release(SiteId(i)),
+                None => self.start_slot(),
+            }
+        }
+        self.answer_syncs();
+    }
+
+    fn release(&mut self, site: SiteId) {
+        let seat = &mut self.seats[site.0];
+        let (_, up, since) = seat.held.take().expect("released up is held");
+        let slot = seat.conn;
+        self.obs.hold_nanos.observe(dds_obs::nanos_since(since));
+        let outcome = self.apply_up(site, up);
+        self.answer_up(slot, site, &outcome);
+    }
+
+    fn start_slot(&mut self) {
+        let (_, slot) = self.advances.pop_front().expect("announced advance");
+        self.now = slot;
+        if let Err(e) = self.machine.on_slot_start(slot) {
+            self.broken.get_or_insert(e);
+        }
+    }
+
+    /// Is every event numbered `<= through` applied?
+    fn applied_through(&self, through: u64) -> bool {
+        self.advances
+            .front()
+            .map_or(true, |&(seq, _)| seq > through)
+            && self
+                .seats
+                .iter()
+                .all(|seat| !seat.holds_others() || seat.clock > through)
+    }
+
+    fn answer_syncs(&mut self) {
+        for slot in 0..self.conns.len() {
+            let Some(through) = self.conns[slot].as_ref().and_then(|c| c.awaiting) else {
+                continue;
+            };
+            if !self.applied_through(through) {
+                continue;
+            }
+            if let Some(conn) = self.conns[slot].as_mut() {
+                conn.awaiting = None;
+            }
+            let outcome = match (&self.broken, self.first_failure()) {
+                (Some(e), _) => Err(e.clone()),
+                (None, Some(down)) => Err(ClusterError::SiteDown(down)),
+                (None, None) => Ok(ClusterResponse::Ack),
+            };
+            self.reply(slot, &outcome);
+            // Requests pipelined behind the barrier.
+            self.drain(slot);
         }
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! The simulator (`dds-sim`) runs the paper's distributed protocols
 //! with an in-process message bus; this crate runs them across real
-//! processes. A [`ClusterCoordinator`] accepts `k` framed socket
-//! connections; each [`SiteDaemon`] ingests its share of the stream
-//! locally, runs the per-site half of Algorithms 1–4 from Chung &
-//! Tirthapura, and speaks a versioned wire dialect
+//! processes. A [`ClusterCoordinator`] runs one event loop over `k`
+//! framed socket connections; each [`SiteDaemon`] ingests its share of
+//! the stream locally, runs the per-site half of Algorithms 1–4 from
+//! Chung & Tirthapura, and speaks a versioned wire dialect
 //! ([`dds_proto::cluster`]) over the same `DDSP` framing the engine
 //! server uses. A [`ClusterHandle`] drives the whole deployment —
 //! observe, advance the sliding-window clock, query the sample, read
-//! the exact per-site message/byte accounting.
+//! the exact per-site message/byte accounting. It buffers observations
+//! per site and ships them at barriers, numbered so the coordinator can
+//! apply the resulting ups in the order an in-process run would.
 //!
 //! The load-bearing property is **twin-exactness**: a k-process
 //! cluster produces byte-identical samples, identical
@@ -49,7 +51,7 @@ mod machine;
 mod site;
 
 pub use coordinator::ClusterCoordinator;
-pub use handle::{fetch_telemetry, ClusterHandle};
+pub use handle::{fetch_telemetry, ClusterHandle, SITE_BUFFER_CAP};
 pub use local::{LocalCluster, ProcessCluster};
 pub use site::SiteDaemon;
 

@@ -25,8 +25,9 @@ fn transport(e: std::io::Error) -> ClusterError {
     ClusterError::Transport(e.to_string())
 }
 
-/// A whole deployment on loopback TCP inside one process: coordinator
-/// thread pool + one serving [`SiteDaemon`] thread per site.
+/// A whole deployment on loopback TCP inside one process: the
+/// coordinator's event-loop thread + one serving [`SiteDaemon`] thread
+/// per site.
 pub struct LocalCluster {
     coordinator: Option<ClusterCoordinator>,
     site_threads: Vec<JoinHandle<Result<(), ClusterError>>>,

@@ -10,11 +10,23 @@
 //! message and byte counters here match the simulator's
 //! [`MessageCounters`](dds_sim::MessageCounters) exactly.
 //!
-//! A daemon can be driven two ways: directly (its `observe` / `advance`
-//! methods, used when the whole cluster lives in one test process) or
-//! over its own driver socket ([`SiteDaemon::serve`], used by the
-//! standalone node binary) speaking the `Site*` requests of the cluster
-//! dialect.
+//! A daemon can be driven two ways. Directly, through its `observe` /
+//! `advance` methods (used when the whole cluster lives in one test
+//! process): its ups go out unsequenced and the coordinator applies
+//! them on arrival. Or over its own driver socket
+//! ([`SiteDaemon::serve`], used by the standalone node binary and by
+//! every [`ClusterHandle`](crate::ClusterHandle)): the driver sends one
+//! `SiteObserveBatch` per barrier, the daemon runs the whole batch
+//! locally, stamps every up with the global sequence number of the
+//! element or slot start that caused it, tells the coordinator it is
+//! done through the barrier with a one-way `Done` marker, and only
+//! then acks the driver. The coordinator applies stamped ups in
+//! sequence order, so the batch leaves the same trace as observing the
+//! elements one at a time.
+//!
+//! A daemon whose driver connection ends returns from `serve` and drops
+//! its coordinator uplink with it, so the coordinator learns of the
+//! loss and stops waiting on this site.
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -155,9 +167,13 @@ impl SiteDaemon {
     /// Transport errors talking to the coordinator, or a typed protocol
     /// error if the exchange goes off-script.
     pub fn observe(&mut self, e: Element) -> Result<(), ClusterError> {
+        self.observe_numbered(None, e)
+    }
+
+    fn observe_numbered(&mut self, seq: Option<u64>, e: Element) -> Result<(), ClusterError> {
         self.obs.observations.inc();
         let ups = self.machine.observe(e, self.now);
-        self.settle(ups)
+        self.settle(seq, ups)
     }
 
     /// Advance the local slot clock to `now` (must be the next slot)
@@ -167,6 +183,10 @@ impl SiteDaemon {
     /// [`ClusterError::Protocol`] on a clock skip; otherwise as
     /// [`observe`](SiteDaemon::observe).
     pub fn advance(&mut self, now: Slot) -> Result<(), ClusterError> {
+        self.advance_numbered(None, now)
+    }
+
+    fn advance_numbered(&mut self, seq: Option<u64>, now: Slot) -> Result<(), ClusterError> {
         if now != self.now.next() {
             return Err(ClusterError::Protocol(format!(
                 "advance to slot {} but the next slot is {}",
@@ -176,13 +196,33 @@ impl SiteDaemon {
         }
         self.now = now;
         let ups = self.machine.on_slot_start(now);
-        self.settle(ups)
+        self.settle(seq, ups)
+    }
+
+    /// Run one driver batch: every element in order, then this site's
+    /// slot start, each settling its ups stamped with its sequence
+    /// number; then the one-way `Done` marker through the barrier.
+    fn run_batch(
+        &mut self,
+        elements: &[(u64, Element)],
+        then_slot: Option<(u64, Slot)>,
+        through: u64,
+    ) -> Result<(), ClusterError> {
+        for &(seq, e) in elements {
+            self.observe_numbered(Some(seq), e)?;
+        }
+        if let Some((seq, slot)) = then_slot {
+            self.advance_numbered(Some(seq), slot)?;
+        }
+        self.coord.send_request(&ClusterRequest::Done { through })
     }
 
     /// The FIFO settle loop: send each pending up, apply the unicast
     /// replies immediately, queue any re-sends they trigger. Identical
-    /// order to `dds_sim::Cluster` settling an in-process batch.
-    fn settle(&mut self, ups: Vec<SiteUp>) -> Result<(), ClusterError> {
+    /// order to `dds_sim::Cluster` settling an in-process batch. Every
+    /// up, re-sends included, carries the sequence number `seq` of the
+    /// event that started the loop, if it has one.
+    fn settle(&mut self, seq: Option<u64>, ups: Vec<SiteUp>) -> Result<(), ClusterError> {
         let mut queue: VecDeque<SiteUp> = ups.into();
         if queue.is_empty() {
             return Ok(());
@@ -191,7 +231,11 @@ impl SiteDaemon {
         while let Some(up) = queue.pop_front() {
             self.obs.up_msgs.inc();
             self.obs.up_bytes.add(up.protocol_bytes() as u64);
-            match self.coord.call(&ClusterRequest::Up(up))? {
+            let request = match seq {
+                Some(seq) => ClusterRequest::SeqUp { seq, up },
+                None => ClusterRequest::Up(up),
+            };
+            match self.coord.call(&request)? {
                 ClusterResponse::Downs { downs } => {
                     for down in downs {
                         self.obs.down_msgs.inc();
@@ -287,12 +331,13 @@ impl SiteDaemon {
                 None => return Ok(()),
             };
             let outcome = match request {
-                ClusterRequest::SiteObserve { element } => {
-                    self.observe(element).map(|()| ClusterResponse::Ack)
-                }
-                ClusterRequest::SiteAdvance { now } => {
-                    self.advance(now).map(|()| ClusterResponse::Ack)
-                }
+                ClusterRequest::SiteObserveBatch {
+                    elements,
+                    then_slot,
+                    through,
+                } => self
+                    .run_batch(&elements, then_slot, through)
+                    .map(|()| ClusterResponse::Ack),
                 ClusterRequest::SiteStats => Ok(ClusterResponse::SiteStats {
                     stats: self.stats(),
                 }),

@@ -15,7 +15,14 @@
 //! * [`ClusterRequest`] / [`ClusterResponse`] — the envelope dialect:
 //!   join/leave handshakes, protocol ups and their batched down
 //!   replies, and the driver commands that let a test or benchmark
-//!   steer a daemon deterministically from outside.
+//!   steer a daemon deterministically from outside. A driver ships a
+//!   site its elements in one [`ClusterRequest::SiteObserveBatch`],
+//!   each stamped with a global sequence number; the site stamps the
+//!   ups they trigger ([`ClusterRequest::SeqUp`]) and reports progress
+//!   with one-way [`ClusterRequest::Done`] markers, and the driver's
+//!   [`ClusterRequest::Sync`] barrier tells the coordinator which
+//!   numbers exist, so it can apply ups in the order an in-process
+//!   run would.
 //! * [`ClusterError`] — typed failures ([`ClusterError::SiteDown`] is
 //!   the one the fault tests pin), round-tripped structurally like
 //!   `EngineError`.
@@ -51,8 +58,6 @@ pub mod opcode {
     pub const UP_SLIDING: u8 = 0x86;
     /// [`super::SiteUp::SlidingMulti`].
     pub const UP_SLIDING_MULTI: u8 = 0x87;
-    /// [`super::ClusterRequest::Advance`].
-    pub const ADVANCE: u8 = 0x88;
     /// [`super::ClusterRequest::Sample`].
     pub const SAMPLE: u8 = 0x89;
     /// [`super::ClusterRequest::Stats`].
@@ -61,10 +66,14 @@ pub mod opcode {
     pub const SHUTDOWN: u8 = 0x8B;
     /// [`super::ClusterRequest::Telemetry`].
     pub const TELEMETRY: u8 = 0x8C;
+    /// [`super::ClusterRequest::SeqUp`].
+    pub const SEQ_UP: u8 = 0x8D;
+    /// [`super::ClusterRequest::Done`].
+    pub const DONE: u8 = 0x8E;
+    /// [`super::ClusterRequest::Sync`].
+    pub const SYNC: u8 = 0x8F;
     /// [`super::ClusterRequest::SiteObserve`].
     pub const SITE_OBSERVE: u8 = 0x90;
-    /// [`super::ClusterRequest::SiteAdvance`].
-    pub const SITE_ADVANCE: u8 = 0x91;
     /// [`super::ClusterRequest::SiteStats`].
     pub const SITE_STATS: u8 = 0x92;
     /// [`super::ClusterRequest::SiteShutdown`].
@@ -73,6 +82,8 @@ pub mod opcode {
     pub const SITE_CRASH: u8 = 0x94;
     /// [`super::ClusterRequest::SiteTelemetry`].
     pub const SITE_TELEMETRY: u8 = 0x95;
+    /// [`super::ClusterRequest::SiteObserveBatch`].
+    pub const SITE_OBSERVE_BATCH: u8 = 0x96;
 
     /// [`super::ClusterResponse::Welcome`].
     pub const WELCOME: u8 = 0xC1;
@@ -299,8 +310,7 @@ impl SiteUp {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+    fn put(&self, w: &mut StateWriter) {
         match *self {
             SiteUp::Infinite { element } => w.put_element(element),
             SiteUp::Wr { copy, element } => {
@@ -321,12 +331,10 @@ impl SiteUp {
                 w.put_slot(expiry);
             }
         }
-        w.into_bytes()
     }
 
-    fn decode(op: u8, payload: &[u8]) -> Result<SiteUp, CheckpointError> {
-        let mut r = StateReader::new(payload);
-        let up = match op {
+    fn get(op: u8, r: &mut StateReader<'_>) -> Result<SiteUp, CheckpointError> {
+        Ok(match op {
             opcode::UP_INFINITE => SiteUp::Infinite {
                 element: r.get_element()?,
             },
@@ -344,9 +352,7 @@ impl SiteUp {
                 expiry: r.get_slot()?,
             },
             other => return Err(CheckpointError::UnknownKind(other)),
-        };
-        r.expect_end()?;
-        Ok(up)
+        })
     }
 }
 
@@ -547,6 +553,26 @@ fn get_opt_u64(r: &mut StateReader<'_>) -> Result<Option<u64>, CheckpointError> 
     Ok(present.then_some(v))
 }
 
+fn put_seq_slot(w: &mut StateWriter, v: Option<(u64, Slot)>) {
+    w.put_bool(v.is_some());
+    if let Some((seq, slot)) = v {
+        w.put_u64(seq);
+        w.put_slot(slot);
+    }
+}
+
+fn get_seq_slot(r: &mut StateReader<'_>) -> Result<Option<(u64, Slot)>, CheckpointError> {
+    if r.get_bool()? {
+        Ok(Some((r.get_u64()?, r.get_slot()?)))
+    } else {
+        Ok(None)
+    }
+}
+
+/// Encoded size of one `(sequence number, element)` pair in a
+/// [`ClusterRequest::SiteObserveBatch`].
+const SEQ_ELEMENT_BYTES: usize = 16;
+
 fn put_counters(w: &mut StateWriter, c: &MessageCounters) {
     w.put_len(c.sites());
     for i in 0..c.sites() {
@@ -662,14 +688,35 @@ pub enum ClusterRequest {
     /// Graceful site departure (anything else ending a site
     /// connection marks the site failed).
     Leave,
-    /// A protocol message from a joined site. Answered with exactly
-    /// one [`ClusterResponse::Downs`] carrying this up's replies.
+    /// A protocol message from a joined site, applied on arrival.
+    /// Answered with exactly one [`ClusterResponse::Downs`] carrying
+    /// this up's replies.
     Up(SiteUp),
-    /// Control: advance the coordinator's clock to `now` (must be the
-    /// next slot).
-    Advance {
-        /// The new slot.
-        now: Slot,
+    /// A protocol message from a joined site, stamped with the global
+    /// sequence number of the element or slot start that caused it.
+    /// The coordinator applies sequenced ups in sequence order and
+    /// answers each with exactly one [`ClusterResponse::Downs`].
+    SeqUp {
+        /// Sequence number of the causing event.
+        seq: u64,
+        /// The protocol message.
+        up: SiteUp,
+    },
+    /// Site → coordinator, one-way and never answered: this site will
+    /// stamp no further up with a sequence number `<= through`.
+    Done {
+        /// The last sequence number the site has finished.
+        through: u64,
+    },
+    /// Control: a barrier. Every coordinator event numbered
+    /// `<= through` is now announced (a slot advance is the only
+    /// kind); answered once every event through `through` is applied.
+    Sync {
+        /// The barrier's last sequence number.
+        through: u64,
+        /// Start `slot` at sequence number `seq` (the coordinator's
+        /// half of a slot boundary).
+        advance: Option<(u64, Slot)>,
     },
     /// Control: answer the continuous query right now.
     Sample,
@@ -680,15 +727,26 @@ pub enum ClusterRequest {
     /// Control: report the coordinator's telemetry snapshot (registry
     /// metrics plus the exact per-site message/byte counters).
     Telemetry,
-    /// Driver → site daemon: observe one element locally.
+    /// One element for a site, unsequenced. Site daemons do not
+    /// serve it; drivers send [`ClusterRequest::SiteObserveBatch`].
+    /// The codec keeps it because the repository benchmark's codec row
+    /// encodes it.
     SiteObserve {
         /// The element.
         element: Element,
     },
-    /// Driver → site daemon: advance the site clock to `now`.
-    SiteAdvance {
-        /// The new slot.
-        now: Slot,
+    /// Driver → site daemon: observe `elements` in order, each stamped
+    /// with its global sequence number; then, if `then_slot` is set,
+    /// start that slot at its sequence number; then tell the
+    /// coordinator [`ClusterRequest::Done`] through `through`.
+    /// Answered with [`ClusterResponse::Ack`] once all of it is done.
+    SiteObserveBatch {
+        /// `(sequence number, element)` pairs in sequence order.
+        elements: Vec<(u64, Element)>,
+        /// `(sequence number, slot)` of this site's slot start.
+        then_slot: Option<(u64, Slot)>,
+        /// The barrier's last sequence number.
+        through: u64,
     },
     /// Driver → site daemon: report [`SiteDaemonStats`].
     SiteStats,
@@ -710,13 +768,15 @@ impl ClusterRequest {
             ClusterRequest::Control { .. } => opcode::CONTROL,
             ClusterRequest::Leave => opcode::LEAVE,
             ClusterRequest::Up(up) => up.opcode(),
-            ClusterRequest::Advance { .. } => opcode::ADVANCE,
+            ClusterRequest::SeqUp { .. } => opcode::SEQ_UP,
+            ClusterRequest::Done { .. } => opcode::DONE,
+            ClusterRequest::Sync { .. } => opcode::SYNC,
             ClusterRequest::Sample => opcode::SAMPLE,
             ClusterRequest::Stats => opcode::STATS,
             ClusterRequest::Shutdown => opcode::SHUTDOWN,
             ClusterRequest::Telemetry => opcode::TELEMETRY,
             ClusterRequest::SiteObserve { .. } => opcode::SITE_OBSERVE,
-            ClusterRequest::SiteAdvance { .. } => opcode::SITE_ADVANCE,
+            ClusterRequest::SiteObserveBatch { .. } => opcode::SITE_OBSERVE_BATCH,
             ClusterRequest::SiteStats => opcode::SITE_STATS,
             ClusterRequest::SiteShutdown => opcode::SITE_SHUTDOWN,
             ClusterRequest::SiteCrash => opcode::SITE_CRASH,
@@ -734,11 +794,32 @@ impl ClusterRequest {
                 w.put_u64(*digest);
             }
             ClusterRequest::Control { digest } => w.put_u64(*digest),
-            ClusterRequest::Up(up) => return up.payload(),
-            ClusterRequest::Advance { now } | ClusterRequest::SiteAdvance { now } => {
-                w.put_slot(*now);
+            ClusterRequest::Up(up) => up.put(&mut w),
+            ClusterRequest::SeqUp { seq, up } => {
+                w.put_u64(*seq);
+                w.put_u8(up.opcode());
+                up.put(&mut w);
+            }
+            ClusterRequest::Done { through } => w.put_u64(*through),
+            ClusterRequest::Sync { through, advance } => {
+                w.put_u64(*through);
+                put_seq_slot(&mut w, *advance);
             }
             ClusterRequest::SiteObserve { element } => w.put_element(*element),
+            ClusterRequest::SiteObserveBatch {
+                elements,
+                then_slot,
+                through,
+            } => {
+                w.reserve(SEQ_ELEMENT_BYTES * elements.len());
+                w.put_u64(*through);
+                put_seq_slot(&mut w, *then_slot);
+                w.put_len(elements.len());
+                for &(seq, element) in elements {
+                    w.put_u64(seq);
+                    w.put_element(element);
+                }
+            }
             ClusterRequest::Leave
             | ClusterRequest::Sample
             | ClusterRequest::Stats
@@ -763,14 +844,26 @@ impl ClusterRequest {
     /// # Errors
     /// [`CheckpointError`] on unknown opcodes or malformed payloads.
     pub fn decode(op: u8, payload: &[u8]) -> Result<ClusterRequest, CheckpointError> {
-        if matches!(
-            op,
-            opcode::UP_INFINITE | opcode::UP_WR | opcode::UP_SLIDING | opcode::UP_SLIDING_MULTI
-        ) {
-            return Ok(ClusterRequest::Up(SiteUp::decode(op, payload)?));
-        }
         let mut r = StateReader::new(payload);
         let request = match op {
+            opcode::UP_INFINITE | opcode::UP_WR | opcode::UP_SLIDING | opcode::UP_SLIDING_MULTI => {
+                ClusterRequest::Up(SiteUp::get(op, &mut r)?)
+            }
+            opcode::SEQ_UP => {
+                let seq = r.get_u64()?;
+                let kind = r.get_u8()?;
+                ClusterRequest::SeqUp {
+                    seq,
+                    up: SiteUp::get(kind, &mut r)?,
+                }
+            }
+            opcode::DONE => ClusterRequest::Done {
+                through: r.get_u64()?,
+            },
+            opcode::SYNC => ClusterRequest::Sync {
+                through: r.get_u64()?,
+                advance: get_seq_slot(&mut r)?,
+            },
             opcode::JOIN => ClusterRequest::Join {
                 site: get_site(&mut r)?,
                 digest: r.get_u64()?,
@@ -779,7 +872,6 @@ impl ClusterRequest {
                 digest: r.get_u64()?,
             },
             opcode::LEAVE => ClusterRequest::Leave,
-            opcode::ADVANCE => ClusterRequest::Advance { now: r.get_slot()? },
             opcode::SAMPLE => ClusterRequest::Sample,
             opcode::STATS => ClusterRequest::Stats,
             opcode::SHUTDOWN => ClusterRequest::Shutdown,
@@ -787,7 +879,21 @@ impl ClusterRequest {
             opcode::SITE_OBSERVE => ClusterRequest::SiteObserve {
                 element: r.get_element()?,
             },
-            opcode::SITE_ADVANCE => ClusterRequest::SiteAdvance { now: r.get_slot()? },
+            opcode::SITE_OBSERVE_BATCH => {
+                let through = r.get_u64()?;
+                let then_slot = get_seq_slot(&mut r)?;
+                let n = r.get_len(SEQ_ELEMENT_BYTES)?;
+                // No capacity from the count: it is the peer's claim.
+                let mut elements = Vec::new();
+                for _ in 0..n {
+                    elements.push((r.get_u64()?, r.get_element()?));
+                }
+                ClusterRequest::SiteObserveBatch {
+                    elements,
+                    then_slot,
+                    through,
+                }
+            }
             opcode::SITE_STATS => ClusterRequest::SiteStats,
             opcode::SITE_SHUTDOWN => ClusterRequest::SiteShutdown,
             opcode::SITE_CRASH => ClusterRequest::SiteCrash,
@@ -820,9 +926,9 @@ pub enum ClusterResponse {
         /// The deployment's site count.
         k: usize,
     },
-    /// The protocol replies triggered by one [`ClusterRequest::Up`] —
-    /// possibly empty. Always sent, so the site's settle loop stays
-    /// in lock-step with the coordinator.
+    /// The protocol replies triggered by one [`ClusterRequest::Up`] or
+    /// [`ClusterRequest::SeqUp`] — possibly empty. Always sent, so the
+    /// site's settle loop stays in lock-step with the coordinator.
     Downs {
         /// The replies, in emission order.
         downs: Vec<CoordDown>,
@@ -1213,6 +1319,18 @@ mod tests {
             }),
             ClusterRequest::SiteObserve {
                 element: Element(77),
+            },
+            ClusterRequest::SeqUp {
+                seq: 12,
+                up: SiteUp::Wr {
+                    copy: 1,
+                    element: Element(8),
+                },
+            },
+            ClusterRequest::SiteObserveBatch {
+                elements: vec![(3, Element(77)), (5, Element(78))],
+                then_slot: Some((6, Slot(2))),
+                through: 8,
             },
         ];
         for request in requests {

@@ -14,7 +14,7 @@
 //! [`Request::Shutdown`], after which every call answers
 //! [`EngineError::ShutDown`] — is available to remote peers.
 
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 use dds_engine::{Engine, EngineError, TenantId};
 use dds_sim::{Element, Slot};
@@ -164,7 +164,10 @@ impl EngineHost {
     /// Whether the hosted engine is still accepting requests.
     #[must_use]
     pub fn is_running(&self) -> bool {
-        self.slot.read().is_some()
+        self.slot
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_some()
     }
 }
 
@@ -172,7 +175,7 @@ impl EngineService for EngineHost {
     fn call(&self, request: Request) -> Result<Response, EngineError> {
         match request {
             Request::Restore { document } => {
-                let mut slot = self.slot.write();
+                let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
                 // Shutdown is final: a restore must not resurrect a host
                 // the operator already stopped.
                 if slot.is_none() {
@@ -188,14 +191,14 @@ impl EngineService for EngineHost {
                 Ok(Response::Ack)
             }
             Request::Shutdown => {
-                let mut slot = self.slot.write();
+                let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
                 let engine = slot.take().ok_or(EngineError::ShutDown)?;
                 engine
                     .begin_shutdown()
                     .map(|report| Response::Goodbye { report })
             }
             other => {
-                let slot = self.slot.read();
+                let slot = self.slot.read().unwrap_or_else(PoisonError::into_inner);
                 let engine = slot.as_ref().ok_or(EngineError::ShutDown)?;
                 engine.call(other)
             }
@@ -209,7 +212,7 @@ impl EngineService for EngineHost {
         now: Option<Slot>,
         batch: &mut Vec<(TenantId, Element)>,
     ) -> Result<Response, EngineError> {
-        let slot = self.slot.read();
+        let slot = self.slot.read().unwrap_or_else(PoisonError::into_inner);
         let engine = slot.as_ref().ok_or(EngineError::ShutDown)?;
         engine.observe_batch_slice(now, batch)
     }

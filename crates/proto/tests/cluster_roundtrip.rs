@@ -2,13 +2,15 @@
 //! the cluster wire dialect — every [`ClusterRequest`] variant, every
 //! [`ClusterResponse`] variant, every [`ClusterError`] variant — and
 //! malformed frames fail *cleanly* (truncations, bit flips, oversized
-//! length claims), mirroring `proto_roundtrip.rs` for the engine
-//! dialect.
+//! length claims, forged batch counts), mirroring `proto_roundtrip.rs`
+//! for the engine dialect. The frames that predate sequenced batches
+//! are pinned byte for byte.
 
+use dds_core::checkpoint::{CheckpointError, StateWriter};
 use dds_core::sampler::{SamplerKind, SamplerSpec};
 use dds_obs::{HistogramSnapshot, TelemetrySnapshot, BUCKET_COUNT};
 use dds_proto::cluster::{
-    decode_cluster_outcome_frame, encode_cluster_outcome, ClusterError, ClusterRequest,
+    decode_cluster_outcome_frame, encode_cluster_outcome, opcode, ClusterError, ClusterRequest,
     ClusterResponse, ClusterSpec, ClusterStats, CoordDown, SiteDaemonStats, SiteUp,
 };
 use dds_proto::frame;
@@ -65,7 +67,9 @@ fn request_from(
     slot: u64,
     copy: u32,
 ) -> ClusterRequest {
-    match idx % 18 {
+    // Odd copies leave the optional slot fields out.
+    let seq_slot = (copy % 2 == 0).then_some((slot, Slot(element)));
+    match idx % REQUEST_VARIANTS {
         0 => ClusterRequest::Join {
             site: SiteId(site as usize),
             digest,
@@ -73,21 +77,38 @@ fn request_from(
         1 => ClusterRequest::Control { digest },
         2 => ClusterRequest::Leave,
         i @ 3..=6 => ClusterRequest::Up(site_up_from(i - 3, copy, element, slot)),
-        7 => ClusterRequest::Advance { now: Slot(slot) },
+        7 => ClusterRequest::SeqUp {
+            seq: digest,
+            up: site_up_from(copy as u8, copy, element, slot),
+        },
         8 => ClusterRequest::Sample,
         9 => ClusterRequest::Stats,
         10 => ClusterRequest::Shutdown,
         11 => ClusterRequest::SiteObserve {
             element: Element(element),
         },
-        12 => ClusterRequest::SiteAdvance { now: Slot(slot) },
+        12 => ClusterRequest::SiteObserveBatch {
+            elements: (0..element % 5)
+                .map(|i| (slot.wrapping_add(i), Element(element ^ i)))
+                .collect(),
+            then_slot: seq_slot,
+            through: digest,
+        },
         13 => ClusterRequest::SiteStats,
         14 => ClusterRequest::SiteShutdown,
         15 => ClusterRequest::SiteCrash,
         16 => ClusterRequest::Telemetry,
-        _ => ClusterRequest::SiteTelemetry,
+        17 => ClusterRequest::SiteTelemetry,
+        18 => ClusterRequest::Done { through: digest },
+        _ => ClusterRequest::Sync {
+            through: digest,
+            advance: seq_slot,
+        },
     }
 }
+
+/// How many request shapes `request_from` builds.
+const REQUEST_VARIANTS: u8 = 20;
 
 /// A telemetry snapshot derived from the generated word pool that
 /// always satisfies the decoder's sparse-histogram invariants
@@ -225,8 +246,13 @@ fn corpus() -> (
     Vec<ClusterRequest>,
     Vec<Result<ClusterResponse, ClusterError>>,
 ) {
-    let requests: Vec<ClusterRequest> = (0..18)
-        .map(|i| request_from(i, 3, 0xfeed_beef, 42, 7, 2))
+    let requests: Vec<ClusterRequest> = (0..REQUEST_VARIANTS)
+        .flat_map(|i| {
+            [
+                request_from(i, 3, 0xfeed_beef, 42, 7, 2),
+                request_from(i, 3, 0xfeed_beef, 44, 7, 1),
+            ]
+        })
         .collect();
     let words: Vec<u64> = (0..16).collect();
     let downs = [
@@ -260,7 +286,7 @@ proptest! {
     /// deterministically.
     #[test]
     fn request_roundtrip_is_identity(
-        idx in 0u8..18,
+        idx in 0u8..REQUEST_VARIANTS,
         site in proptest::prelude::any::<u32>(),
         digest in proptest::prelude::any::<u64>(),
         element in proptest::prelude::any::<u64>(),
@@ -306,7 +332,7 @@ proptest! {
     /// Any single-bit corruption of any request frame is detected.
     #[test]
     fn random_bitflips_never_pass(
-        idx in 0u8..18,
+        idx in 0u8..REQUEST_VARIANTS,
         pos_seed in proptest::prelude::any::<u64>(),
         bit in 0u8..8,
     ) {
@@ -387,6 +413,90 @@ fn oversized_and_lying_length_claims_fail_cleanly() {
             "length lie {lie} accepted"
         );
     }
+}
+
+#[test]
+fn a_forged_batch_count_over_a_short_payload_is_refused() {
+    // A batch claiming far more elements than its payload carries is
+    // refused by the count check, before any element is read.
+    for claimed in [2u32, 1 << 20, u32::MAX] {
+        let mut w = StateWriter::new();
+        w.put_u64(9); // through
+        w.put_bool(false); // no slot start
+        w.put_u32(claimed);
+        w.put_u64(3); // one (sequence number, element) pair
+        w.put_u64(77);
+        let frame = frame::frame_bytes(opcode::SITE_OBSERVE_BATCH, &w.into_bytes());
+        assert_eq!(
+            ClusterRequest::decode_frame(&frame),
+            Err(CheckpointError::Truncated),
+            "count {claimed} over one element accepted"
+        );
+    }
+}
+
+/// Every frame a pre-batching peer could send or receive, in a fixed
+/// order: requests with fixed fields, then the corpus outcomes.
+fn pre_batching_frames() -> Vec<u8> {
+    let requests = [
+        ClusterRequest::Join {
+            site: SiteId(3),
+            digest: 0xfeed_beef,
+        },
+        ClusterRequest::Control {
+            digest: 0xfeed_beef,
+        },
+        ClusterRequest::Leave,
+        ClusterRequest::Up(site_up_from(0, 2, 42, 7)),
+        ClusterRequest::Up(site_up_from(1, 2, 42, 7)),
+        ClusterRequest::Up(site_up_from(2, 2, 42, 7)),
+        ClusterRequest::Up(site_up_from(3, 2, 42, 7)),
+        ClusterRequest::Sample,
+        ClusterRequest::Stats,
+        ClusterRequest::Shutdown,
+        ClusterRequest::Telemetry,
+        ClusterRequest::SiteObserve {
+            element: Element(42),
+        },
+        ClusterRequest::SiteStats,
+        ClusterRequest::SiteShutdown,
+        ClusterRequest::SiteCrash,
+        ClusterRequest::SiteTelemetry,
+    ];
+    let words: Vec<u64> = (0..16).collect();
+    let downs = [
+        (0u8, 1u32, 10u64, 3u64),
+        (1, 2, 20, 4),
+        (2, 0, 30, 5),
+        (3, 3, 40, 6),
+    ];
+    let mut bytes: Vec<u8> = requests.iter().flat_map(ClusterRequest::encode).collect();
+    for i in 0..8 {
+        let ok = Ok(response_from(
+            i,
+            3,
+            &[5, 6, 7],
+            &downs,
+            &words,
+            &[1],
+            2,
+            Some(99),
+        ));
+        bytes.extend(encode_cluster_outcome(&ok));
+        bytes.extend(encode_cluster_outcome(&Err(error_from(
+            i, 1, 11, 22, b"boom",
+        ))));
+    }
+    bytes
+}
+
+#[test]
+fn pre_batching_frames_are_byte_identical() {
+    // Length and FNV-1a 64 of the frames above, computed before the
+    // sequenced frames were added: adding opcodes changed none of them.
+    let bytes = pre_batching_frames();
+    assert_eq!(bytes.len(), 1_639);
+    assert_eq!(dds_hash::fnv::fnv1a_64(&bytes), 0x77ab_338d_acba_6da1);
 }
 
 #[test]

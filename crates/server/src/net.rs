@@ -2,13 +2,12 @@
 //! [`Listener`] / [`Stream`] / [`Endpoint`] vocabulary.
 //!
 //! The engine server ([`crate::Server`]) and the cluster nodes
-//! (`dds-cluster`) run the same accept-loop shape: bind either
-//! transport, accept connections that each get a handler thread, keep
-//! a socket handle per connection so shutdown can unblock its reader,
-//! and wake the blocked accept call by dialing the endpoint once. This
-//! module is that shape's vocabulary, so the two servers share one
-//! implementation of the fiddly parts (`TCP_NODELAY` on both sides,
-//! stale Unix socket files, half-close semantics).
+//! (`dds-cluster`) bind either transport and accept connections, in
+//! blocking mode (a handler thread per connection, woken for shutdown
+//! by a socket handle or by dialing the endpoint once) or non-blocking
+//! under an event loop. This module is their shared vocabulary, so they
+//! share one implementation of the fiddly parts (`TCP_NODELAY` on both
+//! sides, stale Unix socket files, half-close semantics).
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
