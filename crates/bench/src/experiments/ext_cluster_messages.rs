@@ -6,7 +6,7 @@
 //! loopback TCP — the same code paths as separate hosts), streams `n`
 //! pairwise-distinct elements round-robin (the protocol's worst case:
 //! every arrival is a new distinct element), and reads the exact
-//! protocol message count from the coordinator's [`ClusterStats`].
+//! protocol message count from the coordinator's [`ClusterStats`](dds_cluster::ClusterStats).
 //!
 //! The sweep runs k × n × s and **asserts** the observed totals stay
 //! inside the Lemma 4 envelope `E[Y] ≤ 2ks(1 + H_d − H_s)` (3× slack

@@ -5,7 +5,7 @@
 //! `BENCH_engine_conns.json` (CI greps its `gate` field):
 //!
 //! * **Parity** — at 16 connections the evented server's pipelined
-//!   ingest throughput is ≥ [`PARITY_FLOOR`]× the threaded server's on
+//!   ingest throughput is ≥ `PARITY_FLOOR`× the threaded server's on
 //!   the identical workload (best-of-runs on both sides so scheduler
 //!   noise cannot flip the gate).
 //! * **Byte-exactness** — on the same feed the two server modes
@@ -14,7 +14,7 @@
 //! * **Scale** — one evented listener holds the full connection sweep
 //!   (16 → 4096) with every probed idle connection still answering,
 //!   and the resident-set growth per idle connection stays under
-//!   [`MEM_CEILING_BYTES`] — connections cost buffers, not threads.
+//!   `MEM_CEILING_BYTES` — connections cost buffers, not threads.
 //!
 //! The idle crowd is raw `TcpStream`s (no client-side buffering), so
 //! the per-connection memory delta is dominated by the server side:

@@ -8,7 +8,7 @@
 //! * **lateness 0** — the horizon machinery enabled but degenerate: the
 //!   in-order fast path must apply elements directly, so its throughput
 //!   is the *cost of the bookkeeping alone*. Gated: the baseline may be
-//!   at most [`OVERHEAD_CEILING`] × faster.
+//!   at most `OVERHEAD_CEILING` × faster.
 //! * **lateness 16 / 256** — the same feed arriving out of order
 //!   (deterministic block-reversed interleaving whose displacement stays
 //!   inside the horizon, so nothing drops), exercising the buffered

@@ -8,17 +8,17 @@
 //!   stream two ways: one virtual `observe` per element (the pre-fusion
 //!   shape) versus `observe_batch` in chunks of ≥ 256 (one virtual call
 //!   and one fused hashing pass per chunk). Gated: the batched rate
-//!   must be at least [`SPEEDUP_FLOOR`] × the per-element rate.
+//!   must be at least `SPEEDUP_FLOOR` × the per-element rate.
 //! * **Incremental checkpoints.** A 1200-tenant engine, a full base
 //!   document, 1 % of tenants churned, then `checkpoint_delta`. Gated:
-//!   the delta must be at most [`DELTA_CEILING`] of the full document's
+//!   the delta must be at most `DELTA_CEILING` of the full document's
 //!   bytes — and `compact(base, [delta])` must equal the live full
 //!   checkpoint byte-for-byte, so the small number is also the right
 //!   one.
 //! * **Wire ratio** (report-only). Durable TCP-loopback ingest at
 //!   client batch 1024 against in-process ingest of the identical feed,
 //!   reported as a fraction. Loopback scheduling is too noisy to gate
-//!   in CI; the JSON records it next to [`WIRE_RATIO_TARGET`] so a
+//!   in CI; the JSON records it next to `WIRE_RATIO_TARGET` so a
 //!   regression is visible in the artifact.
 //!
 //! The `gate` field is `"pass"` only when both gated invariants hold;

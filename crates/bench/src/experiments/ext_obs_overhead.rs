@@ -13,7 +13,7 @@
 //! The noop build writes `BENCH_obs_overhead_noop.json`; the
 //! instrumented build writes `BENCH_obs_overhead.json`, and when the
 //! noop baseline file is present it also computes a `gate`: `"pass"`
-//! when instrumented ingest is within [`MAX_OVERHEAD_FRACTION`] of the
+//! when instrumented ingest is within `MAX_OVERHEAD_FRACTION` of the
 //! baseline, `"fail"` otherwise, `"n/a"` when no baseline has been
 //! recorded. CI runs the noop build first and then greps the
 //! instrumented file for `"gate": "pass"` — the observability layer is

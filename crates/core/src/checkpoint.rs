@@ -407,7 +407,7 @@ pub fn restore_instance(bytes: &[u8]) -> Result<AnySampler, CheckpointError> {
         ),
         kind::INFINITE => AnySampler::Infinite(FusedInfinite::decode_state(&mut r)?),
         kind::WITH_REPLACEMENT => AnySampler::WithReplacement(FusedWr::decode_state(&mut r)?),
-        kind::SLIDING => AnySampler::Sliding(FusedSliding::decode_state(&mut r)?),
+        kind::SLIDING => AnySampler::Sliding(Box::new(FusedSliding::decode_state(&mut r)?)),
         kind::SLIDING_MULTI => AnySampler::SlidingMulti(FusedSlidingMulti::decode_state(&mut r)?),
         other => return Err(CheckpointError::UnknownKind(other)),
     };

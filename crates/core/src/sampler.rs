@@ -9,10 +9,12 @@
 //! ([`FusedInfinite`], [`FusedWr`]) provide it by wiring a protocol's two
 //! halves together in-process: site output feeds the coordinator, the
 //! coordinator's replies feed back, and the would-be wire traffic is
-//! tallied in [`DistinctSampler::protocol_messages`]. Fusing changes
-//! *where* the halves run, not *what* they compute — a fused instance
-//! produces exactly the sample (and exactly the message count) of a
-//! `k = 1` deployment, which the tests pin down.
+//! tallied in [`DistinctSampler::protocol_messages`]. The queues of that
+//! in-process pump live for one call, so an adapter holds protocol
+//! state, a message counter and at most a batch-hash buffer. Fusing
+//! changes *where* the halves run, not *what* they compute — a fused
+//! instance produces exactly the sample (and exactly the message count)
+//! of a `k = 1` deployment, which the tests pin down.
 //!
 //! [`SamplerSpec`] is the value-level description of an instance
 //! (protocol + sample size + hash seed) from which a serving layer can
@@ -40,7 +42,6 @@ use dds_treap::{CandidateSet, FlatStaircase};
 use crate::centralized::{CentralizedSampler, SlidingOracle};
 use crate::checkpoint::{self, CheckpointError, StateReader, StateWriter};
 use crate::infinite::{InfiniteConfig, LazyCoordinator, LazySite};
-use crate::messages::{CopyDown, CopyUp, DownThreshold, SwDown, SwUp, UpElem};
 use crate::sliding::{SlidingConfig, SwCoordinator, SwSite};
 use crate::sliding_multi::{MultiSlidingConfig, MultiSwCoordinator, MultiSwSite};
 use crate::with_replacement::{WrCoordinator, WrSite};
@@ -143,25 +144,32 @@ pub trait DistinctSampler: Send {
 /// coordinator, feed every reply back to the site, and tally both
 /// directions. Termination: site replies never generate new up-messages
 /// in these protocols, and each up-message produces at most one reply.
-fn pump_observe<S, C>(
-    site: &mut S,
-    coordinator: &mut C,
-    e: Element,
-    now: Slot,
-    up_buf: &mut Vec<S::Up>,
-    down_buf: &mut Vec<(Destination, C::Down)>,
-    messages: &mut u64,
-) where
+fn pump_observe<S, C>(site: &mut S, coordinator: &mut C, e: Element, now: Slot, messages: &mut u64)
+where
     S: SiteNode,
     C: CoordinatorNode<Up = S::Up, Down = S::Down>,
 {
-    site.observe(e, now, up_buf);
-    pump_ups(site, coordinator, now, up_buf, down_buf, messages);
+    let mut up_buf = Vec::new();
+    site.observe(e, now, &mut up_buf);
+    pump_ups(
+        site,
+        coordinator,
+        now,
+        &mut up_buf,
+        &mut Vec::new(),
+        messages,
+    );
 }
 
 /// Settle pending up-messages (and every message they transitively
 /// trigger) between the fused halves — the `k = 1` specialization of the
 /// simulator's `settle` loop, with identical per-message accounting.
+///
+/// The queues are the caller's locals, not fields of the adapter:
+/// `Vec::new` does not allocate, so a call that sends nothing costs
+/// nothing, and a hosted tenant keeps no pump heap between calls.
+/// Messages are rare after warm-up (Lemma 4: O(s log n) over a stream's
+/// life), so the allocation a message does pay is off the hot path.
 fn pump_ups<S, C>(
     site: &mut S,
     coordinator: &mut C,
@@ -214,12 +222,15 @@ impl DistinctSampler for CentralizedSampler {
 /// path for an out-of-sample element is one hash + one compare — the same
 /// O(1) work a remote site would do — and `protocol_messages` reports the
 /// traffic a `k = 1` deployment would have put on the wire.
+///
+/// It holds protocol state and a message counter only: the message
+/// pump's queues live for one call, as in every fused adapter, so they
+/// are neither stored nor checkpointed, and they allocate only when a
+/// message is sent.
 #[derive(Debug, Clone)]
 pub struct FusedInfinite {
     site: LazySite,
     coordinator: LazyCoordinator,
-    up_buf: Vec<UpElem>,
-    down_buf: Vec<(Destination, DownThreshold)>,
     messages: u64,
 }
 
@@ -230,8 +241,6 @@ impl FusedInfinite {
         Self {
             site: LazySite::new(config.hasher()),
             coordinator: config.coordinator(),
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
             messages: 0,
         }
     }
@@ -242,9 +251,7 @@ impl FusedInfinite {
         &self.coordinator
     }
 
-    /// Rebuild from a [`DistinctSampler::checkpoint`] payload. The
-    /// message pump buffers are transient (always drained between
-    /// observations) and are not part of the state.
+    /// Rebuild from a [`DistinctSampler::checkpoint`] payload.
     pub(crate) fn decode_state(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
         let site = LazySite::decode_state(r)?;
         let coordinator = LazyCoordinator::decode_state(r)?;
@@ -252,8 +259,6 @@ impl FusedInfinite {
         Ok(Self {
             site,
             coordinator,
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
             messages,
         })
     }
@@ -266,8 +271,6 @@ impl DistinctSampler for FusedInfinite {
             &mut self.coordinator,
             e,
             Slot(0),
-            &mut self.up_buf,
-            &mut self.down_buf,
             &mut self.messages,
         );
     }
@@ -280,13 +283,12 @@ impl DistinctSampler for FusedInfinite {
         for &e in batch {
             let h = self.site.hasher().unit(e.0);
             if let Some(up) = self.site.observe_hashed(e, h) {
-                self.up_buf.push(up);
                 pump_ups(
                     &mut self.site,
                     &mut self.coordinator,
                     Slot(0),
-                    &mut self.up_buf,
-                    &mut self.down_buf,
+                    &mut vec![up],
+                    &mut Vec::new(),
                     &mut self.messages,
                 );
             }
@@ -324,8 +326,6 @@ impl DistinctSampler for FusedInfinite {
 pub struct FusedWr {
     site: WrSite,
     coordinator: WrCoordinator,
-    up_buf: Vec<CopyUp<UpElem>>,
-    down_buf: Vec<(Destination, CopyDown<DownThreshold>)>,
     messages: u64,
 }
 
@@ -337,8 +337,6 @@ impl FusedWr {
         Self {
             site: WrSite::new(hashers.clone()),
             coordinator: WrCoordinator::new(hashers),
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
             messages: 0,
         }
     }
@@ -351,8 +349,6 @@ impl FusedWr {
         Ok(Self {
             site,
             coordinator,
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
             messages,
         })
     }
@@ -365,8 +361,6 @@ impl DistinctSampler for FusedWr {
             &mut self.coordinator,
             e,
             Slot(0),
-            &mut self.up_buf,
-            &mut self.down_buf,
             &mut self.messages,
         );
     }
@@ -422,8 +416,6 @@ pub struct FusedSliding<T: CandidateSet = FlatStaircase> {
     site: SwSite<T>,
     coordinator: SwCoordinator,
     now: Slot,
-    up_buf: Vec<SwUp>,
-    down_buf: Vec<(Destination, SwDown)>,
     /// Batch-hash scratch, reused across `observe_batch` calls (transient;
     /// not part of checkpoints).
     hash_buf: Vec<u64>,
@@ -439,8 +431,6 @@ impl<T: CandidateSet + Default> FusedSliding<T> {
             site: SwSite::new(config.window, config.hasher()),
             coordinator: SwCoordinator::new(config.hasher(), 1, config.mode),
             now: Slot(0),
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
             hash_buf: Vec::new(),
             messages: 0,
         }
@@ -469,8 +459,6 @@ impl<T: CandidateSet + Default> FusedSliding<T> {
             site,
             coordinator,
             now,
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
             hash_buf: Vec::new(),
             messages,
         })
@@ -480,26 +468,27 @@ impl<T: CandidateSet + Default> FusedSliding<T> {
     /// deliver its output, site hook, settle.
     fn step_slot(&mut self) {
         self.now = self.now.next();
-        self.coordinator.on_slot_start(self.now, &mut self.down_buf);
-        while let Some((_, down)) = self.down_buf.pop() {
+        let (mut up_buf, mut down_buf) = (Vec::new(), Vec::new());
+        self.coordinator.on_slot_start(self.now, &mut down_buf);
+        while let Some((_, down)) = down_buf.pop() {
             self.messages += 1;
-            self.site.handle(down, self.now, &mut self.up_buf);
+            self.site.handle(down, self.now, &mut up_buf);
         }
         pump_ups(
             &mut self.site,
             &mut self.coordinator,
             self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
+            &mut up_buf,
+            &mut down_buf,
             &mut self.messages,
         );
-        self.site.on_slot_start(self.now, &mut self.up_buf);
+        self.site.on_slot_start(self.now, &mut up_buf);
         pump_ups(
             &mut self.site,
             &mut self.coordinator,
             self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
+            &mut up_buf,
+            &mut down_buf,
             &mut self.messages,
         );
     }
@@ -516,8 +505,6 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSliding<T> {
             &mut self.coordinator,
             e,
             self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
             &mut self.messages,
         );
     }
@@ -533,13 +520,12 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSliding<T> {
             .hash_u64_batch_into(batch.iter().map(|e| e.0), &mut hashes);
         for (&e, &h) in batch.iter().zip(&hashes) {
             if let Some(up) = self.site.observe_hashed(e, UnitValue(h), self.now) {
-                self.up_buf.push(up);
                 pump_ups(
                     &mut self.site,
                     &mut self.coordinator,
                     self.now,
-                    &mut self.up_buf,
-                    &mut self.down_buf,
+                    &mut vec![up],
+                    &mut Vec::new(),
                     &mut self.messages,
                 );
             }
@@ -555,8 +541,9 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSliding<T> {
                 // and dead-state bookkeeping (fallback-to-none, registry
                 // cleanup) land exactly where stepping would leave them.
                 self.now = now;
-                self.coordinator.on_slot_start(self.now, &mut self.down_buf);
-                debug_assert!(self.down_buf.is_empty(), "inert coordinator spoke");
+                let mut down_buf = Vec::new();
+                self.coordinator.on_slot_start(self.now, &mut down_buf);
+                debug_assert!(down_buf.is_empty(), "inert coordinator spoke");
                 return;
             }
             self.step_slot();
@@ -603,8 +590,6 @@ pub struct FusedSlidingMulti<T: CandidateSet = FlatStaircase> {
     site: MultiSwSite<T>,
     coordinator: MultiSwCoordinator,
     now: Slot,
-    up_buf: Vec<CopyUp<SwUp>>,
-    down_buf: Vec<(Destination, CopyDown<SwDown>)>,
     /// Batch-hash scratch, reused across `observe_batch` calls (transient;
     /// not part of checkpoints).
     hash_buf: Vec<u64>,
@@ -619,8 +604,6 @@ impl<T: CandidateSet + Default> FusedSlidingMulti<T> {
             site: MultiSwSite::new(config.window, config.hashers()),
             coordinator: MultiSwCoordinator::new(config.hashers(), 1, config.mode),
             now: Slot(0),
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
             hash_buf: Vec::new(),
             messages: 0,
         }
@@ -642,8 +625,6 @@ impl<T: CandidateSet + Default> FusedSlidingMulti<T> {
             site,
             coordinator,
             now,
-            up_buf: Vec::new(),
-            down_buf: Vec::new(),
             hash_buf: Vec::new(),
             messages,
         })
@@ -651,26 +632,27 @@ impl<T: CandidateSet + Default> FusedSlidingMulti<T> {
 
     fn step_slot(&mut self) {
         self.now = self.now.next();
-        self.coordinator.on_slot_start(self.now, &mut self.down_buf);
-        while let Some((_, down)) = self.down_buf.pop() {
+        let (mut up_buf, mut down_buf) = (Vec::new(), Vec::new());
+        self.coordinator.on_slot_start(self.now, &mut down_buf);
+        while let Some((_, down)) = down_buf.pop() {
             self.messages += 1;
-            self.site.handle(down, self.now, &mut self.up_buf);
+            self.site.handle(down, self.now, &mut up_buf);
         }
         pump_ups(
             &mut self.site,
             &mut self.coordinator,
             self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
+            &mut up_buf,
+            &mut down_buf,
             &mut self.messages,
         );
-        self.site.on_slot_start(self.now, &mut self.up_buf);
+        self.site.on_slot_start(self.now, &mut up_buf);
         pump_ups(
             &mut self.site,
             &mut self.coordinator,
             self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
+            &mut up_buf,
+            &mut down_buf,
             &mut self.messages,
         );
     }
@@ -687,8 +669,6 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSlidingMulti<T> 
             &mut self.coordinator,
             e,
             self.now,
-            &mut self.up_buf,
-            &mut self.down_buf,
             &mut self.messages,
         );
     }
@@ -709,13 +689,12 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSlidingMulti<T> 
                     self.site
                         .observe_hashed_copy(j, e, UnitValue(hashes[i]), self.now)
                 {
-                    self.up_buf.push(up);
                     pump_ups(
                         &mut self.site,
                         &mut self.coordinator,
                         self.now,
-                        &mut self.up_buf,
-                        &mut self.down_buf,
+                        &mut vec![up],
+                        &mut Vec::new(),
                         &mut self.messages,
                     );
                 }
@@ -728,8 +707,9 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSlidingMulti<T> 
         while self.now < now {
             if self.site.is_quiescent() && self.coordinator.is_inert_at(self.now) {
                 self.now = now;
-                self.coordinator.on_slot_start(self.now, &mut self.down_buf);
-                debug_assert!(self.down_buf.is_empty(), "inert coordinator spoke");
+                let mut down_buf = Vec::new();
+                self.coordinator.on_slot_start(self.now, &mut down_buf);
+                debug_assert!(down_buf.is_empty(), "inert coordinator spoke");
                 return;
             }
             self.step_slot();
@@ -771,6 +751,13 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSlidingMulti<T> 
 /// [`crate::checkpoint::restore_instance`]; [`SamplerSpec::build`] and
 /// [`crate::checkpoint::restore_sampler`] box it for callers that want
 /// a `Box<dyn DistinctSampler>`.
+///
+/// The enum is as large as its largest inline kind, and every hosted
+/// tenant pays that size. Four kinds sit inline, the largest being
+/// [`CentralizedSampler`] at 112 bytes. [`FusedSliding`] is boxed: at
+/// 208 bytes it is nearly twice that, and it serves only `s = 1`
+/// sliding tenants, so holding it inline would make every other kind's
+/// tenants pay for it. A `Sliding` call pays one pointer chase instead.
 #[derive(Debug, Clone)]
 pub enum AnySampler {
     /// [`SamplerKind::Centralized`].
@@ -779,32 +766,43 @@ pub enum AnySampler {
     Infinite(FusedInfinite),
     /// [`SamplerKind::WithReplacement`].
     WithReplacement(FusedWr),
-    /// [`SamplerKind::Sliding`].
-    Sliding(FusedSliding),
+    /// [`SamplerKind::Sliding`], boxed (see above).
+    Sliding(Box<FusedSliding>),
     /// [`SamplerKind::SlidingMulti`].
     SlidingMulti(FusedSlidingMulti),
 }
 
-/// Forward one [`DistinctSampler`] call to whichever kind `$any` holds.
+/// Forward one [`DistinctSampler`] call to whichever kind `$any` holds,
+/// binding `$inner` to it: mutably for the `mut` form, and through the
+/// box for `Sliding`.
 macro_rules! dispatch {
-    ($any:expr, $inner:ident => $call:expr) => {
+    (@ $any:expr, $boxed:ident => $unbox:expr, $inner:ident => $call:expr) => {
         match $any {
             AnySampler::Centralized($inner) => $call,
             AnySampler::Infinite($inner) => $call,
             AnySampler::WithReplacement($inner) => $call,
-            AnySampler::Sliding($inner) => $call,
+            AnySampler::Sliding($boxed) => {
+                let $inner = $unbox;
+                $call
+            }
             AnySampler::SlidingMulti($inner) => $call,
         }
+    };
+    (mut $any:expr, $inner:ident => $call:expr) => {
+        dispatch!(@ $any, boxed => &mut **boxed, $inner => $call)
+    };
+    ($any:expr, $inner:ident => $call:expr) => {
+        dispatch!(@ $any, boxed => &**boxed, $inner => $call)
     };
 }
 
 impl DistinctSampler for AnySampler {
     fn observe(&mut self, e: Element) {
-        dispatch!(self, s => DistinctSampler::observe(s, e));
+        dispatch!(mut self, s => DistinctSampler::observe(s, e));
     }
 
     fn advance(&mut self, now: Slot) {
-        dispatch!(self, s => DistinctSampler::advance(s, now));
+        dispatch!(mut self, s => DistinctSampler::advance(s, now));
     }
 
     fn clock(&self) -> Slot {
@@ -812,15 +810,15 @@ impl DistinctSampler for AnySampler {
     }
 
     fn observe_at(&mut self, e: Element, now: Slot) {
-        dispatch!(self, s => DistinctSampler::observe_at(s, e, now));
+        dispatch!(mut self, s => DistinctSampler::observe_at(s, e, now));
     }
 
     fn observe_batch(&mut self, batch: &[Element]) {
-        dispatch!(self, s => DistinctSampler::observe_batch(s, batch));
+        dispatch!(mut self, s => DistinctSampler::observe_batch(s, batch));
     }
 
     fn observe_batch_at(&mut self, now: Slot, batch: &[Element]) {
-        dispatch!(self, s => DistinctSampler::observe_batch_at(s, now, batch));
+        dispatch!(mut self, s => DistinctSampler::observe_batch_at(s, now, batch));
     }
 
     fn sample(&self) -> Vec<Element> {
@@ -953,9 +951,9 @@ impl SamplerSpec {
             SamplerKind::WithReplacement => {
                 AnySampler::WithReplacement(FusedWr::new(self.s, self.family()))
             }
-            SamplerKind::Sliding { window } => AnySampler::Sliding(FusedSliding::new(
+            SamplerKind::Sliding { window } => AnySampler::Sliding(Box::new(FusedSliding::new(
                 &SlidingConfig::with_seed(window, self.seed),
-            )),
+            ))),
             SamplerKind::SlidingMulti { window } => AnySampler::SlidingMulti(
                 FusedSlidingMulti::new(&MultiSlidingConfig::with_seed(self.s, window, self.seed)),
             ),
@@ -1323,6 +1321,37 @@ mod tests {
         assert_eq!(sampler.sample().len(), 1);
         sampler.advance(Slot(14));
         assert!(sampler.sample().is_empty(), "window must expire at 14");
+    }
+
+    /// Every hosted tenant pays `size_of::<AnySampler>()`, so a field
+    /// added to any inline kind must fail here rather than silently add
+    /// bytes to every tenant. `FusedSliding` is the boxed kind: it is
+    /// about twice the bound (see the `AnySampler` docs).
+    #[test]
+    fn any_sampler_stays_at_its_inline_bound() {
+        use std::mem::size_of;
+        const BOUND: usize = 112;
+        assert!(
+            size_of::<AnySampler>() <= BOUND,
+            "{}",
+            size_of::<AnySampler>()
+        );
+        for (kind, size) in [
+            ("CentralizedSampler", size_of::<CentralizedSampler>()),
+            ("FusedInfinite", size_of::<FusedInfinite>()),
+            ("FusedWr", size_of::<FusedWr>()),
+            ("FusedSlidingMulti", size_of::<FusedSlidingMulti>()),
+            ("Box<FusedSliding>", size_of::<Box<FusedSliding>>()),
+        ] {
+            assert!(
+                size <= BOUND,
+                "{kind} is {size} B, over the {BOUND} B bound"
+            );
+        }
+        assert!(
+            size_of::<FusedSliding>() > BOUND,
+            "FusedSliding fits inline now"
+        );
     }
 
     /// `clock()` tracks the slot clock on windowed kinds and stays 0 on

@@ -8,7 +8,6 @@
 
 use dds_hash::splitmix::SplitMix64;
 use dds_sim::SiteId;
-use serde::{Deserialize, Serialize};
 
 /// Which site(s) observe the next stream element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +19,7 @@ pub enum RouteTarget {
 }
 
 /// A data-distribution strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Routing {
     /// Each element is assigned to every site.
     Flooding,

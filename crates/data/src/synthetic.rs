@@ -17,12 +17,11 @@
 
 use dds_hash::splitmix::{splitmix64, SplitMix64};
 use dds_sim::Element;
-use serde::{Deserialize, Serialize};
 
 use crate::zipf::Zipf;
 
 /// Element/distinct calibration of a trace (one row of Table 5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceProfile {
     /// Human-readable dataset name.
     pub name: &'static str,

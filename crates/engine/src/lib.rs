@@ -33,10 +33,11 @@
 //!   sliding-window (Algorithms 3 & 4, single- and multi-copy) samplers
 //!   all serve unchanged, dispatched by `match` rather than a vtable.
 //! * **One tenant table per shard.** A directory from tenant id to a
-//!   dense slot index over one `Vec` of slots, each holding the
-//!   tenant's sampler (or its parked blob) and its dirty stamp inline:
-//!   a same-tenant run costs one lookup, and sweeps, advances,
-//!   censuses and checkpoints walk the slots.
+//!   dense slot index over one `Vec` of 128-byte slots, each holding
+//!   the tenant's sampler (or its parked blob) and its dirty stamp
+//!   inline: a same-tenant run costs one lookup, and sweeps, advances,
+//!   censuses and checkpoints walk the slots. Each shard reports the
+//!   bytes its parked blobs hold (`engine_parked_blob_bytes`).
 //! * **Time.** Ingest may be timestamped ([`Engine::observe_at`],
 //!   [`Engine::observe_batch_at`]): each shard tracks a **watermark** —
 //!   the highest slot it has seen — and [`Engine::advance`] pushes the

@@ -36,6 +36,9 @@ pub(crate) struct ShardMetrics {
     /// Drained idle tenants parked as checkpoint blobs by
     /// [`Engine::advance`](crate::Engine::advance)-driven eviction.
     pub(crate) evictions: Counter,
+    /// Summed length of the shard's parked blobs (gauge, maintained by
+    /// the worker at park, rehydrate and restore).
+    pub(crate) parked_blob_bytes: Gauge,
     /// Highest slot the shard has seen (gauge, maintained by the worker).
     pub(crate) watermark: Gauge,
     /// Commands queued (gauge, refreshed at snapshot/telemetry time).
@@ -82,6 +85,7 @@ impl ShardMetrics {
             tenants: registry.gauge_with("engine_tenants", &labels),
             advances: registry.counter_with("engine_advances_total", &labels),
             evictions: registry.counter_with("engine_evictions_total", &labels),
+            parked_blob_bytes: registry.gauge_with("engine_parked_blob_bytes", &labels),
             watermark: registry.gauge_with("engine_watermark_slot", &labels),
             queue_depth: registry.gauge_with("engine_queue_depth", &labels),
             late_dropped: registry.counter_with("engine_late_dropped_total", &labels),

@@ -3,10 +3,10 @@
 //! queue.
 //!
 //! Tenants live in a [`TenantTable`]: a directory from tenant id to a
-//! dense slot index, over one `Vec` of slots that hold each tenant's
-//! [`AnySampler`] (or its parked blob) and its dirty stamp inline. A
-//! tenant run costs one directory lookup; sweeps, advances, the census,
-//! checkpoints and restores walk the slots.
+//! dense slot index, over one `Vec` of 128-byte slots that hold each
+//! tenant's [`AnySampler`] (or its parked blob) and its dirty stamp
+//! inline. A tenant run costs one directory lookup; sweeps, advances,
+//! the census, checkpoints and restores walk the slots.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,6 +15,7 @@ use std::time::Instant;
 use crossbeam::channel::{Receiver, Sender};
 
 use dds_core::sampler::{AnySampler, DistinctSampler, SamplerSpec};
+use dds_obs::Gauge;
 use dds_sim::{Element, Slot};
 
 use crate::metrics::ShardMetrics;
@@ -121,8 +122,10 @@ fn record_snapshot_latency(metrics: &ShardMetrics, enqueued: Instant) {
 ///
 /// The live sampler is held inline, not boxed: live tenants are the
 /// common case, and a box would bring back the pointer chase per tenant
-/// run that the slab removes. A parked slot pays the same size.
-#[allow(clippy::large_enum_variant)]
+/// run that the slab removes. Only `AnySampler::Sliding` (`s = 1`
+/// sliding windows) is boxed inside the enum, which keeps `AnySampler`
+/// at 112 bytes and a [`TenantSlot`] at 128. A parked slot pays the
+/// same size.
 pub(crate) enum TenantState {
     /// The running instance.
     Live(AnySampler),
@@ -145,16 +148,27 @@ struct TenantSlot {
 /// Every tenant a shard hosts: a directory from tenant id to slot index
 /// over one dense `Vec` of slots. Tenants are never removed — a drained
 /// one is parked in place — so slot indices are stable.
-#[derive(Default)]
 struct TenantTable {
     /// Tenant id → index into `slots`. Keeps std's randomly keyed
     /// hasher: tenant ids come from clients, and a fixed key would let
     /// one client pick ids that collide.
     directory: HashMap<u64, u32>,
     slots: Vec<TenantSlot>,
+    /// The shard's `engine_parked_blob_bytes` gauge: the summed length
+    /// of every parked blob. Every park and unpark goes through this
+    /// table, so it moves only there — never on a live tenant's run.
+    parked_bytes: Gauge,
 }
 
 impl TenantTable {
+    fn new(parked_bytes: Gauge) -> Self {
+        Self {
+            directory: HashMap::new(),
+            slots: Vec::new(),
+            parked_bytes,
+        }
+    }
+
     fn len(&self) -> usize {
         self.slots.len()
     }
@@ -163,9 +177,9 @@ impl TenantTable {
         self.directory.contains_key(&tenant.0)
     }
 
-    /// Tenant `id`'s slot, appended with `fresh()` as its state if the
-    /// tenant is new.
-    fn slot(&mut self, id: u64, fresh: impl FnOnce() -> TenantState) -> &mut TenantSlot {
+    /// Tenant `id`'s slot index, appending a slot with `fresh()` as its
+    /// state if the tenant is new.
+    fn slot_index(&mut self, id: u64, fresh: impl FnOnce() -> TenantState) -> usize {
         let next = self.slots.len();
         let idx = *self
             .directory
@@ -179,7 +193,7 @@ impl TenantTable {
                 state: fresh(),
             });
         }
-        &mut self.slots[idx]
+        idx
     }
 
     /// Look up (or create) a tenant's live sampler and stamp it dirty at
@@ -195,9 +209,11 @@ impl TenantTable {
         tenant: TenantId,
         stamp: u64,
     ) -> &mut AnySampler {
-        let slot = self.slot(tenant.0, || TenantState::Live(spec.instance()));
+        let idx = self.slot_index(tenant.0, || TenantState::Live(spec.instance()));
+        let slot = &mut self.slots[idx];
         slot.stamp = stamp;
         if let TenantState::Parked(blob) = &slot.state {
+            self.parked_bytes.sub(blob.len() as u64);
             slot.state = TenantState::Live(rehydrate(blob, target));
         }
         let TenantState::Live(sampler) = &mut slot.state else {
@@ -208,9 +224,37 @@ impl TenantTable {
 
     /// Insert or replace a tenant wholesale (restore).
     fn install(&mut self, id: u64, stamp: u64, state: TenantState) {
-        let slot = self.slot(id, || TenantState::Parked(Vec::new()));
+        let idx = self.slot_index(id, || TenantState::Parked(Vec::new()));
+        let slot = &mut self.slots[idx];
         slot.stamp = stamp;
+        if let TenantState::Parked(blob) = &slot.state {
+            self.parked_bytes.sub(blob.len() as u64);
+        }
+        if let TenantState::Parked(blob) = &state {
+            self.parked_bytes.add(blob.len() as u64);
+        }
         slot.state = state;
+    }
+
+    /// Park window-bounded tenants whose state has fully drained: the
+    /// instance (candidate sets, buffers) is freed, but its final state —
+    /// clock, message counter — is recorded so a later observe
+    /// *resumes* the tenant instead of resetting it. Returns how many
+    /// were parked.
+    fn park_drained(&mut self) -> u64 {
+        let mut parked = 0;
+        for slot in &mut self.slots {
+            if let TenantState::Live(sampler) = &slot.state {
+                if sampler.memory_tuples() == 0 && sampler.sample().is_empty() {
+                    let mut blob = Vec::new();
+                    sampler.checkpoint(&mut blob);
+                    self.parked_bytes.add(blob.len() as u64);
+                    slot.state = TenantState::Parked(blob);
+                    parked += 1;
+                }
+            }
+        }
+        parked
     }
 
     /// The tenants stamped after `since` (every tenant for `since =
@@ -431,26 +475,9 @@ impl ShardWorker<'_> {
         }
         self.sweep_stride = stride;
         self.advance_all(cut);
-        self.park_drained();
+        self.metrics.evictions.add(self.tenants.park_drained());
         self.metrics.sweeps.inc();
         self.set_tenant_gauge();
-    }
-
-    /// Park window-bounded tenants whose state has fully drained: the
-    /// instance (candidate sets, buffers) is freed, but its final state —
-    /// clock, message counter — is recorded so a later observe
-    /// *resumes* the tenant instead of resetting it.
-    fn park_drained(&mut self) {
-        for slot in &mut self.tenants.slots {
-            if let TenantState::Live(sampler) = &slot.state {
-                if sampler.memory_tuples() == 0 && sampler.sample().is_empty() {
-                    let mut blob = Vec::new();
-                    sampler.checkpoint(&mut blob);
-                    slot.state = TenantState::Parked(blob);
-                    self.metrics.evictions.inc();
-                }
-            }
-        }
     }
 
     /// The OneAt ingest body. Returns drops.
@@ -554,7 +581,7 @@ pub(crate) fn shard_loop(
         lateness,
         metrics,
         watermark_pub,
-        tenants: TenantTable::default(),
+        tenants: TenantTable::new(metrics.parked_blob_bytes.clone()),
         watermark: Slot(0),
         seq: 0,
         elem_scratch: Vec::new(),
@@ -654,7 +681,7 @@ pub(crate) fn shard_loop(
                     // reclaim path.
                     w.advance_all(w.watermark);
                     if spec.window().is_some() {
-                        w.park_drained();
+                        metrics.evictions.add(w.tenants.park_drained());
                     }
                     if let (Some(window), Some(_)) = (spec.window(), w.lateness) {
                         w.sweep_stride = w.sweep_stride.max(w.cut().0 / window);
@@ -786,4 +813,18 @@ pub(crate) fn shard_loop(
         }
     }
     w.tenants.len()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every hosted tenant pays one slot, parked or live: a field added
+    /// to the slot, or to any sampler `AnySampler` holds inline, must
+    /// fail here rather than silently add bytes to every tenant.
+    #[test]
+    fn tenant_slot_stays_at_128_bytes() {
+        let size = std::mem::size_of::<TenantSlot>();
+        assert!(size <= 128, "TenantSlot is {size} B");
+    }
 }

@@ -17,7 +17,7 @@
 //! * [`fnv`] — FNV-1a (32/64-bit) for differential testing.
 //! * [`sip`] — a compact SipHash-1-3 keyed hash for adversarially robust
 //!   families.
-//! * [`unit`] — the [`unit::UnitHash`] abstraction mapping elements to the
+//! * [`unit`](mod@unit) — the [`unit::UnitHash`] abstraction mapping elements to the
 //!   unit interval, in both `f64` form and an exact total-order `u64` form
 //!   (the form the protocols actually compare, so ties and precision are
 //!   never an issue).

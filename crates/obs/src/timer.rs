@@ -1,6 +1,6 @@
 //! Span-style timers for hot paths.
 //!
-//! A [`SpanTimer`] is borrowed from a [`Histogram`](crate::Histogram)
+//! A [`SpanTimer`] is borrowed from a [`Histogram`]
 //! via [`Histogram::start`](crate::Histogram::start) and records its
 //! elapsed nanoseconds when dropped — so a hot path times itself with
 //! one line and cannot forget to stop the clock on early returns.

@@ -6,10 +6,8 @@
 //! aligned-table rendering so the bench harness can both persist results
 //! and print paper-style rows.
 
-use serde::{Deserialize, Serialize};
-
 /// One named `(x, y)` curve.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Series {
     /// Curve label, e.g. `"flooding"` or `"broadcast"`.
     pub label: String,
@@ -107,7 +105,7 @@ impl Series {
 }
 
 /// A titled collection of curves sharing an x axis — one figure.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SeriesSet {
     /// Figure title, e.g. `"Figure 5.1 (OC48): messages vs elements"`.
     pub title: String,

@@ -1,7 +1,5 @@
 //! Core model types: elements, site identifiers, and time slots.
 
-use serde::{Deserialize, Serialize};
-
 /// A stream element.
 ///
 /// The paper's universe `U` is abstract; concretely we use a 64-bit
@@ -9,9 +7,7 @@ use serde::{Deserialize, Serialize};
 /// — e.g. src/dst IP pairs or sender/recipient e-mail pairs — into this
 /// space by hashing). Equality of `Element`s is *distinctness* in the
 /// paper's sense.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Element(pub u64);
 
 impl std::fmt::Display for Element {
@@ -30,9 +26,7 @@ impl From<u64> for Element {
 ///
 /// (The paper numbers sites `1..k`; we use zero-based indices and keep the
 /// coordinator out of the site id space entirely.)
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SiteId(pub usize);
 
 impl std::fmt::Display for SiteId {
@@ -47,9 +41,7 @@ impl std::fmt::Display for SiteId {
 /// consecutively in an increasing sequence", synchronized across sites.
 /// Slots drive sliding-window semantics; the infinite-window protocol
 /// ignores them.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Slot(pub u64);
 
 impl Slot {

@@ -11,12 +11,11 @@
 //! the cells can double as registry-visible telemetry.
 
 use dds_obs::Counter;
-use serde::{Deserialize, Serialize};
 
 use crate::model::SiteId;
 
 /// Message direction relative to the coordinator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Site → coordinator.
     Up,
@@ -25,7 +24,7 @@ pub enum Direction {
 }
 
 /// Per-direction, per-site message and byte tallies.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MessageCounters {
     up_msgs: Vec<u64>,
     down_msgs: Vec<u64>,

@@ -12,7 +12,7 @@
 //!   relative-error theory.
 //! * [`subset`] — predicate-restricted distinct counts and means over the
 //!   distinct population, from a bottom-`s` sample.
-//! * [`harmonic`] — harmonic numbers (exact + asymptotic).
+//! * [`harmonic`](mod@harmonic) — harmonic numbers (exact + asymptotic).
 //! * [`summary`] — running mean/variance/min/max (Welford) for experiment
 //!   reporting.
 //! * [`tests`] — chi-square goodness-of-fit and Kolmogorov–Smirnov
