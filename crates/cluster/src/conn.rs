@@ -3,14 +3,18 @@
 //! from its event loop instead).
 //!
 //! Conversations in the cluster dialect are request/reply — write one
-//! [`ClusterRequest`] frame, read one outcome frame — with one
-//! exception: a site's [`ClusterRequest::Done`] marker is one-way, sent
-//! with [`Framed::send_request`] and never answered. A driver may also
-//! write to several connections before reading any reply, which is how
-//! a barrier reaches every site at once. [`Framed`] owns the buffered
-//! halves of a [`Stream`](dds_server::net::Stream) and flushes after
-//! every send — a frame parked in a write buffer would stall its peer.
-//! Dropping it closes the connection (a clean EOF on the far side).
+//! [`ClusterRequest`] frame, read one outcome frame — with two
+//! exceptions, both sent with [`Framed::send_request`] and never
+//! answered: a site's [`ClusterRequest::Done`] marker, and a driver's
+//! [`ClusterRequest::SiteBatch`] that succeeds (one that fails is
+//! answered with its error). A driver may also write to several
+//! connections, or several requests to one, before reading any reply,
+//! which is how a barrier reaches every site at once and how a read
+//! queues behind a barrier still in flight. [`Framed`] owns the
+//! buffered halves of a [`Stream`](dds_server::net::Stream) and flushes
+//! after every send — a frame parked in a write buffer would stall its
+//! peer. Dropping it closes the connection (a clean EOF on the far
+//! side).
 
 use std::io::{BufReader, BufWriter, Write};
 

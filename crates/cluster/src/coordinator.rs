@@ -41,6 +41,23 @@
 //! in-process twin's state. Each site has at most one up in flight, so
 //! at most `k` ups are ever held.
 //!
+//! ## Pipelined barriers
+//!
+//! A driver does not wait for a slot advance's `Sync` before it ships
+//! the next barrier, so a control connection usually carries the next
+//! `Sync` (or a read) behind the one that waits. A site sends its
+//! `Done` after running a batch and before reading the next one, so
+//! the answer to a `Sync` proves every live site ran its batch, and a
+//! successful batch needs no reply of its own. While its `Sync` waits,
+//! a control connection is not read: its next `Sync` is picked up when
+//! the answer goes out, from bytes already decoded or on the next turn
+//! of the loop. Reading the socket while the `Sync` waits, or right
+//! after answering it, was measured and bought no throughput on
+//! `cluster_sliding`, so the loop keeps the simpler rule: nothing
+//! behind a waiting `Sync` is read or dispatched. Ups the next batch
+//! stamps past the announced barrier are held until its `Sync`
+//! announces them.
+//!
 //! An up without a number ([`ClusterRequest::Up`], sent by a directly
 //! driven [`SiteDaemon`](crate::SiteDaemon)) is applied on arrival.
 //! Every applied up is answered with exactly one

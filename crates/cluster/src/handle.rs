@@ -12,18 +12,38 @@
 //! [`observe`](ClusterHandle::observe) only appends the element to its
 //! site's buffer and gives it the next global sequence number, the
 //! position `dds_sim::Cluster::observe` would give it. Every other call
-//! is a *barrier*, and so is a site buffer reaching
-//! [`SITE_BUFFER_CAP`] elements. A barrier with work to do sends every
-//! site, all at once, one `SiteObserveBatch` with its buffered elements
-//! and (for [`advance_slot`](ClusterHandle::advance_slot)) the slot to
-//! start, sends the coordinator one `Sync` naming the barrier's last
-//! sequence number, then waits for every reply. The sites run their
-//! batches in parallel; the coordinator applies their ups in sequence
-//! order and answers the `Sync` once everything through it is applied,
-//! so whatever the call then reads is what the in-process twin shows at
-//! the same point of the stream. A barrier with nothing buffered sends
-//! nothing, so a `sample` right after an `advance_slot` costs one
-//! round trip to the coordinator.
+//! ends a *barrier*, and so does a site buffer reaching
+//! [`SITE_BUFFER_CAP`] elements. Shipping a barrier with work to do
+//! sends the coordinator one `Sync` naming the barrier's last sequence
+//! number, then every site, all at once, one `SiteBatch` with its
+//! buffered elements and (for
+//! [`advance_slot`](ClusterHandle::advance_slot)) the slot to start.
+//! The sites run their batches in parallel and answer nothing; the
+//! coordinator applies their ups in sequence order and answers the
+//! `Sync` once everything through it is applied, which proves every
+//! live site ran its batch. A barrier with nothing buffered ships
+//! nothing.
+//!
+//! Calls differ in what they wait for:
+//!
+//! * **Shipping calls** — [`advance_slot`](ClusterHandle::advance_slot),
+//!   and an [`observe`](ClusterHandle::observe) that fills a buffer —
+//!   ship their barrier and return once the *previous* barrier is
+//!   answered. At most one barrier is unanswered when they return, so
+//!   the sites run one batch while the driver gathers the next.
+//! * **Coordinator reads** — [`sample`](ClusterHandle::sample),
+//!   [`stats`](ClusterHandle::stats) and
+//!   [`telemetry`](ClusterHandle::telemetry) — ship what is buffered,
+//!   write their own request right behind it on the control
+//!   connection, then read the owed `Sync` answers and their own reply
+//!   in order. The coordinator answers nothing behind a `Sync` that
+//!   waits, so the read sees exactly what the in-process twin shows at
+//!   the same point of the stream, at the cost of one round trip.
+//! * **Everything else** — [`site_stats`](ClusterHandle::site_stats),
+//!   [`site_telemetry`](ClusterHandle::site_telemetry),
+//!   [`crash_site`](ClusterHandle::crash_site) and
+//!   [`shutdown`](ClusterHandle::shutdown) — ships and waits for every
+//!   barrier to be answered first.
 //!
 //! A slot boundary takes `k + 1` sequence numbers in
 //! `dds_sim::Cluster::advance_slot`'s order: the **coordinator** starts
@@ -34,12 +54,27 @@
 //!
 //! ## Errors
 //!
-//! Because `observe` only buffers, an error on the way to a site — a
-//! dead site, a transport failure, a protocol violation — surfaces at
-//! the next barrier, not at the `observe` whose element met it. At a
-//! barrier the coordinator's typed verdict takes precedence over a
-//! transport error on a site's driver socket, so a killed site shows up
-//! as [`ClusterError::SiteDown`].
+//! Because `observe` only buffers and a shipping call does not wait for
+//! its own barrier, an error on the way to a site — a dead site, a
+//! transport failure, a protocol violation — surfaces at the next call
+//! that waits for the barrier that met it. A site that refuses its
+//! batch makes the shipping call wait for every barrier, so the
+//! coordinator's typed verdict takes precedence over the transport
+//! error on the site's driver socket, and a killed site shows up as
+//! [`ClusterError::SiteDown`].
+//!
+//! A `SiteDown` verdict is permanent: a failed seat never rejoins. The
+//! handle remembers the first one it reads, and every later shipping
+//! call and [`sample`](ClusterHandle::sample) still ships its barrier,
+//! then returns that verdict. The other reads keep answering.
+//!
+//! ## Drop
+//!
+//! Dropping the handle loses the elements still buffered, and no one
+//! waits for the barrier in flight: the sites still run it before they
+//! see the driver go, but whether the coordinator applied it is never
+//! reported. [`shutdown`](ClusterHandle::shutdown) ships and waits for
+//! both.
 
 use std::net::SocketAddr;
 #[cfg(unix)]
@@ -101,6 +136,11 @@ pub struct ClusterHandle {
     next_seq: u64,
     /// Per site: `(sequence number, element)` not yet shipped.
     buffers: Vec<Vec<(u64, Element)>>,
+    /// Shipped barriers whose `Sync` answer is still owed, oldest
+    /// first on the control connection.
+    unanswered: usize,
+    /// The first `SiteDown` verdict read from the coordinator.
+    site_down: Option<SiteId>,
 }
 
 impl ClusterHandle {
@@ -158,6 +198,8 @@ impl ClusterHandle {
             next_rr: 0,
             next_seq: 0,
             buffers: vec![Vec::new(); spec.k],
+            unanswered: 0,
+            site_down: None,
         })
     }
 
@@ -201,8 +243,8 @@ impl ClusterHandle {
         self.k
     }
 
-    /// The driver's slot clock (every node reaches it at the next
-    /// barrier).
+    /// The driver's slot clock (every node has reached it once its
+    /// barrier is answered).
     #[must_use]
     pub fn now(&self) -> Slot {
         self.now
@@ -224,7 +266,7 @@ impl ClusterHandle {
         buffer.push((self.next_seq, e));
         self.next_seq += 1;
         if buffer.len() >= SITE_BUFFER_CAP {
-            self.barrier(None)?;
+            self.ship_barrier(None)?;
         }
         Ok(())
     }
@@ -241,17 +283,19 @@ impl ClusterHandle {
         Ok(site)
     }
 
-    /// Advance the whole deployment one slot: a barrier whose last
+    /// Advance the whole deployment one slot: ship a barrier whose last
     /// `k + 1` sequence numbers start the slot, coordinator first,
     /// then each site in site order — `dds_sim::Cluster::advance_slot`'s
-    /// exact order.
+    /// exact order. Returns once the previous barrier is answered; this
+    /// one is answered at the next call that waits.
     ///
     /// # Errors
-    /// [`ClusterError::SiteDown`] if the coordinator has detected a
-    /// failed site; transport/protocol errors otherwise.
+    /// [`ClusterError::SiteDown`] once the coordinator has reported a
+    /// failed site; the previous barrier's transport/protocol errors
+    /// otherwise.
     pub fn advance_slot(&mut self) -> Result<Slot, ClusterError> {
         let next = self.now.next();
-        self.barrier(Some(next))?;
+        self.ship_barrier(Some(next))?;
         Ok(next)
     }
 
@@ -266,11 +310,21 @@ impl ClusterHandle {
         Ok(())
     }
 
-    /// Ship every buffer (and, with `advance`, start that slot) and wait
-    /// until the sites have run their batches and the coordinator has
-    /// applied everything through the barrier. Sends nothing when there
-    /// is nothing to do.
-    fn barrier(&mut self, advance: Option<Slot>) -> Result<(), ClusterError> {
+    /// A shipping call: ship the barrier, wait until at most this one
+    /// is unanswered, then report a remembered `SiteDown`.
+    fn ship_barrier(&mut self, advance: Option<Slot>) -> Result<(), ClusterError> {
+        self.ship(advance)?;
+        self.await_answers(1)?;
+        self.site_down
+            .map_or(Ok(()), |site| Err(ClusterError::SiteDown(site)))
+    }
+
+    /// Send every buffer (and, with `advance`, start that slot): the
+    /// `Sync`, then one batch per site. Sends nothing when there is
+    /// nothing to do. A site that refuses its batch is going down, so
+    /// the call then waits for every answer, and the coordinator's
+    /// verdict wins over the site's transport error.
+    fn ship(&mut self, advance: Option<Slot>) -> Result<(), ClusterError> {
         if advance.is_none() && self.buffers.iter().all(Vec::is_empty) {
             return Ok(());
         }
@@ -280,17 +334,17 @@ impl ClusterHandle {
             (seq, slot)
         });
         let through = self.next_seq - 1;
-        let verdict = self
-            .control
-            .send_request(&ClusterRequest::Sync { through, advance });
         if let Some((_, slot)) = advance {
             // Live nodes start the slot even if the barrier then reports
             // a failed site.
             self.now = slot;
         }
+        self.control
+            .send_request(&ClusterRequest::Sync { through, advance })?;
+        self.unanswered += 1;
         let mut site_error = None;
         for (i, (conn, buffer)) in self.sites.iter_mut().zip(&mut self.buffers).enumerate() {
-            let batch = ClusterRequest::SiteObserveBatch {
+            let batch = ClusterRequest::SiteBatch {
                 elements: std::mem::take(buffer),
                 then_slot: advance.map(|(seq, slot)| (seq + 1 + i as u64, slot)),
                 through,
@@ -299,34 +353,86 @@ impl ClusterHandle {
                 site_error.get_or_insert(e);
             }
         }
-        // A socket that refused the batch is broken, so its read fails
-        // at once instead of blocking.
-        for conn in &mut self.sites {
-            if let Err(e) = expect_ack(conn.recv_outcome(), "SiteObserveBatch") {
-                site_error.get_or_insert(e);
-            }
+        match site_error {
+            None => Ok(()),
+            Some(e) => Err(self.await_answers(0).err().unwrap_or(e)),
         }
-        verdict.and_then(|()| expect_ack(self.control.recv_outcome(), "Sync"))?;
-        site_error.map_or(Ok(()), Err)
     }
 
-    /// A barrier for calls that keep answering after a site failure:
-    /// the coordinator's `SiteDown` verdict is not their error.
-    fn barrier_tolerating_failures(&mut self) -> Result<(), ClusterError> {
-        match self.barrier(None) {
-            Err(ClusterError::SiteDown(_)) => Ok(()),
-            other => other,
+    /// Read owed `Sync` answers, oldest first, until at most `keep`
+    /// are unanswered. Returns the first error read, after reading the
+    /// rest.
+    fn await_answers(&mut self, keep: usize) -> Result<(), ClusterError> {
+        let mut first_error = None;
+        while self.unanswered > keep {
+            self.unanswered -= 1;
+            if let Err(e) = self.expect_ack() {
+                first_error.get_or_insert(e);
+            }
         }
+        first_error.map_or(Ok(()), Err)
+    }
+
+    /// Read one outcome frame on the control connection, remembering a
+    /// `SiteDown` verdict.
+    fn recv_control(&mut self) -> Result<ClusterResponse, ClusterError> {
+        let outcome = self.control.recv_outcome();
+        if let Err(ClusterError::SiteDown(site)) = outcome {
+            self.site_down.get_or_insert(site);
+        }
+        outcome
+    }
+
+    fn expect_ack(&mut self) -> Result<(), ClusterError> {
+        match self.recv_control()? {
+            ClusterResponse::Ack => Ok(()),
+            other => Err(ClusterError::Protocol(format!(
+                "expected Ack to Sync, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Ship what is buffered and wait for every barrier to be
+    /// answered.
+    fn sync_all(&mut self) -> Result<(), ClusterError> {
+        self.ship(None)?;
+        self.await_answers(0)
+    }
+
+    /// A coordinator read: ship what is buffered, write `request`
+    /// behind it, then read the owed answers and the reply, in order.
+    /// Returns the reply, or the first error read; with `tolerate`, a
+    /// barrier's `SiteDown` is not an error.
+    fn read(
+        &mut self,
+        request: &ClusterRequest,
+        tolerate: bool,
+    ) -> Result<ClusterResponse, ClusterError> {
+        let screen = |outcome| {
+            if tolerate {
+                tolerate_site_down(outcome)
+            } else {
+                outcome
+            }
+        };
+        screen(self.ship(None))?;
+        self.control.send_request(request)?;
+        let barriers = screen(self.await_answers(0));
+        let reply = self.recv_control();
+        barriers.and(reply)
     }
 
     /// The coordinator's current sample, after a barrier.
     ///
     /// # Errors
     /// [`ClusterError::SiteDown`] once any site has failed; transport
-    /// errors otherwise.
+    /// errors, or an error from a barrier shipped before, otherwise.
     pub fn sample(&mut self) -> Result<Vec<Element>, ClusterError> {
-        self.barrier(None)?;
-        match self.control.call(&ClusterRequest::Sample)? {
+        let reply = self.read(&ClusterRequest::Sample, false)?;
+        if let Some(site) = self.site_down {
+            return Err(ClusterError::SiteDown(site));
+        }
+        match reply {
             ClusterResponse::Sample { sample } => Ok(sample),
             other => Err(ClusterError::Protocol(format!(
                 "expected Sample reply, got {other:?}"
@@ -341,8 +447,7 @@ impl ClusterHandle {
     /// # Errors
     /// Transport or protocol errors.
     pub fn stats(&mut self) -> Result<ClusterStats, ClusterError> {
-        self.barrier_tolerating_failures()?;
-        match self.control.call(&ClusterRequest::Stats)? {
+        match self.read(&ClusterRequest::Stats, true)? {
             ClusterResponse::Stats { stats } => Ok(stats),
             other => Err(ClusterError::Protocol(format!(
                 "expected Stats reply, got {other:?}"
@@ -357,8 +462,7 @@ impl ClusterHandle {
     /// # Errors
     /// Transport or protocol errors.
     pub fn telemetry(&mut self) -> Result<dds_obs::TelemetrySnapshot, ClusterError> {
-        self.barrier_tolerating_failures()?;
-        match self.control.call(&ClusterRequest::Telemetry)? {
+        match self.read(&ClusterRequest::Telemetry, true)? {
             ClusterResponse::Telemetry { snapshot } => Ok(snapshot),
             other => Err(ClusterError::Protocol(format!(
                 "expected Telemetry reply, got {other:?}"
@@ -404,35 +508,34 @@ impl ClusterHandle {
         if site.0 >= self.k {
             return Err(ClusterError::UnknownSite(site));
         }
-        self.barrier_tolerating_failures()?;
+        tolerate_site_down(self.sync_all())?;
         self.sites[site.0].call(request)
     }
 
-    /// After a barrier, tell site `site` to crash: drop its sockets
-    /// without a `Leave`. No reply is awaited (a crashing process sends
-    /// none). The coordinator will mark the site failed as soon as it
-    /// sees the dead uplink.
+    /// After every barrier is answered, tell site `site` to crash:
+    /// drop its sockets without a `Leave`. No reply is awaited (a
+    /// crashing process sends none). The coordinator will mark the site
+    /// failed as soon as it sees the dead uplink.
     ///
     /// # Errors
-    /// The barrier's error, or transport errors sending the crash
-    /// order.
+    /// A barrier's error, or transport errors sending the crash order.
     pub fn crash_site(&mut self, site: SiteId) -> Result<(), ClusterError> {
         if site.0 >= self.k {
             return Err(ClusterError::UnknownSite(site));
         }
-        self.barrier(None)?;
+        self.sync_all()?;
         self.sites[site.0].send_request(&ClusterRequest::SiteCrash)
     }
 
-    /// Gracefully tear the deployment down after a last barrier: each
-    /// site leaves (in site order), then the coordinator is told to
-    /// stop.
+    /// Gracefully tear the deployment down once a last barrier and
+    /// every one before it are answered: each site leaves (in site
+    /// order), then the coordinator is told to stop.
     ///
     /// # Errors
     /// The first transport/protocol error hit; later peers are still
     /// attempted.
     pub fn shutdown(mut self) -> Result<(), ClusterError> {
-        let mut first_err = self.barrier(None).err();
+        let mut first_err = self.sync_all().err();
         for conn in &mut self.sites {
             let outcome = conn
                 .call(&ClusterRequest::SiteShutdown)
@@ -465,14 +568,9 @@ impl ClusterHandle {
     }
 }
 
-fn expect_ack(
-    outcome: Result<ClusterResponse, ClusterError>,
-    request: &str,
-) -> Result<(), ClusterError> {
-    match outcome? {
-        ClusterResponse::Ack => Ok(()),
-        other => Err(ClusterError::Protocol(format!(
-            "expected Ack to {request}, got {other:?}"
-        ))),
+fn tolerate_site_down(outcome: Result<(), ClusterError>) -> Result<(), ClusterError> {
+    match outcome {
+        Err(ClusterError::SiteDown(_)) => Ok(()),
+        other => other,
     }
 }

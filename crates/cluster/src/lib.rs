@@ -11,7 +11,8 @@
 //! observe, advance the sliding-window clock, query the sample, read
 //! the exact per-site message/byte accounting. It buffers observations
 //! per site and ships them at barriers, numbered so the coordinator can
-//! apply the resulting ups in the order an in-process run would.
+//! apply the resulting ups in the order an in-process run would; a slot
+//! advance does not wait for its own barrier, only for the one before.
 //!
 //! The load-bearing property is **twin-exactness**: a k-process
 //! cluster produces byte-identical samples, identical

@@ -16,13 +16,20 @@
 //! them on arrival. Or over its own driver socket
 //! ([`SiteDaemon::serve`], used by the standalone node binary and by
 //! every [`ClusterHandle`](crate::ClusterHandle)): the driver sends one
-//! `SiteObserveBatch` per barrier, the daemon runs the whole batch
-//! locally, stamps every up with the global sequence number of the
-//! element or slot start that caused it, tells the coordinator it is
-//! done through the barrier with a one-way `Done` marker, and only
-//! then acks the driver. The coordinator applies stamped ups in
-//! sequence order, so the batch leaves the same trace as observing the
-//! elements one at a time.
+//! `SiteBatch` per barrier, the daemon runs the whole batch locally,
+//! stamps every up with the global sequence number of the element or
+//! slot start that caused it, and tells the coordinator it is done
+//! through the barrier with a one-way `Done` marker before it reads the
+//! next batch. The coordinator applies stamped ups in sequence order,
+//! so the batch leaves the same trace as observing the elements one at
+//! a time.
+//!
+//! A batch that succeeds is one-way, like `Done`: the daemon does not
+//! answer it. The coordinator answers the barrier's `Sync` only once
+//! every live site's `Done` is past it, so that answer already proves
+//! the batch ran, and the driver reads nothing from this socket until
+//! it asks for stats or telemetry. A batch that fails is answered with
+//! its error, and the daemon then returns from `serve`.
 //!
 //! A daemon whose driver connection ends returns from `serve` and drops
 //! its coordinator uplink with it, so the coordinator learns of the
@@ -34,7 +41,7 @@ use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
 
-use dds_obs::{Counter, Histogram, Registry, TelemetrySnapshot};
+use dds_obs::{Histogram, Registry, TelemetrySnapshot};
 use dds_proto::cluster::{
     ClusterError, ClusterRequest, ClusterResponse, ClusterSpec, SiteDaemonStats, SiteUp,
 };
@@ -44,31 +51,17 @@ use dds_sim::{Element, SiteId, Slot};
 use crate::conn::Framed;
 use crate::machine::SiteMachine;
 
-/// The site daemon's accounting, registered under its own registry so
-/// a driver's `SiteTelemetry` sees exactly what [`SiteDaemon::stats`]
-/// reports — same cells, no second bookkeeping path.
-struct SiteObs {
-    observations: Counter,
-    up_msgs: Counter,
-    down_msgs: Counter,
-    up_bytes: Counter,
-    down_bytes: Counter,
-    settle_nanos: Histogram,
-}
-
-impl SiteObs {
-    fn register(registry: &Registry, id: SiteId) -> Self {
-        let site = id.0.to_string();
-        let labels = [("site", site.as_str())];
-        Self {
-            observations: registry.counter_with("site_observations_total", &labels),
-            up_msgs: registry.counter_with("site_up_msgs_total", &labels),
-            down_msgs: registry.counter_with("site_down_msgs_total", &labels),
-            up_bytes: registry.counter_with("site_up_bytes_total", &labels),
-            down_bytes: registry.counter_with("site_down_bytes_total", &labels),
-            settle_nanos: registry.histogram_with("site_settle_nanos", &labels),
-        }
-    }
+/// The site daemon's accounting: plain tallies of the wire, which
+/// [`SiteDaemon::stats`] reports and [`SiteDaemon::telemetry`] pushes
+/// into its snapshot. Plain fields, not registry counters, so they
+/// stay exact in an `obs-noop` build.
+#[derive(Default)]
+struct SiteTally {
+    observations: u64,
+    up_msgs: u64,
+    down_msgs: u64,
+    up_bytes: u64,
+    down_bytes: u64,
 }
 
 /// One site of a distributed deployment: local sampler state plus the
@@ -78,7 +71,8 @@ pub struct SiteDaemon {
     machine: SiteMachine,
     now: Slot,
     registry: Arc<Registry>,
-    obs: SiteObs,
+    tally: SiteTally,
+    settle_nanos: Histogram,
     coord: Framed,
 }
 
@@ -134,13 +128,16 @@ impl SiteDaemon {
         })? {
             ClusterResponse::Welcome { k } if k == spec.k => {
                 let registry = Arc::new(Registry::new());
-                let obs = SiteObs::register(&registry, id);
+                let site = id.0.to_string();
+                let settle_nanos =
+                    registry.histogram_with("site_settle_nanos", &[("site", site.as_str())]);
                 Ok(SiteDaemon {
                     id,
                     machine: SiteMachine::new(spec),
                     now: Slot(0),
                     registry,
-                    obs,
+                    tally: SiteTally::default(),
+                    settle_nanos,
                     coord,
                 })
             }
@@ -171,7 +168,7 @@ impl SiteDaemon {
     }
 
     fn observe_numbered(&mut self, seq: Option<u64>, e: Element) -> Result<(), ClusterError> {
-        self.obs.observations.inc();
+        self.tally.observations += 1;
         let ups = self.machine.observe(e, self.now);
         self.settle(seq, ups)
     }
@@ -229,8 +226,8 @@ impl SiteDaemon {
         }
         let start = dds_obs::maybe_now();
         while let Some(up) = queue.pop_front() {
-            self.obs.up_msgs.inc();
-            self.obs.up_bytes.add(up.protocol_bytes() as u64);
+            self.tally.up_msgs += 1;
+            self.tally.up_bytes += up.protocol_bytes() as u64;
             let request = match seq {
                 Some(seq) => ClusterRequest::SeqUp { seq, up },
                 None => ClusterRequest::Up(up),
@@ -238,8 +235,8 @@ impl SiteDaemon {
             match self.coord.call(&request)? {
                 ClusterResponse::Downs { downs } => {
                     for down in downs {
-                        self.obs.down_msgs.inc();
-                        self.obs.down_bytes.add(down.protocol_bytes() as u64);
+                        self.tally.down_msgs += 1;
+                        self.tally.down_bytes += down.protocol_bytes() as u64;
                         queue.extend(self.machine.handle(down, self.now)?);
                     }
                 }
@@ -251,7 +248,7 @@ impl SiteDaemon {
             }
         }
         let nanos = dds_obs::nanos_since(start);
-        self.obs.settle_nanos.observe(nanos);
+        self.settle_nanos.observe(nanos);
         self.registry
             .events()
             .record_slow("slow_settle", nanos, || {
@@ -266,22 +263,33 @@ impl SiteDaemon {
         SiteDaemonStats {
             site: self.id,
             now: self.now,
-            observations: self.obs.observations.get(),
+            observations: self.tally.observations,
             memory_tuples: self.machine.memory_tuples(),
-            up_msgs: self.obs.up_msgs.get(),
-            down_msgs: self.obs.down_msgs.get(),
-            up_bytes: self.obs.up_bytes.get(),
-            down_bytes: self.obs.down_bytes.get(),
+            up_msgs: self.tally.up_msgs,
+            down_msgs: self.tally.down_msgs,
+            up_bytes: self.tally.up_bytes,
+            down_bytes: self.tally.down_bytes,
         }
     }
 
-    /// Local telemetry snapshot — the registry (counters, settle-latency
-    /// histogram, events) plus protocol-state gauges.
+    /// Local telemetry snapshot — the registry (settle-latency
+    /// histogram, events) plus the per-site tallies and protocol-state
+    /// gauges.
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut snap = self.registry.snapshot();
         let site = self.id.0.to_string();
         let labels = [("site", site.as_str())];
+        let t = &self.tally;
+        for (name, value) in [
+            ("site_down_bytes_total", t.down_bytes),
+            ("site_down_msgs_total", t.down_msgs),
+            ("site_observations_total", t.observations),
+            ("site_up_bytes_total", t.up_bytes),
+            ("site_up_msgs_total", t.up_msgs),
+        ] {
+            snap.push_counter(name, &labels, value);
+        }
         snap.push_gauge("site_now_slot", &labels, self.now.0);
         snap.push_gauge(
             "site_memory_tuples",
@@ -313,9 +321,11 @@ impl SiteDaemon {
     }
 
     /// Serve one driver connection from `listener`: the standalone node
-    /// binary's main loop. Returns after `SiteShutdown` (graceful leave
-    /// first), `SiteCrash` (sockets dropped with **no** leave — fault
-    /// injection), or driver EOF.
+    /// binary's main loop. A batch that succeeds gets no reply; every
+    /// other request, and a batch that fails, gets one. Returns after
+    /// `SiteShutdown` (graceful leave first), `SiteCrash` (sockets
+    /// dropped with **no** leave — fault injection), a failed request,
+    /// or driver EOF.
     ///
     /// # Errors
     /// Transport errors on the driver socket; coordinator-side errors
@@ -331,13 +341,16 @@ impl SiteDaemon {
                 None => return Ok(()),
             };
             let outcome = match request {
-                ClusterRequest::SiteObserveBatch {
+                ClusterRequest::SiteBatch {
                     elements,
                     then_slot,
                     through,
-                } => self
-                    .run_batch(&elements, then_slot, through)
-                    .map(|()| ClusterResponse::Ack),
+                } => match self.run_batch(&elements, then_slot, through) {
+                    // One-way: the coordinator's answer to the barrier
+                    // is the driver's proof that this batch ran.
+                    Ok(()) => continue,
+                    Err(e) => Err(e),
+                },
                 ClusterRequest::SiteStats => Ok(ClusterResponse::SiteStats {
                     stats: self.stats(),
                 }),

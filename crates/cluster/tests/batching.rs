@@ -3,7 +3,8 @@
 //! full site buffers — a socket-connected cluster stays byte-identical
 //! to the in-process `dds_sim::Cluster` at every barrier: same sample,
 //! same threshold, same [`MessageCounters`], same coordinator and
-//! per-site memory.
+//! per-site memory. Runs of slot advances with no read between them
+//! keep one shipped barrier unanswered while the next one ships.
 
 use dds_cluster::{ClusterHandle, LocalCluster, SITE_BUFFER_CAP};
 use dds_core::infinite::{InfiniteConfig, LazyCoordinator, LazySite};
@@ -11,6 +12,7 @@ use dds_core::sampler::{SamplerKind, SamplerSpec};
 use dds_core::sliding::{SlidingConfig, SwCoordinator, SwSite};
 use dds_core::sliding_multi::{MultiSlidingConfig, MultiSwCoordinator, MultiSwSite};
 use dds_core::with_replacement::{WrConfig, WrCoordinator, WrSite};
+use dds_hash::splitmix::SplitMix64;
 use dds_hash::UnitValue;
 use dds_proto::cluster::ClusterSpec;
 use dds_sim::{Cluster, CoordinatorNode, Element, MessageCounters, SiteId};
@@ -131,13 +133,16 @@ fn assert_exact(handle: &mut ClusterHandle, twin: &Twin, k: usize, at: &str) {
 }
 
 /// One step of a driver schedule.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Step {
     Observe(SiteId, Element),
     Advance,
     Sample,
     Stats,
     SiteStats(SiteId),
+    /// Slots with no read among them: each slot's observations, then
+    /// its `advance_slot`.
+    Slots(Vec<Vec<(SiteId, Element)>>),
 }
 
 fn step_from(code: u8, word: u64, k: usize, domain: u64) -> Step {
@@ -147,8 +152,28 @@ fn step_from(code: u8, word: u64, k: usize, domain: u64) -> Step {
         16 => Step::Advance,
         17 => Step::Sample,
         18 => Step::Stats,
-        _ => Step::SiteStats(site),
+        19 => Step::SiteStats(site),
+        _ => slot_run(word, k, domain),
     }
+}
+
+/// A run of 2–32 slots drawn from `word`, each with 0–4 observations
+/// at random sites.
+fn slot_run(word: u64, k: usize, domain: u64) -> Step {
+    let mut rng = SplitMix64::new(word);
+    let slots = 2 + rng.next_below(31);
+    Step::Slots(
+        (0..slots)
+            .map(|_| {
+                (0..rng.next_below(5))
+                    .map(|_| {
+                        let site = SiteId(rng.next_below(k as u64) as usize);
+                        (site, Element(rng.next_below(domain)))
+                    })
+                    .collect()
+            })
+            .collect(),
+    )
 }
 
 /// Drive `steps` through a fresh deployment and its twin; after every
@@ -157,8 +182,8 @@ fn run_schedule(spec: ClusterSpec, steps: &[Step]) {
     let mut cluster = LocalCluster::spawn(spec).expect("spawn cluster");
     let mut twin = Twin::new(&spec);
     let handle = cluster.handle();
-    for (i, &step) in steps.iter().enumerate() {
-        match step {
+    for (i, step) in steps.iter().enumerate() {
+        match *step {
             Step::Observe(site, e) => {
                 handle.observe(site, e).expect("observe");
                 twin.observe(site, e);
@@ -179,6 +204,16 @@ fn run_schedule(spec: ClusterSpec, steps: &[Step]) {
                 let ss = handle.site_stats(site).expect("site stats");
                 assert_eq!(ss.memory_tuples, twin.site_memory()[site.0]);
             }
+            Step::Slots(ref slots) => {
+                for slot in slots {
+                    for &(site, e) in slot {
+                        handle.observe(site, e).expect("observe");
+                        twin.observe(site, e);
+                    }
+                    handle.advance_slot().expect("advance");
+                    twin.advance_slot();
+                }
+            }
         }
         assert_exact(handle, &twin, spec.k, &format!("after step {i} ({step:?})"));
     }
@@ -190,8 +225,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random kinds, k ∈ {1, 2, 3}, a random site per element and
-    /// random barriers; one case in four first runs past the site
-    /// buffer cap, so a full buffer ships mid-stream.
+    /// random barriers, some of them runs of slot advances with no read
+    /// inside; one case in four first runs past the site buffer cap, so
+    /// a full buffer ships mid-stream.
     #[test]
     fn random_batching_is_byte_exact_with_the_sim_twin(
         kind in 0u8..4,
@@ -199,7 +235,7 @@ proptest! {
         seed in any::<u64>(),
         long in 0u8..4,
         domain in 8u64..200,
-        codes in prop::collection::vec((0u8..20, any::<u64>()), 0..300),
+        codes in prop::collection::vec((0u8..21, any::<u64>()), 0..300),
     ) {
         let spec = spec_for(kind, k, seed);
         let mut steps: Vec<Step> = Vec::new();
@@ -228,4 +264,24 @@ fn one_site_past_the_buffer_cap_stays_exact() {
     steps.push(Step::Advance);
     steps.extend((0..40).map(|x| Step::Observe(SiteId(x % 2), Element(x as u64))));
     run_schedule(spec, &steps);
+}
+
+#[test]
+fn five_hundred_slots_without_a_read_stay_exact() {
+    // Every barrier but the last is answered only while the next one is
+    // in flight. Every fifth slot is empty, and the middle 100 slots
+    // send every element to site 2.
+    let spec = spec_for(3, 3, 0x0b5e_55ed);
+    let slots = (0..500u64)
+        .map(|t| {
+            (0..t % 5)
+                .map(|j| {
+                    let x = 5 * t + j;
+                    let site = if (200..300).contains(&t) { 2 } else { x % 3 };
+                    (SiteId(site as usize), Element(x.wrapping_mul(0x9e37) % 97))
+                })
+                .collect()
+        })
+        .collect();
+    run_schedule(spec, &[Step::Slots(slots)]);
 }

@@ -1,12 +1,13 @@
 //! A site that dies mid-batch, while the coordinator holds another
-//! site's up waiting for it, must not hang anyone: the barrier returns
-//! a typed `SiteDown` for the dead site within a bounded time, the
-//! survivor's daemon keeps serving, and tearing everything down
-//! returns.
+//! site's up waiting for it, must not hang anyone. The slot advance
+//! that ships the batch returns before the death, without waiting for
+//! its barrier; the read that follows returns a typed `SiteDown` for
+//! the dead site within a bounded time, the survivor's daemon keeps
+//! serving, and tearing everything down returns.
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::mpsc;
+use std::sync::mpsc::{self, TryRecvError};
 use std::time::{Duration, Instant};
 
 use dds_cluster::{ClusterCoordinator, ClusterHandle, SiteDaemon};
@@ -16,7 +17,7 @@ use dds_proto::cluster::{
 };
 use dds_proto::frame::read_frame;
 use dds_server::net::Listener;
-use dds_sim::{Element, SiteId};
+use dds_sim::{Element, SiteId, Slot};
 
 /// How long the doomed site sits on its batch before dying.
 const DOOM: Duration = Duration::from_millis(300);
@@ -49,6 +50,7 @@ fn a_site_dying_while_another_sites_up_is_held_surfaces_as_site_down() {
     ));
     let doomed_driver = Listener::bind_tcp("127.0.0.1:0").expect("bind site 1");
     let doomed_endpoint = doomed_driver.endpoint();
+    let (dying, died) = mpsc::channel();
     let doomed = std::thread::spawn(move || {
         let mut driver = doomed_driver.accept().expect("driver dials");
         let batch = read_frame(&mut driver)
@@ -56,9 +58,10 @@ fn a_site_dying_while_another_sites_up_is_held_surfaces_as_site_down() {
             .expect("a batch");
         assert!(matches!(
             ClusterRequest::decode(batch.0, &batch.1),
-            Ok(ClusterRequest::SiteObserveBatch { .. })
+            Ok(ClusterRequest::SiteBatch { .. })
         ));
         std::thread::sleep(DOOM);
+        let _ = dying.send(());
         drop(uplink);
         drop(driver);
     });
@@ -71,22 +74,32 @@ fn a_site_dying_while_another_sites_up_is_held_surfaces_as_site_down() {
     handle.observe(SiteId(1), Element(500)).expect("buffer");
     handle.observe(SiteId(0), Element(501)).expect("buffer");
     let start = Instant::now();
-    let (returned, barrier_done) = mpsc::channel();
+    // The advance ships its barrier and returns: no earlier barrier is
+    // owed, and it does not wait for its own.
+    assert_eq!(handle.advance_slot(), Ok(Slot(1)));
+    assert_eq!(
+        died.try_recv(),
+        Err(TryRecvError::Empty),
+        "the slot advance waited for the death"
+    );
+    // The read behind it waits for the barrier, which the coordinator
+    // answers only once the death releases the held up.
+    let (returned, read_done) = mpsc::channel();
     let driver = std::thread::spawn(move || {
-        let outcome = handle.advance_slot();
+        let outcome = handle.sample();
         let _ = returned.send(());
         (handle, outcome)
     });
-    barrier_done
+    read_done
         .recv_timeout(Duration::from_secs(10))
-        .expect("the barrier hung");
+        .expect("the read hung");
     let took = start.elapsed();
     let (mut handle, outcome) = driver.join().expect("driver thread");
     match outcome {
         Err(ClusterError::SiteDown(site)) => assert_eq!(site, SiteId(1)),
         other => panic!("expected SiteDown(1), got {other:?}"),
     }
-    assert!(took >= DOOM, "the barrier cannot finish before the death");
+    assert!(took >= DOOM, "the read cannot finish before the death");
     doomed.join().expect("doomed site thread");
 
     if !dds_obs::IS_NOOP {
@@ -104,10 +117,8 @@ fn a_site_dying_while_another_sites_up_is_held_surfaces_as_site_down() {
 
     // The survivor finished its batch and keeps serving.
     let ss = handle.site_stats(SiteId(0)).expect("survivor answers");
-    if !dds_obs::IS_NOOP {
-        assert_eq!(ss.observations, 1);
-        assert_eq!((ss.up_msgs, ss.down_msgs), (1, 1));
-    }
+    assert_eq!(ss.observations, 1);
+    assert_eq!((ss.up_msgs, ss.down_msgs), (1, 1));
     let stats = handle.stats().expect("stats keep answering");
     assert_eq!(stats.failed, vec![SiteId(1)]);
     assert_eq!(stats.counters.up_messages_for(SiteId(0)), 1);

@@ -35,7 +35,6 @@ use dds_hash::UnitValue;
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 
 use crate::messages::DownThreshold;
-use bytes::BytesMut;
 use dds_sim::message::{put_element, put_hash};
 use dds_sim::WireMessage;
 
@@ -49,7 +48,7 @@ pub struct DrsUp {
 }
 
 impl WireMessage for DrsUp {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_element(buf, self.element);
         put_hash(buf, self.priority);
     }

@@ -6,7 +6,6 @@
 //! [`dds_sim::MessageCounters`] rise in lock-step with the message
 //! counters, which `ext_ablation` verifies empirically.
 
-use bytes::BytesMut;
 use dds_sim::message::{put_element, put_hash, put_slot};
 use dds_sim::{Element, Slot, WireMessage};
 
@@ -20,7 +19,7 @@ pub struct UpElem {
 }
 
 impl WireMessage for UpElem {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_element(buf, self.element);
     }
 
@@ -38,7 +37,7 @@ pub struct DownThreshold {
 }
 
 impl WireMessage for DownThreshold {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_hash(buf, self.u);
     }
 
@@ -58,7 +57,7 @@ pub struct SwUp {
 }
 
 impl WireMessage for SwUp {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_element(buf, self.element);
         put_slot(buf, self.expiry);
     }
@@ -79,7 +78,7 @@ pub struct SwDown {
 }
 
 impl WireMessage for SwDown {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_element(buf, self.element);
         put_slot(buf, self.expiry);
     }
@@ -100,9 +99,8 @@ pub struct CopyUp<M> {
 }
 
 impl<M: WireMessage> WireMessage for CopyUp<M> {
-    fn encode(&self, buf: &mut BytesMut) {
-        use bytes::BufMut;
-        buf.put_u32_le(self.copy);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.copy.to_le_bytes());
         self.inner.encode(buf);
     }
 }
@@ -117,9 +115,8 @@ pub struct CopyDown<M> {
 }
 
 impl<M: WireMessage> WireMessage for CopyDown<M> {
-    fn encode(&self, buf: &mut BytesMut) {
-        use bytes::BufMut;
-        buf.put_u32_le(self.copy);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.copy.to_le_bytes());
         self.inner.encode(buf);
     }
 }
@@ -176,7 +173,7 @@ mod tests {
 
     #[test]
     fn encodings_are_fixed_layout() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         SwUp {
             element: Element(0x0102),
             expiry: Slot(0x0304),

@@ -16,9 +16,9 @@
 //!   join/leave handshakes, protocol ups and their batched down
 //!   replies, and the driver commands that let a test or benchmark
 //!   steer a daemon deterministically from outside. A driver ships a
-//!   site its elements in one [`ClusterRequest::SiteObserveBatch`],
-//!   each stamped with a global sequence number; the site stamps the
-//!   ups they trigger ([`ClusterRequest::SeqUp`]) and reports progress
+//!   site its elements in one [`ClusterRequest::SiteBatch`], each
+//!   stamped with a global sequence number; the site stamps the ups
+//!   they trigger ([`ClusterRequest::SeqUp`]) and reports progress
 //!   with one-way [`ClusterRequest::Done`] markers, and the driver's
 //!   [`ClusterRequest::Sync`] barrier tells the coordinator which
 //!   numbers exist, so it can apply ups in the order an in-process
@@ -26,6 +26,13 @@
 //! * [`ClusterError`] — typed failures ([`ClusterError::SiteDown`] is
 //!   the one the fault tests pin), round-tripped structurally like
 //!   `EngineError`.
+//!
+//! Most of the dialect is request/reply. Three frames are one-way:
+//! `Done`, `SiteCrash`, and a `SiteBatch` that succeeds. A batch is
+//! answered only with its error, because the coordinator's answer to
+//! the barrier's `Sync` already proves that every live site ran it.
+//! A driver can therefore keep one barrier in flight and read only its
+//! control connection.
 //!
 //! [`ClusterSpec`] names a deployment (sampler spec + `k`) and hashes
 //! to a [`ClusterSpec::digest`] that join handshakes compare, so a
@@ -82,8 +89,12 @@ pub mod opcode {
     pub const SITE_CRASH: u8 = 0x94;
     /// [`super::ClusterRequest::SiteTelemetry`].
     pub const SITE_TELEMETRY: u8 = 0x95;
-    /// [`super::ClusterRequest::SiteObserveBatch`].
-    pub const SITE_OBSERVE_BATCH: u8 = 0x96;
+    /// [`super::ClusterRequest::SiteBatch`]. Its first opcode, `0x96`,
+    /// named a batch answered with an `Ack`. It is retired, so a site
+    /// or driver built before batches became one-way refuses the
+    /// other's batch frame with `UnknownKind` instead of one side
+    /// waiting forever for an `Ack`.
+    pub const SITE_BATCH: u8 = 0x97;
 
     /// [`super::ClusterResponse::Welcome`].
     pub const WELCOME: u8 = 0xC1;
@@ -570,7 +581,7 @@ fn get_seq_slot(r: &mut StateReader<'_>) -> Result<Option<(u64, Slot)>, Checkpoi
 }
 
 /// Encoded size of one `(sequence number, element)` pair in a
-/// [`ClusterRequest::SiteObserveBatch`].
+/// [`ClusterRequest::SiteBatch`].
 const SEQ_ELEMENT_BYTES: usize = 16;
 
 fn put_counters(w: &mut StateWriter, c: &MessageCounters) {
@@ -728,7 +739,7 @@ pub enum ClusterRequest {
     /// metrics plus the exact per-site message/byte counters).
     Telemetry,
     /// One element for a site, unsequenced. Site daemons do not
-    /// serve it; drivers send [`ClusterRequest::SiteObserveBatch`].
+    /// serve it; drivers send [`ClusterRequest::SiteBatch`].
     /// The codec keeps it because the repository benchmark's codec row
     /// encodes it.
     SiteObserve {
@@ -738,9 +749,12 @@ pub enum ClusterRequest {
     /// Driver → site daemon: observe `elements` in order, each stamped
     /// with its global sequence number; then, if `then_slot` is set,
     /// start that slot at its sequence number; then tell the
-    /// coordinator [`ClusterRequest::Done`] through `through`.
-    /// Answered with [`ClusterResponse::Ack`] once all of it is done.
-    SiteObserveBatch {
+    /// coordinator [`ClusterRequest::Done`] through `through`. A batch
+    /// that succeeds is never answered: the coordinator's answer to
+    /// the barrier's [`ClusterRequest::Sync`] is the proof that it ran.
+    /// A batch that fails is answered with its error, and the site
+    /// then leaves.
+    SiteBatch {
         /// `(sequence number, element)` pairs in sequence order.
         elements: Vec<(u64, Element)>,
         /// `(sequence number, slot)` of this site's slot start.
@@ -776,7 +790,7 @@ impl ClusterRequest {
             ClusterRequest::Shutdown => opcode::SHUTDOWN,
             ClusterRequest::Telemetry => opcode::TELEMETRY,
             ClusterRequest::SiteObserve { .. } => opcode::SITE_OBSERVE,
-            ClusterRequest::SiteObserveBatch { .. } => opcode::SITE_OBSERVE_BATCH,
+            ClusterRequest::SiteBatch { .. } => opcode::SITE_BATCH,
             ClusterRequest::SiteStats => opcode::SITE_STATS,
             ClusterRequest::SiteShutdown => opcode::SITE_SHUTDOWN,
             ClusterRequest::SiteCrash => opcode::SITE_CRASH,
@@ -806,7 +820,7 @@ impl ClusterRequest {
                 put_seq_slot(&mut w, *advance);
             }
             ClusterRequest::SiteObserve { element } => w.put_element(*element),
-            ClusterRequest::SiteObserveBatch {
+            ClusterRequest::SiteBatch {
                 elements,
                 then_slot,
                 through,
@@ -879,7 +893,7 @@ impl ClusterRequest {
             opcode::SITE_OBSERVE => ClusterRequest::SiteObserve {
                 element: r.get_element()?,
             },
-            opcode::SITE_OBSERVE_BATCH => {
+            opcode::SITE_BATCH => {
                 let through = r.get_u64()?;
                 let then_slot = get_seq_slot(&mut r)?;
                 let n = r.get_len(SEQ_ELEMENT_BYTES)?;
@@ -888,7 +902,7 @@ impl ClusterRequest {
                 for _ in 0..n {
                     elements.push((r.get_u64()?, r.get_element()?));
                 }
-                ClusterRequest::SiteObserveBatch {
+                ClusterRequest::SiteBatch {
                     elements,
                     then_slot,
                     through,
@@ -1327,7 +1341,7 @@ mod tests {
                     element: Element(8),
                 },
             },
-            ClusterRequest::SiteObserveBatch {
+            ClusterRequest::SiteBatch {
                 elements: vec![(3, Element(77)), (5, Element(78))],
                 then_slot: Some((6, Slot(2))),
                 through: 8,

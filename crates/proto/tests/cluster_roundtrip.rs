@@ -87,7 +87,7 @@ fn request_from(
         11 => ClusterRequest::SiteObserve {
             element: Element(element),
         },
-        12 => ClusterRequest::SiteObserveBatch {
+        12 => ClusterRequest::SiteBatch {
             elements: (0..element % 5)
                 .map(|i| (slot.wrapping_add(i), Element(element ^ i)))
                 .collect(),
@@ -426,13 +426,35 @@ fn a_forged_batch_count_over_a_short_payload_is_refused() {
         w.put_u32(claimed);
         w.put_u64(3); // one (sequence number, element) pair
         w.put_u64(77);
-        let frame = frame::frame_bytes(opcode::SITE_OBSERVE_BATCH, &w.into_bytes());
+        let frame = frame::frame_bytes(opcode::SITE_BATCH, &w.into_bytes());
         assert_eq!(
             ClusterRequest::decode_frame(&frame),
             Err(CheckpointError::Truncated),
             "count {claimed} over one element accepted"
         );
     }
+}
+
+#[test]
+fn the_retired_acked_batch_opcode_is_refused() {
+    // 0x96 carried the same payload as `SiteBatch`, but its peer owed
+    // an `Ack`. A well-formed frame under it must not decode, so a
+    // mixed-version pair fails at once instead of waiting for a reply.
+    let batch = ClusterRequest::SiteBatch {
+        elements: vec![(3, Element(77)), (4, Element(78))],
+        then_slot: Some((5, Slot(2))),
+        through: 6,
+    };
+    assert_ne!(opcode::SITE_BATCH, 0x96);
+    let frame = frame::frame_bytes(0x96, &batch.payload());
+    assert_eq!(
+        ClusterRequest::decode_frame(&frame),
+        Err(CheckpointError::UnknownKind(0x96))
+    );
+    assert_eq!(
+        ClusterRequest::decode_frame(&batch.encode()),
+        Ok(batch.clone())
+    );
 }
 
 /// Every frame a pre-batching peer could send or receive, in a fixed

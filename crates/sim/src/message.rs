@@ -8,8 +8,6 @@
 //! counts. The benches then report both, letting the constant-size claim be
 //! checked rather than assumed.
 
-use bytes::{BufMut, BytesMut};
-
 use crate::model::{Element, Slot};
 
 /// A message with a concrete wire encoding.
@@ -18,33 +16,33 @@ use crate::model::{Element, Slot};
 /// protocol's up/down types are known statically on each link.
 pub trait WireMessage {
     /// Append this message's encoding to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    fn encode(&self, buf: &mut Vec<u8>);
 
     /// Encoded size in bytes.
     fn wire_bytes(&self) -> usize {
-        let mut buf = BytesMut::with_capacity(32);
+        let mut buf = Vec::with_capacity(32);
         self.encode(&mut buf);
         buf.len()
     }
 }
 
 /// Encode an element (8 bytes).
-pub fn put_element(buf: &mut BytesMut, e: Element) {
-    buf.put_u64_le(e.0);
+pub fn put_element(buf: &mut Vec<u8>, e: Element) {
+    buf.extend_from_slice(&e.0.to_le_bytes());
 }
 
 /// Encode a slot (8 bytes).
-pub fn put_slot(buf: &mut BytesMut, s: Slot) {
-    buf.put_u64_le(s.0);
+pub fn put_slot(buf: &mut Vec<u8>, s: Slot) {
+    buf.extend_from_slice(&s.0.to_le_bytes());
 }
 
 /// Encode a raw hash / threshold value (8 bytes).
-pub fn put_hash(buf: &mut BytesMut, h: u64) {
-    buf.put_u64_le(h);
+pub fn put_hash(buf: &mut Vec<u8>, h: u64) {
+    buf.extend_from_slice(&h.to_le_bytes());
 }
 
 impl WireMessage for () {
-    fn encode(&self, _buf: &mut BytesMut) {}
+    fn encode(&self, _buf: &mut Vec<u8>) {}
 
     fn wire_bytes(&self) -> usize {
         0
@@ -52,7 +50,7 @@ impl WireMessage for () {
 }
 
 impl WireMessage for Element {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_element(buf, *self);
     }
 
@@ -62,8 +60,8 @@ impl WireMessage for Element {
 }
 
 impl WireMessage for u64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(*self);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_hash(buf, *self);
     }
 
     fn wire_bytes(&self) -> usize {
@@ -82,7 +80,7 @@ mod tests {
     }
 
     impl WireMessage for Probe {
-        fn encode(&self, buf: &mut BytesMut) {
+        fn encode(&self, buf: &mut Vec<u8>) {
             put_element(buf, self.e);
             put_slot(buf, self.t);
             put_hash(buf, self.u);
@@ -97,7 +95,7 @@ mod tests {
             u: u64::MAX,
         };
         assert_eq!(p.wire_bytes(), 24);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         p.encode(&mut buf);
         assert_eq!(buf.len(), 24);
         assert_eq!(&buf[0..8], &7u64.to_le_bytes());
