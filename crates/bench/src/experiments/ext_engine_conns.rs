@@ -13,14 +13,18 @@
 //!   snapshots: the event loop is a transparent transport swap.
 //! * **Scale** — one evented listener holds the full connection sweep
 //!   (16 → 4096) with every probed idle connection still answering,
-//!   and the resident-set growth per idle connection stays under
+//!   and the memory per idle connection is above zero and under
 //!   `MEM_CEILING_BYTES` — connections cost buffers, not threads.
 //!
-//! The idle crowd is raw `TcpStream`s (no client-side buffering), so
-//! the per-connection memory delta is dominated by the server side:
-//! one registered fd, one slab slot, empty decode/write buffers. The
-//! delta also absorbs engine growth from the probe requests, which is
-//! why the ceiling is generous rather than tight.
+//! The memory figure is the rise of the server's
+//! `server_loop_conn_bytes` gauge across the idle crowd: the slab's
+//! slots plus each connection's decoder, write and pending buffers,
+//! counted by the loop itself. A resident-set delta cannot stand in for
+//! it: the allocator hands pages freed by earlier runs to the crowd, and
+//! such a delta read 0–161 B per connection. The crowd is raw
+//! `TcpStream`s with no client-side buffering; only the probed
+//! connection holds buffers. The gauge reads 0 in an `obs-noop` build,
+//! which fails the gate: nothing was measured.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -49,7 +53,8 @@ const MIN_ELEMENTS: u64 = 24_000;
 /// Evented throughput must reach this fraction of threaded at 16
 /// connections.
 const PARITY_FLOOR: f64 = 0.9;
-/// Resident-set ceiling per idle connection on the evented server.
+/// Ceiling on the connection bytes per idle connection on the evented
+/// server.
 const MEM_CEILING_BYTES: f64 = 32.0 * 1024.0;
 /// Connection sweep; the largest point also carries the memory gate.
 const CONNS_GRID: [usize; 4] = [16, 256, 1024, 4096];
@@ -71,7 +76,8 @@ struct WireRun {
     bytes_sent: u64,
     bytes_received: u64,
     probes: Vec<Vec<Element>>,
-    /// Resident-set growth per idle connection (None off-Linux).
+    /// Rise of `server_loop_conn_bytes` per idle connection (None on
+    /// the threaded server, which keeps no such gauge).
     per_idle_bytes: Option<f64>,
     live_idle: usize,
 }
@@ -92,14 +98,11 @@ fn spec(run: u32) -> SamplerSpec {
     SamplerSpec::new(SamplerKind::Infinite, SAMPLE_SIZE, 23 + u64::from(run))
 }
 
-fn rss_bytes() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
-    line.split_whitespace()
-        .nth(1)?
-        .parse::<f64>()
-        .ok()
-        .map(|kb| kb * 1024.0)
+fn conn_bytes(server: &Server) -> Option<f64> {
+    server
+        .telemetry()
+        .gauge_value("server_loop_conn_bytes", &[])
+        .map(|b| b as f64)
 }
 
 /// One full protocol round trip on a raw socket proves the connection
@@ -120,11 +123,12 @@ fn measure(config: ServerConfig, conns: usize, batch: usize, scale: &Scale, run:
         .expect("benchmark server binds");
     let addr: SocketAddr = server.local_addr().expect("tcp endpoint");
 
-    // The idle crowd first, with RSS sampled around it. Probing the
-    // last connection forces the accept backlog to drain (accepts are
-    // FIFO), so the delta covers every installed connection.
+    // The idle crowd first, with the connection-bytes gauge read around
+    // it. Probing the last connection forces the accept backlog to
+    // drain (accepts are FIFO), so the rise covers every installed
+    // connection.
     let idle_count = conns.saturating_sub(1);
-    let rss_before = rss_bytes();
+    let bytes_before = conn_bytes(&server);
     let mut idle: Vec<TcpStream> = (0..idle_count)
         .map(|_| TcpStream::connect(addr).expect("idle connect"))
         .collect();
@@ -133,9 +137,9 @@ fn measure(config: ServerConfig, conns: usize, batch: usize, scale: &Scale, run:
         assert!(probe_live(last), "last idle connection never accepted");
         live_idle += 1;
     }
-    let per_idle_bytes = match (rss_before, rss_bytes()) {
+    let per_idle_bytes = match (bytes_before, conn_bytes(&server)) {
         (Some(before), Some(after)) if idle_count > 0 => {
-            Some(((after - before).max(0.0)) / idle_count as f64)
+            Some((after - before).max(0.0) / idle_count as f64)
         }
         _ => None,
     };
@@ -296,6 +300,7 @@ pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let gate = if parity_ratio >= PARITY_FLOOR
         && byte_exact
         && max_live_conns >= 1024
+        && per_idle_bytes > 0.0
         && per_idle_bytes <= MEM_CEILING_BYTES
     {
         "pass"
@@ -371,6 +376,10 @@ mod tests {
         assert!(
             json.contains("\"max_live_conns\": 4096"),
             "crowd died:\n{json}"
+        );
+        assert!(
+            !json.contains("\"per_idle_conn_bytes\": 0.0,"),
+            "idle connections measured as free:\n{json}"
         );
         assert!(json.contains("\"gate\": \"pass\"") || json.contains("\"gate\": \"fail\""));
     }

@@ -343,6 +343,13 @@ impl FrameDecoder {
         self.buf.len() - self.pos
     }
 
+    /// Bytes the decoder's buffer holds allocated, consumed or not —
+    /// what an idle connection keeps after its last frame.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// Is a partial frame buffered? On end-of-stream this is the
     /// truncation verdict: `true` means the peer died mid-frame.
     #[must_use]
@@ -691,6 +698,8 @@ mod tests {
         assert_eq!(dec.buffered_bytes(), 0);
         assert_eq!(dec.pos, 0, "fully drained decoder must reset its cursor");
         assert!(dec.buf.is_empty());
+        // The allocation outlives the frames; `capacity` reports it.
+        assert!(dec.capacity() >= 32 * frame.len());
     }
 
     #[test]

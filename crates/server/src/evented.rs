@@ -6,7 +6,9 @@
 //! the other answer: a single event loop blocks in
 //! [`dds_reactor::Poller::wait`] over *all* sockets, so an idle
 //! connection costs one fd plus the few hundred bytes of [`Conn`]
-//! below, and 10k mostly-idle clients are just 10k slab slots.
+//! below, and 10k mostly-idle clients are just 10k slab slots. The
+//! `server_loop_conn_bytes` gauge counts those bytes: the slab's slots
+//! plus every live connection's buffers.
 //!
 //! ## Anatomy
 //!
@@ -38,9 +40,15 @@
 //!   high-water mark, or its pending queue fills, the loop drops its
 //!   read interest — a slow reader throttles itself, not the server.
 //!   Interest returns below the low-water mark.
-//! * **Fairness**: reads are budgeted per readiness event, so one
-//!   firehose connection cannot monopolize the loop; level-triggered
-//!   registration re-delivers the remainder on the next wait.
+//! * **Fairness**: a *turn* is one return from
+//!   [`dds_reactor::Poller::wait`] plus the work done before the next
+//!   wait. In a turn each readable connection reads at most
+//!   `READ_BUDGET` (32 KiB) and runs the ingest it decoded inline, so
+//!   a firehose connection holds the loop for about 0.1 ms (some 31
+//!   frames of 64-element batches) before queries, pool completions
+//!   and other connections get their turn; level-triggered
+//!   registration re-delivers the bytes it left in the socket on the
+//!   next wait. `server_loop_turn_nanos` records every turn.
 //! * **Accept resilience**: an accept error (EMFILE storms) counts on
 //!   `server_accept_errors_total` and pauses *only accepting* — the
 //!   listener is deregistered and re-registered after a poll-timeout
@@ -85,8 +93,30 @@ const EVENTS_CAPACITY: usize = 1024;
 const ACCEPT_BATCH: usize = 64;
 /// How long accepting pauses after an accept error.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
-/// Per-connection bytes read per readiness event (fairness budget).
-const READ_BUDGET: usize = 256 << 10;
+/// Bytes one connection may read per readiness event. Ingest decoded
+/// in a turn runs inline before the loop waits again, so this budget
+/// sets how long a query, a pool completion or another connection
+/// waits behind an ingest burst. 32 KiB is two reads of the 16 KiB
+/// chunk: about 31 frames of 64-element batches, or 0.13–0.15 ms of
+/// loop time. Bytes left in the socket wait for the next turn.
+///
+/// Measured on `perfbench`'s `wire_serve` (one pipelined ingest
+/// connection beside 100 reads/s; 2-vCPU VM; read p50 and ingest are
+/// medians over alternating 20 s pairs against 256 KiB, turn p50 from
+/// traced runs):
+///
+/// | budget | frames a turn | turn p50 | read p50 | ingest |
+/// |---|---|---|---|---|
+/// | 256 KiB | ~133 | 1.2–1.3 ms | 3.0 ms | — |
+/// | 32 KiB | ~31 | 0.13–0.15 ms | 1.3 ms (−57 %) | −4.6 % |
+/// | 16 KiB | ~15 | — | 0.9 ms (−65 to −69 %) | −1.4 to −8 % |
+///
+/// At 256 KiB the budget never bound: `PENDING_MAX` ended a turn
+/// first. Each halving buys less read latency for more turns, each a
+/// loop wake-up and a shorter burst for the shard threads; the 16 KiB
+/// ingest cost read −1.4 % in one set of pairs and −8 % in another,
+/// so 32 KiB, which meets the latency aim, is the value.
+const READ_BUDGET: usize = 32 << 10;
 /// Decoded-but-undispatched frames per connection before its reads
 /// pause (bounds memory under a pipelining firehose).
 const PENDING_MAX: usize = 128;
@@ -169,9 +199,10 @@ pub(crate) fn spawn(
             std::thread::spawn(move || worker(&shared, &job_rx, &done_tx, &waker))
         })
         .collect();
-    let loop_thread = std::thread::spawn(move || {
-        EventLoop::new(poller, listener, shared, job_tx, done_rx).run();
-    });
+    // Built here, not on the loop thread, so the loop's instruments are
+    // registered before `bind_*` returns and a first scrape sees them.
+    let event_loop = EventLoop::new(poller, listener, shared, job_tx, done_rx);
+    let loop_thread = std::thread::spawn(move || event_loop.run());
     Ok(Handle {
         waker,
         loop_thread: Some(loop_thread),
@@ -237,20 +268,48 @@ struct Conn {
     fatal: Option<Vec<u8>>,
     /// The fatal frame has been queued; close when writes drain.
     fatal_queued: bool,
+    /// `buffer_bytes()` as of the last report to `conn_bytes`.
+    reported_bytes: usize,
 }
 
 impl Conn {
     fn outstanding_write(&self) -> usize {
         self.write_buf.len() - self.write_pos
     }
+
+    /// Heap bytes the connection holds in its buffers: decoder, write
+    /// buffer, and the pending queue with its payloads.
+    fn buffer_bytes(&self) -> usize {
+        self.decoder.capacity()
+            + self.write_buf.capacity()
+            + self.pending.capacity() * std::mem::size_of::<(u8, Vec<u8>)>()
+            + self
+                .pending
+                .iter()
+                .map(|(_, p)| p.capacity())
+                .sum::<usize>()
+    }
 }
 
-/// Loop-level instrumentation (ISSUE 10 tentpole metrics).
+/// Loop-level instrumentation.
 struct LoopObs {
     poll_wakeups: Counter,
     ready_events: Histogram,
+    /// Loop busy time: poller return to the next wait.
+    loop_turn: Histogram,
     loop_connections: Gauge,
+    /// Buffer bytes of every live connection plus the slab's slots.
+    conn_bytes: Gauge,
     write_high_water: Gauge,
+}
+
+/// Move a gauge by the change from `old` to `new`.
+fn report_delta(gauge: &Gauge, old: usize, new: usize) {
+    if new >= old {
+        gauge.add((new - old) as u64);
+    } else {
+        gauge.sub((old - new) as u64);
+    }
 }
 
 struct EventLoop {
@@ -291,7 +350,9 @@ impl EventLoop {
         let obs = LoopObs {
             poll_wakeups: shared.registry.counter("server_poll_wakeups_total"),
             ready_events: shared.registry.histogram("server_poll_ready_events"),
+            loop_turn: shared.registry.histogram("server_loop_turn_nanos"),
             loop_connections: shared.registry.gauge("server_loop_connections"),
+            conn_bytes: shared.registry.gauge("server_loop_conn_bytes"),
             write_high_water: shared
                 .registry
                 .gauge("server_write_buffer_high_water_bytes"),
@@ -339,37 +400,45 @@ impl EventLoop {
                 // does not happen with a healthy poller fd.
                 std::thread::yield_now();
             }
+            let turn_start = dds_obs::maybe_now();
             self.obs.poll_wakeups.inc();
             self.obs.ready_events.observe(events.len() as u64);
             if self.shared.stop.load(Ordering::SeqCst) {
                 return;
             }
-            self.drain_completions();
-            for ev in &events {
-                match ev.token {
-                    LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => {} // completions drained around the batch
-                    Token(t) => {
-                        let slot = t - FIRST_CONN;
-                        if ev.is_error {
-                            self.close(slot);
-                            continue;
-                        }
-                        if ev.readable {
-                            self.read_ready(slot);
-                        }
-                        if ev.writable {
-                            self.try_flush(slot);
-                        }
-                        self.dispatch(slot);
-                        self.settle(slot);
+            self.turn(&events);
+            self.obs.loop_turn.observe(dds_obs::nanos_since(turn_start));
+        }
+    }
+
+    /// Everything the loop does with one batch of readiness events
+    /// before it waits again.
+    fn turn(&mut self, events: &Events) {
+        self.drain_completions();
+        for ev in events {
+            match ev.token {
+                LISTENER_TOKEN => self.accept_ready(),
+                WAKER_TOKEN => {} // completions drained around the batch
+                Token(t) => {
+                    let slot = t - FIRST_CONN;
+                    if ev.is_error {
+                        self.close(slot);
+                        continue;
                     }
+                    if ev.readable {
+                        self.read_ready(slot);
+                    }
+                    if ev.writable {
+                        self.try_flush(slot);
+                    }
+                    self.dispatch(slot);
+                    self.settle(slot);
                 }
             }
-            self.drain_completions();
-            self.maybe_resume_accept();
-            self.free.append(&mut self.freed_this_batch);
         }
+        self.drain_completions();
+        self.maybe_resume_accept();
+        self.free.append(&mut self.freed_this_batch);
     }
 
     // -- accept ------------------------------------------------------
@@ -431,10 +500,12 @@ impl EventLoop {
             return;
         }
         let fd = stream.as_raw_fd();
+        let slab_before = self.slab_bytes();
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
             self.slots.len() - 1
         });
+        report_delta(&self.obs.conn_bytes, slab_before, self.slab_bytes());
         if self
             .poller
             .register(fd, Token(FIRST_CONN + slot), Interest::READABLE)
@@ -459,6 +530,7 @@ impl EventLoop {
             peer_closed: false,
             fatal: None,
             fatal_queued: false,
+            reported_bytes: 0, // every buffer starts unallocated
         });
         self.open += 1;
         self.obs.loop_connections.set(self.open as u64);
@@ -736,6 +808,9 @@ impl EventLoop {
             self.close(slot);
             return;
         }
+        let bytes = conn.buffer_bytes();
+        report_delta(&self.obs.conn_bytes, conn.reported_bytes, bytes);
+        conn.reported_bytes = bytes;
         self.sync_interest(slot);
     }
 
@@ -773,11 +848,18 @@ impl EventLoop {
         }
     }
 
+    /// The slab's own footprint: every slot, live or free, is a whole
+    /// `Option<Conn>`, and the slab never shrinks.
+    fn slab_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Option<Conn>>()
+    }
+
     fn close(&mut self, slot: usize) {
         let Some(conn) = self.slots.get_mut(slot).and_then(Option::take) else {
             return;
         };
         let _ = self.poller.deregister(conn.fd);
+        self.obs.conn_bytes.sub(conn.reported_bytes as u64);
         drop(conn); // closes the socket
         self.open -= 1;
         self.obs.loop_connections.set(self.open as u64);
@@ -785,5 +867,124 @@ impl EventLoop {
         // Reusable only after this event batch: stale events for this
         // slot may still sit in the current batch.
         self.freed_this_batch.push(slot);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::os::unix::net::UnixStream;
+
+    use dds_core::sampler::{SamplerKind, SamplerSpec};
+    use dds_engine::{Engine, EngineConfig};
+    use dds_proto::message::{Request, Response};
+    use dds_proto::EngineHost;
+
+    use super::*;
+
+    /// A loop over a one-shard engine that the test turns by hand
+    /// instead of `run`. Every request it sees executes inline, so it
+    /// needs no worker pool.
+    fn hand_turned_loop() -> EventLoop {
+        let spec = SamplerSpec::new(SamplerKind::Infinite, 8, 4_243);
+        let engine = Engine::spawn(EngineConfig::new(spec).with_shards(1));
+        let shared = Arc::new(Shared::new(Arc::new(EngineHost::new(engine))));
+        let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
+        let (job_tx, _) = crossbeam::channel::unbounded();
+        let (_, done_rx) = crossbeam::channel::unbounded();
+        let poller = Poller::new().expect("poller");
+        EventLoop::new(poller, listener, shared, job_tx, done_rx)
+    }
+
+    /// `wire_serve`'s ingest shape: 64-element batches, about 1 KiB a
+    /// frame, filling 128 KiB.
+    fn ingest_burst() -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        let mut bytes = 0;
+        for i in 0u64.. {
+            let batch = (0..64)
+                .map(|j| (TenantId(j % 16), Element(i * 64 + j)))
+                .collect();
+            let frame = Request::ObserveBatch { batch }.encode();
+            bytes += frame.len();
+            if bytes > 128 << 10 {
+                return frames;
+            }
+            frames.push(frame);
+        }
+        unreachable!("the burst fills up long before u64 runs out")
+    }
+
+    #[test]
+    fn one_readiness_event_reads_at_most_the_budget_and_later_turns_take_the_rest() {
+        let frames = ingest_burst();
+        let wire = frames.concat();
+        let (mut peer, server_end) = UnixStream::pair().expect("socket pair");
+        // The whole burst sits in the socket before the loop looks.
+        peer.set_nonblocking(true).expect("nonblocking peer");
+        peer.write_all(&wire)
+            .expect("128 KiB fits in a socket pair's buffer");
+
+        let mut el = hand_turned_loop();
+        el.install(Stream::Unix(server_end));
+        let slot = 0;
+        let bytes_read = |el: &EventLoop| {
+            let conn = el.slots[slot].as_ref().expect("connection stays open");
+            el.shared.counters.bytes_received.load(Ordering::Relaxed) as usize
+                + conn.decoder.buffered_bytes()
+        };
+        let requests = |el: &EventLoop| el.shared.counters.requests.load(Ordering::Relaxed);
+
+        let mut events = Events::with_capacity(8);
+        let mut turns = 0;
+        let mut read_before = 0;
+        while requests(&el) < frames.len() as u64 {
+            el.poller
+                .wait(&mut events, Some(Duration::ZERO))
+                .expect("wait");
+            assert!(
+                !events.is_empty(),
+                "bytes left in the socket must be re-delivered"
+            );
+            el.turn(&events);
+            let read = bytes_read(&el);
+            assert!(
+                read - read_before <= READ_BUDGET,
+                "turn {turns} read {} bytes",
+                read - read_before
+            );
+            if turns == 0 {
+                assert!(
+                    read < wire.len(),
+                    "one readiness event read the whole {} B burst",
+                    wire.len()
+                );
+            }
+            read_before = read;
+            turns += 1;
+        }
+        assert_eq!(read_before, wire.len());
+        assert!(turns >= wire.len().div_ceil(READ_BUDGET), "{turns} turns");
+
+        // One ack per frame and nothing else, and every element applied
+        // once.
+        peer.set_nonblocking(false).expect("blocking peer");
+        for i in 0..frames.len() {
+            let (op, payload) = dds_proto::frame::read_frame(&mut peer)
+                .expect("ack frame")
+                .expect("peer still open");
+            assert_eq!(op, opcode::ACK, "response {i}");
+            assert!(payload.is_empty());
+        }
+        peer.set_nonblocking(true).expect("nonblocking peer");
+        let mut rest = [0u8; 1];
+        assert_eq!(
+            peer.read(&mut rest).map_err(|e| e.kind()),
+            Err(std::io::ErrorKind::WouldBlock),
+            "no response beyond one per frame"
+        );
+        let Ok(Response::Goodbye { report }) = el.shared.service.call(Request::Shutdown) else {
+            panic!("engine shuts down");
+        };
+        assert_eq!(report.metrics.total_elements(), frames.len() as u64 * 64);
     }
 }

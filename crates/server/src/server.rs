@@ -99,6 +99,21 @@ pub(crate) struct Shared {
     conns: Mutex<Vec<(Stream, JoinHandle<()>)>>,
 }
 
+impl Shared {
+    pub(crate) fn new(service: Arc<dyn EngineService>) -> Shared {
+        let registry = Arc::new(Registry::new());
+        let obs = Telemetry::register(&registry);
+        Shared {
+            service,
+            stop: AtomicBool::new(false),
+            counters: Counters::default(),
+            registry,
+            obs,
+            conns: Mutex::new(Vec::new()),
+        }
+    }
+}
+
 /// How a [`Server`] schedules its connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerConfig {
@@ -187,16 +202,7 @@ impl Server {
         config: ServerConfig,
     ) -> std::io::Result<Server> {
         let endpoint = listener.endpoint();
-        let registry = Arc::new(Registry::new());
-        let obs = Telemetry::register(&registry);
-        let shared = Arc::new(Shared {
-            service,
-            stop: AtomicBool::new(false),
-            counters: Counters::default(),
-            registry,
-            obs,
-            conns: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(Shared::new(service));
         let mode = match config {
             ServerConfig::Threaded => {
                 let accept_shared = Arc::clone(&shared);

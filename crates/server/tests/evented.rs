@@ -1,8 +1,8 @@
 //! The evented server's own contract suite: byte-exactness with an
 //! in-process twin, twin-exactness with the threaded server on the
 //! same workload, pipelining through the event loop, many idle
-//! connections on one listener, malformed-frame handling, and the
-//! loop's reactor telemetry.
+//! connections on one listener, the connection-bytes gauge,
+//! malformed-frame handling, and the loop's reactor telemetry.
 
 use std::sync::Arc;
 
@@ -184,6 +184,73 @@ fn many_idle_connections_stay_live_on_one_listener() {
     let _ = server.shutdown();
 }
 
+/// Poll a server gauge until `done` accepts it (the loop updates it on
+/// its own thread), or fail naming what it last read. The loop's
+/// gauges are registered by the time `bind_*` returns.
+fn await_gauge(server: &Server, name: &str, what: &str, done: impl Fn(u64) -> bool) -> u64 {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let value = server
+            .telemetry()
+            .gauge_value(name, &[])
+            .expect("loop gauges are registered at bind");
+        if done(value) {
+            return value;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{name} stuck at {value}, waiting for {what}"
+        );
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn connection_bytes_gauge_counts_idle_connections_and_returns_on_close() {
+    use std::io::Write;
+
+    /// A slab slot holds a socket, a decoder, a pending queue, a write
+    /// buffer and their bookkeeping: far more than this.
+    const SLOT_FLOOR: u64 = 64;
+    const N: u64 = 200;
+    let engine = Engine::spawn(EngineConfig::new(infinite_spec()));
+    let server = Server::bind_tcp_with(
+        "127.0.0.1:0",
+        Arc::new(EngineHost::new(engine)),
+        ServerConfig::Evented { workers: 1 },
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let baseline = await_gauge(&server, "server_loop_conn_bytes", "a reading", |_| true);
+
+    // An idle crowd that sent nothing holds no buffers: the rise is the
+    // slab alone, at least one slot per connection.
+    let mut idle: Vec<std::net::TcpStream> = (0..N)
+        .map(|_| std::net::TcpStream::connect(addr).expect("idle connect"))
+        .collect();
+    await_gauge(&server, "server_loop_connections", "the crowd", |n| n == N);
+    let slab = await_gauge(&server, "server_loop_conn_bytes", "the slab", |b| {
+        b >= baseline + N * SLOT_FLOOR
+    });
+
+    // Half a header each: every decoder now buffers bytes.
+    for s in &mut idle {
+        s.write_all(&[0u8; 5]).expect("partial header");
+    }
+    await_gauge(&server, "server_loop_conn_bytes", "decoder buffers", |b| {
+        b >= slab + N * 5
+    });
+
+    // Closing returns every connection's bytes; the slab keeps its
+    // capacity, so the gauge settles exactly where the crowd put it.
+    drop(idle);
+    await_gauge(&server, "server_loop_connections", "the closes", |n| n == 0);
+    await_gauge(&server, "server_loop_conn_bytes", "the slab alone", |b| {
+        b == slab
+    });
+    let _ = server.shutdown();
+}
+
 #[test]
 fn malformed_frame_gets_typed_error_then_close() {
     use std::io::{Read, Write};
@@ -225,7 +292,9 @@ fn reactor_telemetry_is_exported_and_merged_over_the_wire() {
     for name in [
         "server_poll_wakeups_total",
         "server_poll_ready_events",
+        "server_loop_turn_nanos",
         "server_loop_connections",
+        "server_loop_conn_bytes",
         "server_write_buffer_high_water_bytes",
     ] {
         assert!(page.contains(name), "missing {name} in:\n{page}");
