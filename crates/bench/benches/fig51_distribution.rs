@@ -1,16 +1,11 @@
 //! Bench target for Figure 5.1 (data-distribution methods): prints the
 //! figure series, then times the lazy protocol's end-to-end observation
-//! path at the figure's configuration (k = 5, s = 10) — first through the
-//! synchronous simulator, then through the real threaded deployment
-//! (`dds-runtime`), whose message accounting sits on the protocol hot
-//! path and is what the `threaded/*` group keeps honest.
+//! path through the synchronous simulator at the figure's configuration
+//! (k = 5, s = 10).
 
 use criterion::{black_box, criterion_group, Criterion};
 use dds_bench::{InfiniteProtocol, InfiniteRun};
-use dds_core::infinite::InfiniteConfig;
-use dds_data::{RouteTarget, Router, Routing, TraceLikeStream, ENRON};
-use dds_runtime::ThreadedCluster;
-use dds_sim::SiteId;
+use dds_data::{Routing, ENRON};
 
 fn protocol_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig51/observe");
@@ -39,43 +34,7 @@ fn protocol_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// The same configuration as a live threaded deployment: one run is the
-/// full ingest (k site threads fed from the bench thread), a flush-
-/// barrier snapshot, and shutdown. Flooding maximizes the protocol
-/// message rate and therefore the pressure on the per-message counter
-/// path in `dds-runtime`.
-fn threaded_throughput(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig51/threaded");
-    g.sample_size(10);
-    let profile = ENRON.scaled_down(1_000);
-    g.throughput(criterion::Throughput::Elements(profile.total));
-    for routing in [Routing::Flooding, Routing::Random] {
-        g.bench_function(routing.label(), |b| {
-            b.iter(|| {
-                let k = 5;
-                let config = InfiniteConfig::with_seed(10, 2);
-                let mut cluster = ThreadedCluster::spawn(config.sites(k), config.coordinator());
-                let mut router = Router::new(routing, k, 3);
-                for e in TraceLikeStream::new(profile, 1) {
-                    match router.route() {
-                        RouteTarget::One(site) => cluster.observe(site, e),
-                        RouteTarget::All => {
-                            for i in 0..k {
-                                cluster.observe(SiteId(i), e);
-                            }
-                        }
-                    }
-                }
-                let sample = cluster.sample();
-                let (_, _, counters) = cluster.shutdown();
-                black_box((sample, counters.total_messages()))
-            });
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, protocol_throughput, threaded_throughput);
+criterion_group!(benches, protocol_throughput);
 
 fn main() {
     dds_bench::bench_support::print_experiment("fig51");

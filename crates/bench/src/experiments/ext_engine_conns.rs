@@ -1,17 +1,24 @@
-//! Extension: the evented server under many connections — the
-//! tentpole gates for the `dds-reactor` rearchitecture.
+//! Extension: the wire server under many connections — the gates for
+//! the `dds-reactor` event loop.
 //!
 //! Three claims are measured and gated, writing
 //! `BENCH_engine_conns.json` (CI greps its `gate` field):
 //!
-//! * **Parity** — at 16 connections the evented server's pipelined
-//!   ingest throughput is ≥ `PARITY_FLOOR`× the threaded server's on
-//!   the identical workload (best-of-runs on both sides so scheduler
-//!   noise cannot flip the gate).
-//! * **Byte-exactness** — on the same feed the two server modes
-//!   produce identical client byte counters and identical probe
-//!   snapshots: the event loop is a transparent transport swap.
-//! * **Scale** — one evented listener holds the full connection sweep
+//! * **Wire ratio** — 16 producer threads ingest the same feed, in the
+//!   same batches, once over 16 connections to the server and once by
+//!   calling the in-process engine. Each producer makes one call per
+//!   batch and sends the next once it returns; on the wire that is one
+//!   acknowledged request per batch. The geometric mean over the batch
+//!   sizes of wire over in-process throughput (best-of-runs on both
+//!   sides, so scheduler noise cannot flip the gate) must reach
+//!   `WIRE_FLOOR`. A loop that stalls each turn shows up here: the
+//!   in-process side has no loop, and a producer waiting for its ack
+//!   cannot hide the stall behind a pipelining window.
+//! * **Byte-exactness** — the served engine's census equals the
+//!   in-process twin's, and the clients' byte counters equal the
+//!   server's: the wire adds no bytes it does not count and changes no
+//!   sample.
+//! * **Scale** — one listener holds the full connection sweep
 //!   (16 → 4096) with every probed idle connection still answering,
 //!   and the memory per idle connection is above zero and under
 //!   `MEM_CEILING_BYTES` — connections cost buffers, not threads.
@@ -46,19 +53,33 @@ use crate::Scale;
 const SHARDS: usize = 2;
 const TENANTS: u64 = 64;
 const SAMPLE_SIZE: usize = 8;
-/// Full-scale elements per configuration. The floor keeps the parity
-/// timing window wide enough to gate on even at test scale.
+/// Full-scale elements per configuration. The floor keeps every timed
+/// run at tens of milliseconds even at quick and test scale.
 const TOTAL_BASE: u64 = 2_000_000;
-const MIN_ELEMENTS: u64 = 24_000;
-/// Evented throughput must reach this fraction of threaded at 16
-/// connections.
-const PARITY_FLOOR: f64 = 0.9;
-/// Ceiling on the connection bytes per idle connection on the evented
-/// server.
+const MIN_ELEMENTS: u64 = 384_000;
+/// Producer threads in the wire-ratio comparison, and connections on
+/// its wire side.
+const PRODUCERS: usize = 16;
+/// Floor on the geometric mean, over `BATCH_GRID`, of wire over
+/// in-process ingest at `PRODUCERS` producers.
+///
+/// Ten alternating quick-scale runs on a 2-vCPU VM read 0.23–0.33 here
+/// and 0.55–0.87 at the commit before engine queues moved to std
+/// channels. Wire ingest was the same on both (0.9–1.4 M elem/s at
+/// batch 16, 9–15 M at batch 256); the in-process producers were the
+/// difference, 0.8–1.7 M elem/s at batch 16 on the old channels against
+/// 3.6–6.9 M on std's. With the event loop sleeping 200 µs per turn the
+/// ratio read 0.13–0.16. 0.18 sits below every run of both trees and
+/// above every run of the stalled loop.
+const WIRE_FLOOR: f64 = 0.18;
+/// Fewest runs per side of the wire-ratio comparison (best of them
+/// counts).
+const RATIO_RUNS: u32 = 5;
+/// Ceiling on the connection bytes per idle connection.
 const MEM_CEILING_BYTES: f64 = 32.0 * 1024.0;
 /// Connection sweep; the largest point also carries the memory gate.
 const CONNS_GRID: [usize; 4] = [16, 256, 1024, 4096];
-/// Client batch capacities for the parity comparison at 16 conns.
+/// Producer batch sizes for the wire-ratio comparison.
 const BATCH_GRID: [usize; 2] = [16, 256];
 /// Batch capacity used for the connection sweep.
 const SWEEP_BATCH: usize = 256;
@@ -70,17 +91,17 @@ struct Point {
     elems_per_sec: f64,
 }
 
-/// One measured wire run: rate plus the exactness artifacts.
-struct WireRun {
+/// One sweep point: the active client's rate plus the crowd's
+/// liveness and memory.
+struct SweepRun {
     eps: f64,
-    bytes_sent: u64,
-    bytes_received: u64,
-    probes: Vec<Vec<Element>>,
-    /// Rise of `server_loop_conn_bytes` per idle connection (None on
-    /// the threaded server, which keeps no such gauge).
+    /// Rise of `server_loop_conn_bytes` per idle connection.
     per_idle_bytes: Option<f64>,
     live_idle: usize,
 }
+
+/// Every hosted tenant's sample, ascending by tenant.
+type Census = Vec<(TenantId, Vec<Element>)>;
 
 fn feed_for(scale: &Scale, run: u32) -> Vec<(TenantId, Element)> {
     let total = (TOTAL_BASE / scale.divisor).max(MIN_ELEMENTS);
@@ -94,8 +115,29 @@ fn feed_for(scale: &Scale, run: u32) -> Vec<(TenantId, Element)> {
         .collect()
 }
 
+/// The feed split into one share per producer, by tenant, so each
+/// tenant's elements arrive in one producer's order on either
+/// transport.
+fn producer_shares(scale: &Scale, run: u32) -> Vec<Vec<(TenantId, Element)>> {
+    let mut shares = vec![Vec::new(); PRODUCERS];
+    for (t, e) in feed_for(scale, run) {
+        shares[(t.0 % PRODUCERS as u64) as usize].push((t, e));
+    }
+    shares
+}
+
 fn spec(run: u32) -> SamplerSpec {
     SamplerSpec::new(SamplerKind::Infinite, SAMPLE_SIZE, 23 + u64::from(run))
+}
+
+fn serve(run: u32) -> Server {
+    let engine = Engine::spawn(EngineConfig::new(spec(run)).with_shards(SHARDS));
+    Server::bind_tcp_with(
+        "127.0.0.1:0",
+        Arc::new(EngineHost::new(engine)),
+        ServerConfig::Evented { workers: 1 },
+    )
+    .expect("benchmark server binds")
 }
 
 fn conn_bytes(server: &Server) -> Option<f64> {
@@ -114,13 +156,85 @@ fn probe_live(stream: &mut TcpStream) -> bool {
     matches!(dds_proto::frame::read_frame(stream), Ok(Some(_)))
 }
 
-/// Drive one configuration: `conns - 1` idle raw connections plus one
-/// active pipelined client on the same listener.
-fn measure(config: ServerConfig, conns: usize, batch: usize, scale: &Scale, run: u32) -> WireRun {
-    let feed = feed_for(scale, run);
+/// One timed run of the producers: each of `PRODUCERS` threads sends
+/// its share of the feed through `send`, one `batch`-element call at a
+/// time, then `settle` ends the timing. Returns elements per second.
+fn time_producers(
+    scale: &Scale,
+    run: u32,
+    batch: usize,
+    send: impl Fn(usize, &[(TenantId, Element)]) + Sync,
+    settle: impl FnOnce(),
+) -> f64 {
+    let shares = producer_shares(scale, run);
+    let total: usize = shares.iter().map(Vec::len).sum();
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        for (producer, share) in shares.iter().enumerate() {
+            let send = &send;
+            scope.spawn(move || share.chunks(batch).for_each(|chunk| send(producer, chunk)));
+        }
+    });
+    settle();
+    total as f64 / started.elapsed().as_secs_f64().max(1e-9)
+}
+
+/// The producers calling the in-process engine; one flush ends the
+/// timing. Returns the rate and the census.
+fn in_process(batch: usize, scale: &Scale, run: u32) -> (f64, Census) {
     let engine = Engine::spawn(EngineConfig::new(spec(run)).with_shards(SHARDS));
-    let server = Server::bind_tcp_with("127.0.0.1:0", Arc::new(EngineHost::new(engine)), config)
-        .expect("benchmark server binds");
+    let eps = time_producers(
+        scale,
+        run,
+        batch,
+        |_, chunk| engine.observe_batch(chunk.iter().copied()),
+        || engine.flush(),
+    );
+    let census = engine.snapshot_all();
+    let _ = engine.shutdown();
+    (eps, census)
+}
+
+/// The same producers over the wire, one connection each: every batch
+/// is one request, answered before the producer sends the next, and one
+/// flush after the last ends the timing. Returns the rate, the census,
+/// and whether the clients and the server counted the same bytes.
+fn over_the_wire(batch: usize, scale: &Scale, run: u32) -> (f64, Census, bool) {
+    let server = serve(run);
+    let addr = server.local_addr().expect("tcp endpoint");
+    let clients: Vec<Client> = (0..PRODUCERS)
+        .map(|_| Client::connect_tcp(addr).expect("benchmark client connects"))
+        .collect();
+    let eps = time_producers(
+        scale,
+        run,
+        batch,
+        |producer, chunk| {
+            let request = Request::ObserveBatch {
+                batch: chunk.to_vec(),
+            };
+            clients[producer]
+                .call_remote(&request)
+                .expect("wire ingest");
+        },
+        || clients[0].flush().expect("wire barrier"),
+    );
+    let census = clients[0].snapshot_all().expect("census over the wire");
+    let sent: u64 = clients.iter().map(|c| c.stats().bytes_sent).sum();
+    let received: u64 = clients.iter().map(|c| c.stats().bytes_received).sum();
+    let served = server.stats();
+    let _ = clients[0].shutdown_engine().expect("served engine stops");
+    drop(clients);
+    let _ = server.shutdown();
+    let bytes_exact = sent == served.bytes_received && received == served.bytes_sent;
+    (eps, census, bytes_exact)
+}
+
+/// One sweep point: `conns - 1` idle raw connections plus one active
+/// pipelined client on the same listener.
+fn measure(conns: usize, scale: &Scale) -> SweepRun {
+    let feed = feed_for(scale, 0);
+    let server = serve(0);
     let addr: SocketAddr = server.local_addr().expect("tcp endpoint");
 
     // The idle crowd first, with the connection-bytes gauge read around
@@ -146,7 +260,7 @@ fn measure(config: ServerConfig, conns: usize, batch: usize, scale: &Scale, run:
 
     let client = Client::connect_tcp(addr)
         .expect("benchmark client connects")
-        .with_batch_capacity(batch);
+        .with_batch_capacity(SWEEP_BATCH);
     let started = Instant::now();
     for &(t, e) in &feed {
         client.observe(t, e).expect("wire ingest");
@@ -162,20 +276,11 @@ fn measure(config: ServerConfig, conns: usize, batch: usize, scale: &Scale, run:
             live_idle += 1;
         }
     }
-
-    let probes: Vec<Vec<Element>> = (0..TENANTS)
-        .step_by(16)
-        .map(|t| client.snapshot(TenantId(t)).expect("tenant hosted"))
-        .collect();
-    let stats = client.stats();
     drop(idle);
     let _ = client.shutdown_engine().expect("served engine stops");
     let _ = server.shutdown();
-    WireRun {
+    SweepRun {
         eps,
-        bytes_sent: stats.bytes_sent,
-        bytes_received: stats.bytes_received,
-        probes,
         per_idle_bytes,
         live_idle,
     }
@@ -185,7 +290,7 @@ fn measure(config: ServerConfig, conns: usize, batch: usize, scale: &Scale, run:
 fn to_json(
     scale: &Scale,
     points: &[Point],
-    parity_ratio: f64,
+    wire_ratio: f64,
     byte_exact: bool,
     max_live_conns: usize,
     per_idle_bytes: f64,
@@ -193,7 +298,7 @@ fn to_json(
 ) -> String {
     use std::fmt::Write;
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"dds-engine-conns/v1\",");
+    let _ = writeln!(out, "  \"schema\": \"dds-engine-conns/v2\",");
     let _ = writeln!(out, "  \"scale\": \"{}\",", scale.label);
     let _ = writeln!(out, "  \"shards\": {SHARDS}, \"tenants\": {TENANTS},");
     let _ = writeln!(out, "  \"results\": [");
@@ -209,7 +314,8 @@ fn to_json(
     let _ = writeln!(out, "  ],");
     let _ = writeln!(
         out,
-        "  \"parity\": {{\"ratio\": {parity_ratio:.4}, \"floor\": {PARITY_FLOOR}}},"
+        "  \"wire_ratio\": {{\"geomean\": {wire_ratio:.4}, \"floor\": {WIRE_FLOOR}, \
+         \"producers\": {PRODUCERS}}},"
     );
     let _ = writeln!(out, "  \"byte_exact\": {byte_exact},");
     let _ = writeln!(out, "  \"max_live_conns\": {max_live_conns},");
@@ -222,64 +328,54 @@ fn to_json(
     out
 }
 
-/// Run the connection sweep and parity comparison; persist
+/// Run the wire-ratio comparison and the connection sweep; persist
 /// `BENCH_engine_conns.json` with its pass/fail gate.
 #[must_use]
 pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let mut points = Vec::new();
 
-    // Phase 1 — parity + byte-exactness at 16 connections, per batch.
-    // Best-of-runs on both sides; run 0's artifacts (same seeded feed)
-    // carry the exactness comparison.
-    let mut parity_ratio = f64::INFINITY;
+    // Phase 1 — wire vs in-process at 16 producers, per batch size.
+    // Best-of-runs on both sides; run 0's census carries the exactness
+    // comparison.
+    let mut batch_ratios = Vec::new();
     let mut byte_exact = true;
     let mut batch_series: Vec<(&'static str, Series)> = vec![
-        ("threaded", Series::new("threaded @16 conns".to_string())),
-        ("evented", Series::new("evented @16 conns".to_string())),
+        (
+            "in-process",
+            Series::new(format!("in-process @{PRODUCERS} producers")),
+        ),
+        ("wire", Series::new(format!("wire @{PRODUCERS} conns"))),
     ];
     for &batch in &BATCH_GRID {
         let mut best = [0.0f64; 2];
-        let mut first: [Option<WireRun>; 2] = [None, None];
-        for run in 0..scale.runs.max(2) {
-            let configs = [ServerConfig::Threaded, ServerConfig::Evented { workers: 1 }];
-            for (i, config) in configs.into_iter().enumerate() {
-                let measured = measure(config, 16, batch, scale, run);
-                best[i] = best[i].max(measured.eps);
-                if run == 0 {
-                    first[i] = Some(measured);
-                }
+        for run in 0..scale.runs.max(RATIO_RUNS) {
+            let (twin_eps, twin_census) = in_process(batch, scale, run);
+            let (wire_eps, wire_census, bytes_exact) = over_the_wire(batch, scale, run);
+            if run == 0 {
+                byte_exact &= bytes_exact && wire_census == twin_census;
             }
+            best[0] = best[0].max(twin_eps);
+            best[1] = best[1].max(wire_eps);
         }
-        let threaded = first[0].take().expect("threaded run 0");
-        let evented = first[1].take().expect("evented run 0");
-        byte_exact &= threaded.bytes_sent == evented.bytes_sent
-            && threaded.bytes_received == evented.bytes_received
-            && threaded.probes == evented.probes;
-        parity_ratio = parity_ratio.min(best[1] / best[0].max(1e-9));
+        batch_ratios.push(best[1] / best[0].max(1e-9));
         for (i, (name, series)) in batch_series.iter_mut().enumerate() {
             series.push(batch as f64, best[i]);
             points.push(Point {
                 config: name,
-                conns: 16,
+                conns: PRODUCERS,
                 batch,
                 elems_per_sec: best[i],
             });
         }
     }
 
-    // Phase 2 — the evented connection sweep; the largest point also
-    // carries the memory and liveness gates.
+    // Phase 2 — the connection sweep; the largest point also carries
+    // the memory and liveness gates.
     let mut max_live_conns = 0usize;
     let mut per_idle_bytes = 0.0f64;
-    let mut conn_series = Series::new(format!("evented, batch {SWEEP_BATCH}"));
+    let mut conn_series = Series::new(format!("wire, batch {SWEEP_BATCH}"));
     for &conns in &CONNS_GRID {
-        let measured = measure(
-            ServerConfig::Evented { workers: 1 },
-            conns,
-            SWEEP_BATCH,
-            scale,
-            0,
-        );
+        let measured = measure(conns, scale);
         // Probes answered on a crowd of `conns` total sockets: the
         // whole listener population was live at once.
         if measured.live_idle > 0 {
@@ -290,14 +386,18 @@ pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
         }
         conn_series.push(conns as f64, measured.eps);
         points.push(Point {
-            config: "evented",
+            config: "wire",
             conns,
             batch: SWEEP_BATCH,
             elems_per_sec: measured.eps,
         });
     }
 
-    let gate = if parity_ratio >= PARITY_FLOOR
+    // Geometric mean: each batch size counts the same, whatever its
+    // absolute rate.
+    let wire_ratio =
+        (batch_ratios.iter().map(|r| r.ln()).sum::<f64>() / batch_ratios.len() as f64).exp();
+    let gate = if wire_ratio >= WIRE_FLOOR
         && byte_exact
         && max_live_conns >= 1024
         && per_idle_bytes > 0.0
@@ -308,20 +408,20 @@ pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
         "fail"
     };
 
-    let mut parity_set = SeriesSet::new(
+    let mut ratio_set = SeriesSet::new(
         format!(
-            "Extension (engine, conns) [{}]: threaded vs evented ingest at 16 connections",
+            "Extension (engine, conns) [{}]: wire vs in-process ingest at {PRODUCERS} producers",
             scale.label
         ),
-        "client batch capacity",
+        "producer batch size",
         "elements / second",
     );
     for (_, series) in batch_series {
-        parity_set.push(series);
+        ratio_set.push(series);
     }
     let mut sweep_set = SeriesSet::new(
         format!(
-            "Extension (engine, conns) [{}]: evented ingest rate vs connection count",
+            "Extension (engine, conns) [{}]: wire ingest rate vs connection count",
             scale.label
         ),
         "concurrent connections",
@@ -332,14 +432,14 @@ pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let json = to_json(
         scale,
         &points,
-        parity_ratio,
+        wire_ratio,
         byte_exact,
         max_live_conns,
         per_idle_bytes,
         gate,
     );
     write_record(dir, "BENCH_engine_conns.json", &json);
-    vec![parity_set, sweep_set]
+    vec![ratio_set, sweep_set]
 }
 
 #[cfg(test)]
@@ -360,8 +460,8 @@ mod tests {
         let dir = test_dir("ext_engine_conns");
         let sets = run(&tiny(), &dir);
         assert_eq!(sets.len(), 2);
-        assert_eq!(sets[0].series.len(), 2, "parity: threaded + evented");
-        assert_eq!(sets[1].series.len(), 1, "sweep: evented only");
+        assert_eq!(sets[0].series.len(), 2, "ratio: in-process + wire");
+        assert_eq!(sets[1].series.len(), 1, "sweep: wire only");
         assert_eq!(sets[1].series[0].points.len(), CONNS_GRID.len());
         for series in sets.iter().flat_map(|s| &s.series) {
             assert!(series.points.iter().all(|&(_, y)| y > 0.0));
@@ -369,9 +469,9 @@ mod tests {
         let json = std::fs::read_to_string(dir.join("BENCH_engine_conns.json"))
             .expect("BENCH_engine_conns.json written");
         std::fs::remove_dir_all(&dir).ok();
-        assert!(json.contains("\"schema\": \"dds-engine-conns/v1\""));
+        assert!(json.contains("\"schema\": \"dds-engine-conns/v2\""));
         // Exactness and scale must hold even at test scale; only the
-        // timing-dependent parity ratio may flip the overall gate.
+        // timing-dependent wire ratio may flip the overall gate.
         assert!(json.contains("\"byte_exact\": true"), "twin drift:\n{json}");
         assert!(
             json.contains("\"max_live_conns\": 4096"),

@@ -151,8 +151,8 @@ pub fn all() -> Vec<Experiment> {
         },
         Experiment {
             id: "ext_engine_conns",
-            title:
-                "Extension: evented vs threaded server — connections × batch, parity/memory gates",
+            title: "Extension: wire server — wire vs in-process at 16 producers, \
+                    connection sweep, memory gate",
             run: ext_engine_conns::run,
         },
     ]

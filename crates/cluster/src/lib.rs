@@ -50,6 +50,8 @@ mod handle;
 mod local;
 mod machine;
 mod site;
+#[cfg(test)]
+mod tests;
 
 pub use coordinator::ClusterCoordinator;
 pub use handle::{fetch_telemetry, ClusterHandle, SITE_BUFFER_CAP};

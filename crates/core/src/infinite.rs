@@ -16,7 +16,7 @@
 //! bottom-`s` of all distinct elements observed anywhere, at all times.
 //! Staleness of `uᵢ` costs only extra messages, never correctness — this
 //! is also why the protocol stays correct under asynchronous delivery
-//! (exercised by `dds-runtime`).
+//! (exercised by `dds-cluster`'s unit tests in `src/tests.rs`).
 //!
 //! Expected messages: `E[Y] ≤ 2ks(1 + H_d − H_s) ≈ 2ks(1 + ln(d/s))`
 //! (Lemma 4), with the per-site refinement of Observation 1; the matching

@@ -83,7 +83,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 
-use crossbeam::channel::{unbounded, Receiver};
+use std::sync::mpsc::{channel, Receiver};
 
 use dds_core::checkpoint::{kind, restore_instance, CheckpointError, StateReader, StateWriter};
 use dds_core::sampler::{SamplerKind, SamplerSpec};
@@ -321,7 +321,7 @@ impl Engine {
             .iter()
             .enumerate()
             .map(|(i, shard)| {
-                let (reply_tx, reply_rx) = unbounded();
+                let (reply_tx, reply_rx) = channel();
                 shard
                     .tx
                     .send(ShardCmd::Checkpoint { reply: reply_tx })
@@ -418,7 +418,7 @@ impl Engine {
             .iter()
             .enumerate()
             .map(|(i, shard)| {
-                let (reply_tx, reply_rx) = unbounded();
+                let (reply_tx, reply_rx) = channel();
                 shard
                     .tx
                     .send(ShardCmd::CheckpointDelta {

@@ -15,14 +15,14 @@
 //!   shard map is plain owned state, and cross-tenant isolation is
 //!   structural rather than synchronized.
 //! * **Batched ingest.** [`Engine::observe_batch`] partitions a batch by
-//!   shard and forwards one message per shard over a *bounded* crossbeam
+//!   shard and forwards one message per shard over a *bounded* std
 //!   channel. A full queue exerts backpressure: the send blocks until the
 //!   worker catches up, and the event is counted per shard
 //!   ([`ShardMetricsSnapshot::backpressure`]) so operators can see which
 //!   shards are hot.
 //! * **Consistent snapshots.** Queries travel the same FIFO queue as
-//!   ingest (the in-band analogue of `dds-runtime`'s flush-token
-//!   barrier): by the time a [`Engine::snapshot`] is answered, every
+//!   ingest, so the queue itself is the barrier: by the time a
+//!   [`Engine::snapshot`] is answered, every
 //!   batch whose `observe_batch` call returned before the snapshot call
 //!   began is reflected in the sample. [`Engine::flush`] is the explicit
 //!   all-shards barrier.
@@ -68,17 +68,17 @@
 pub mod checkpoint;
 mod error;
 mod metrics;
+mod queue;
 mod shard;
 
 pub use error::EngineError;
 pub use metrics::{EngineMetrics, ShardMetricsSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 
 use dds_core::sampler::SamplerSpec;
 use dds_hash::splitmix::splitmix64_keyed;
@@ -86,6 +86,7 @@ use dds_obs::{Registry, TelemetrySnapshot};
 use dds_sim::{Element, Slot};
 
 use metrics::ShardMetrics;
+use queue::QueueTx;
 use shard::{shard_loop, ShardCmd};
 
 /// Identifies one tenant (one independent sampling instance).
@@ -175,7 +176,9 @@ pub struct TenantView {
 }
 
 struct Shard {
-    tx: Sender<ShardCmd>,
+    /// The shard's command queue; every send goes through it, so its
+    /// depth count stays exact.
+    tx: QueueTx<ShardCmd>,
     metrics: Arc<ShardMetrics>,
     /// The worker's watermark, published after every raise (Relaxed) —
     /// a monotone lower bound producers consult to refuse
@@ -299,7 +302,7 @@ impl Engine {
         let pool = Arc::new(BatchPool::new(config.shards * 4));
         let shards = (0..config.shards)
             .map(|i| {
-                let (tx, rx) = bounded::<ShardCmd>(config.queue_capacity);
+                let (tx, rx) = queue::queue::<ShardCmd>(config.queue_capacity);
                 let metrics = Arc::new(ShardMetrics::register(&registry, i));
                 let watermark_pub = Arc::new(AtomicU64::new(0));
                 let worker_metrics = Arc::clone(&metrics);
@@ -620,7 +623,7 @@ impl Engine {
     ) -> Result<TenantView, EngineError> {
         self.guard()?;
         let idx = self.shard_of(tenant);
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
         self.plain_send(
             idx,
             ShardCmd::Query {
@@ -653,7 +656,7 @@ impl Engine {
             .iter()
             .enumerate()
             .map(|(i, _)| {
-                let (reply_tx, reply_rx) = unbounded();
+                let (reply_tx, reply_rx) = channel();
                 self.plain_send(
                     i,
                     ShardCmd::QueryAll {
@@ -686,7 +689,7 @@ impl Engine {
             .iter()
             .enumerate()
             .map(|(i, _)| {
-                let (reply_tx, reply_rx) = unbounded();
+                let (reply_tx, reply_rx) = channel();
                 self.plain_send(i, ShardCmd::Flush { reply: reply_tx })
                     .map(|()| reply_rx)
             })

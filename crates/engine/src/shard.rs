@@ -10,15 +10,15 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::time::Instant;
-
-use crossbeam::channel::{Receiver, Sender};
 
 use dds_core::sampler::{AnySampler, DistinctSampler, SamplerSpec};
 use dds_obs::Gauge;
 use dds_sim::{Element, Slot};
 
 use crate::metrics::ShardMetrics;
+use crate::queue::QueueRx;
 use crate::{BatchPool, TenantId, TenantView};
 
 /// Everything a shard worker can receive. Batches, clock advances, and
@@ -569,7 +569,7 @@ impl ShardWorker<'_> {
 /// shard watermark outright; returns the final tenant count (live +
 /// parked) on shutdown.
 pub(crate) fn shard_loop(
-    rx: &Receiver<ShardCmd>,
+    rx: &QueueRx<ShardCmd>,
     spec: SamplerSpec,
     lateness: Option<u64>,
     metrics: &ShardMetrics,
@@ -590,7 +590,7 @@ pub(crate) fn shard_loop(
         sweep_stride: 0,
     };
 
-    while let Ok(cmd) = rx.recv() {
+    while let Some(cmd) = rx.recv() {
         match cmd {
             ShardCmd::One(tenant, e) => {
                 // The allocation-free fast path stays clock-free: two

@@ -1,7 +1,7 @@
 //! Scale and concurrency stress — the acceptance bar for the serving
 //! layer: ≥ 4 shards, ≥ 1 000 tenants, batched ingest, and exact oracle
-//! agreement at every snapshot; plus a snapshot-under-load test
-//! mirroring `dds-runtime`'s `heavy_concurrency_stress`.
+//! agreement at every snapshot; plus a snapshot-under-load test with
+//! concurrent producers.
 
 use std::collections::HashMap;
 use std::sync::Arc;

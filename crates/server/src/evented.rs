@@ -1,9 +1,8 @@
-//! The evented server: one readiness-driven loop owning every
+//! The server's event loop: one readiness-driven loop owning every
 //! connection, a shared worker pool executing requests.
 //!
-//! Thread-per-connection ([`crate::ServerConfig::Threaded`]) spends a
-//! stack and a scheduler slot per client, idle or not. This module is
-//! the other answer: a single event loop blocks in
+//! A thread per connection would spend a stack and a scheduler slot
+//! per client, idle or not. Here a single event loop blocks in
 //! [`dds_reactor::Poller::wait`] over *all* sockets, so an idle
 //! connection costs one fd plus the few hundred bytes of [`Conn`]
 //! below, and 10k mostly-idle clients are just 10k slab slots. The
@@ -16,9 +15,9 @@
 //!            ┌──────────────── event loop (1 thread) ───────────────┐
 //!  accept ──▶│ slab of Conn state machines:                         │
 //!  readable ─▶  nonblocking read → FrameDecoder → pending queue     │
-//!            │  pending (light) → execute_frame() inline            │
+//!            │  pending (light) → respond() inline                  │
 //!            │  pending (heavy) → Job ──────▶ worker pool (N threads)
-//!            │  Completion ◀── encoded frame ──── execute_frame()   │
+//!            │  Completion ◀── encoded frame ──── respond()         │
 //!  writable ─▶  write_buf drain (in-order, partial-write safe)      │
 //!            └──────────────────────────────────────────────────────┘
 //! ```
@@ -33,9 +32,9 @@
 //! * **Pipelining**: responses go out strictly in request order per
 //!   connection. One request per connection is in flight in the pool
 //!   at a time (`busy`); later decoded frames wait in `pending`. This
-//!   also serializes each connection's engine effects exactly like a
-//!   dedicated thread would — the twin-exactness suites run the same
-//!   workload against both modes and compare bytes.
+//!   also serializes each connection's engine effects in request order,
+//!   so a served engine stays byte-exact with an in-process twin fed the
+//!   same requests (the loopback suite pins it).
 //! * **Backpressure**: when a connection's write buffer crosses the
 //!   high-water mark, or its pending queue fills, the loop drops its
 //!   read interest — a slow reader throttles itself, not the server.
@@ -52,24 +51,26 @@
 //! * **Accept resilience**: an accept error (EMFILE storms) counts on
 //!   `server_accept_errors_total` and pauses *only accepting* — the
 //!   listener is deregistered and re-registered after a poll-timeout
-//!   backoff, while connected clients keep being served. (The threaded
-//!   server slept its accept thread instead; here a sleep would stall
-//!   every connection, so the backoff rides the wait timeout.)
+//!   backoff, while connected clients keep being served. A sleep would
+//!   stall every connection, so the backoff rides the wait timeout.
+//! * **Panics**: a request that panics in the service is answered with
+//!   a typed error by `respond`, on a worker and inline alike, so
+//!   `busy` always clears and no worker is lost.
 //!
 //! A malformed frame poisons the stream (framing cannot resync), so the
 //! connection answers with one typed error frame after its in-flight
-//! responses drain, then closes — the same order a threaded handler
-//! produces sequentially.
+//! responses drain, then closes — the order a sequential reader would
+//! produce.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
 use dds_engine::{EngineError, TenantId};
 use dds_obs::{Counter, Gauge, Histogram};
 use dds_proto::frame::{FrameDecoder, OVERHEAD_BYTES};
@@ -78,7 +79,7 @@ use dds_reactor::{Events, Interest, Poller, Token, Waker};
 use dds_sim::Element;
 
 use crate::net::{Listener, Stream};
-use crate::server::{execute_frame, OpcodeCounters, Shared};
+use crate::server::{respond, OpcodeCounters, Shared};
 
 /// Token of the listening socket.
 const LISTENER_TOKEN: Token = Token(0);
@@ -188,12 +189,13 @@ pub(crate) fn spawn(
     } else {
         workers
     };
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<Completion>();
+    let (job_tx, job_rx) = mpsc::channel::<Job>();
+    let job_rx = Arc::new(Mutex::new(job_rx));
+    let (done_tx, done_rx) = mpsc::channel::<Completion>();
     let worker_threads = (0..worker_count)
         .map(|_| {
             let shared = Arc::clone(&shared);
-            let job_rx = job_rx.clone();
+            let job_rx = Arc::clone(&job_rx);
             let done_tx = done_tx.clone();
             let waker = Arc::clone(&waker);
             std::thread::spawn(move || worker(&shared, &job_rx, &done_tx, &waker))
@@ -211,19 +213,27 @@ pub(crate) fn spawn(
 }
 
 /// One pool worker: execute requests, send back encoded frames. All
-/// request semantics live in [`execute_frame`], shared byte-for-byte
-/// with the threaded server.
+/// request semantics live in [`respond`], shared byte-for-byte with
+/// the loop's inline path.
+///
+/// The workers share one receiver: the one holding the lock waits on
+/// the queue, the rest wait on the lock. Nothing panics while holding
+/// it, but a poisoned lock is recovered rather than taking the pool
+/// down with it.
 fn worker(
     shared: &Arc<Shared>,
-    job_rx: &Receiver<Job>,
+    job_rx: &Mutex<Receiver<Job>>,
     done_tx: &Sender<Completion>,
     waker: &Arc<Waker>,
 ) {
-    // Worker-local batch scratch, same role as a threaded connection's.
+    // Worker-local batch scratch, reused by every job it runs.
     let mut batch_scratch = Vec::new();
-    while let Ok(job) = job_rx.recv() {
-        let outcome = execute_frame(shared, job.op, &job.payload, &mut batch_scratch);
-        let frame = encode_outcome_checked(&outcome);
+    loop {
+        let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = job else {
+            return; // loop gone: shutdown
+        };
+        let frame = respond(shared, job.op, &job.payload, &mut batch_scratch);
         if done_tx
             .send(Completion {
                 slot: job.slot,
@@ -562,8 +572,8 @@ impl EventLoop {
                 Ok(0) => {
                     conn.peer_closed = true;
                     if conn.decoder.is_mid_frame() && conn.fatal.is_none() {
-                        // EOF inside a frame: the threaded path answers
-                        // a typed Truncated error; match it.
+                        // EOF inside a frame: answer a typed Truncated
+                        // error, as a blocking frame reader would.
                         self.shared.obs.connections_failed.inc();
                         let outcome = Err(EngineError::Format(
                             dds_core::checkpoint::CheckpointError::Truncated.to_string(),
@@ -588,8 +598,8 @@ impl EventLoop {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    // Transport error: same as the threaded handler —
-                    // just close (no frame can be trusted to arrive).
+                    // Transport error: just close (no frame can be
+                    // trusted to arrive).
                     self.close(slot);
                     return;
                 }
@@ -624,8 +634,8 @@ impl EventLoop {
                 }
                 Err(e) => {
                     spare_bufs.push(scratch);
-                    // Same taxonomy as the threaded path: count the
-                    // connection as failed, answer once, close after.
+                    // Count the connection as failed, answer once,
+                    // close after.
                     shared.obs.connections_failed.inc();
                     let outcome = Err(EngineError::Format(e.to_string()));
                     conn.fatal = Some(encode_outcome_checked(&outcome));
@@ -684,8 +694,7 @@ impl EventLoop {
                 });
                 return;
             }
-            let outcome = execute_frame(&self.shared, op, &payload, &mut self.batch_scratch);
-            let frame = encode_outcome_checked(&outcome);
+            let frame = respond(&self.shared, op, &payload, &mut self.batch_scratch);
             if self.spare_bufs.len() < SPARE_BUFFERS {
                 self.spare_bufs.push(payload);
             }
@@ -720,8 +729,7 @@ impl EventLoop {
             }
             let conn = self.slots[slot].as_mut().expect("checked above");
             conn.busy = false;
-            // Count before the client can observe the response, like
-            // the threaded write path.
+            // Count before the client can observe the response.
             self.shared
                 .counters
                 .bytes_sent
@@ -889,8 +897,8 @@ mod tests {
         let engine = Engine::spawn(EngineConfig::new(spec).with_shards(1));
         let shared = Arc::new(Shared::new(Arc::new(EngineHost::new(engine))));
         let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
-        let (job_tx, _) = crossbeam::channel::unbounded();
-        let (_, done_rx) = crossbeam::channel::unbounded();
+        let (job_tx, _) = mpsc::channel();
+        let (_, done_rx) = mpsc::channel();
         let poller = Poller::new().expect("poller");
         EventLoop::new(poller, listener, shared, job_tx, done_rx)
     }

@@ -3,8 +3,9 @@
 //! `dds-proto` defines the protocol; this crate moves it across real
 //! sockets. [`Server`] runs any [`EngineService`](dds_proto::EngineService)
 //! (normally an [`EngineHost`](dds_proto::EngineHost) wrapping an
-//! engine) behind a TCP or Unix-socket accept loop with per-connection
-//! framed decode, in-order pipelined responses, and graceful shutdown.
+//! engine) behind a TCP or Unix socket: one event loop owns every
+//! connection, with framed decode, in-order pipelined responses, and
+//! graceful shutdown.
 //! [`Client`] is the typed other end: the engine's full API with
 //! client-side batching, ack pipelining, a [`TenantHandle`] convenience
 //! view, and exact byte accounting on every frame.

@@ -1,10 +1,9 @@
 //! Shared socket plumbing: TCP and Unix-domain sockets behind one
 //! [`Listener`] / [`Stream`] / [`Endpoint`] vocabulary.
 //!
-//! The engine server ([`crate::Server`]) and the cluster nodes
-//! (`dds-cluster`) bind either transport and accept connections, in
-//! blocking mode (a handler thread per connection, woken for shutdown
-//! by a socket handle or by dialing the endpoint once) or non-blocking
+//! The engine server ([`crate::Server`]), its [`crate::Client`] and the
+//! cluster nodes (`dds-cluster`) bind or dial either transport, in
+//! blocking mode (a thread reading one connection) or non-blocking
 //! under an event loop. This module is their shared vocabulary, so they
 //! share one implementation of the fiddly parts (`TCP_NODELAY` on both
 //! sides, stale Unix socket files, half-close semantics).
@@ -65,7 +64,7 @@ impl Stream {
     /// Switch the connection between blocking and non-blocking mode.
     /// In non-blocking mode reads and writes return
     /// [`io::ErrorKind::WouldBlock`] instead of parking the thread —
-    /// the mode the evented server runs every connection in.
+    /// the mode the server's event loop runs every connection in.
     ///
     /// # Errors
     /// Propagates the `fcntl`/`ioctlsocket` failure.
@@ -74,21 +73,6 @@ impl Stream {
             Stream::Tcp(s) => s.set_nonblocking(nonblocking),
             #[cfg(unix)]
             Stream::Unix(s) => s.set_nonblocking(nonblocking),
-        }
-    }
-
-    /// Shut down both directions, waking any thread blocked on a read
-    /// of this connection. Best-effort: a connection already gone is
-    /// fine.
-    pub fn shutdown(&self) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
         }
     }
 }
@@ -328,24 +312,5 @@ mod tests {
         join.join().expect("server thread");
         endpoint.cleanup();
         assert!(!path.exists());
-    }
-
-    #[test]
-    fn clone_then_shutdown_wakes_a_blocked_reader() {
-        let listener = Listener::bind_tcp("127.0.0.1:0").expect("binds");
-        let endpoint = listener.endpoint();
-        let _client = endpoint.connect().expect("dials");
-        let conn = listener.accept().expect("accepts");
-        let keeper = conn.try_clone().expect("clones");
-        let reader = std::thread::spawn(move || {
-            let mut conn = conn;
-            let mut buf = [0u8; 1];
-            // Blocks until the keeper shuts the socket down.
-            let n = conn.read(&mut buf).unwrap_or(0);
-            assert_eq!(n, 0, "shutdown must read as EOF");
-        });
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        keeper.shutdown();
-        reader.join().expect("reader thread");
     }
 }

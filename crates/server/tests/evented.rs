@@ -1,24 +1,21 @@
-//! The evented server's own contract suite: byte-exactness with an
-//! in-process twin, twin-exactness with the threaded server on the
-//! same workload, pipelining through the event loop, many idle
-//! connections on one listener, the connection-bytes gauge,
-//! malformed-frame handling, and the loop's reactor telemetry.
+//! The event loop's own contract suite: byte-exactness with an
+//! in-process twin under an explicit worker count, pipelining through
+//! the loop, many idle connections on one listener, the
+//! connection-bytes gauge, malformed-frame handling, a request that
+//! panics in the service, and the loop's reactor telemetry.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use dds_core::sampler::{SamplerKind, SamplerSpec};
 use dds_data::{MultiTenantStream, TraceProfile};
-use dds_engine::{Engine, EngineConfig, TenantId};
-use dds_proto::EngineHost;
+use dds_engine::{Engine, EngineConfig, EngineError, TenantId};
+use dds_proto::{EngineHost, EngineService, Request, Response};
 use dds_server::{Client, Server, ServerConfig};
-use dds_sim::Element;
+use dds_sim::{Element, Slot};
 
 fn infinite_spec() -> SamplerSpec {
     SamplerSpec::new(SamplerKind::Infinite, 8, 20_260_728)
-}
-
-fn sliding_spec() -> SamplerSpec {
-    SamplerSpec::new(SamplerKind::Sliding { window: 16 }, 1, 515)
 }
 
 fn serve_evented(spec: SamplerSpec, shards: usize) -> (Server, Client) {
@@ -88,50 +85,6 @@ fn evented_server_is_byte_exact_with_in_process_twin() {
     let _ = twin.shutdown();
     let _ = client.shutdown_engine().expect("served engine stops");
     let _ = server.shutdown();
-}
-
-#[test]
-fn evented_and_threaded_servers_are_twins_on_the_same_workload() {
-    const TENANTS: u64 = 40;
-    let trace = feed(TENANTS, 31);
-
-    let run = |config: ServerConfig| {
-        let engine = Engine::spawn(EngineConfig::new(sliding_spec()).with_shards(2));
-        let server =
-            Server::bind_tcp_with("127.0.0.1:0", Arc::new(EngineHost::new(engine)), config)
-                .expect("bind");
-        let client = Client::connect_tcp(server.local_addr().expect("addr"))
-            .expect("connect")
-            .with_batch_capacity(32);
-        for &(t, e) in &trace {
-            client.observe(t, e).expect("ingest");
-        }
-        client.flush().expect("barrier");
-        let samples: Vec<_> = (0..TENANTS)
-            .map(|t| client.snapshot(TenantId(t)).expect("snapshot"))
-            .collect();
-        let stats = client.stats();
-        let server_stats = server.shutdown();
-        (samples, stats, server_stats)
-    };
-
-    let (threaded_samples, threaded_client, threaded_server) = run(ServerConfig::Threaded);
-    let (evented_samples, evented_client, evented_server) =
-        run(ServerConfig::Evented { workers: 2 });
-
-    // Same workload, same responses — the servers are byte-twins.
-    assert_eq!(threaded_samples, evented_samples);
-    assert_eq!(threaded_client.bytes_sent, evented_client.bytes_sent);
-    assert_eq!(
-        threaded_client.bytes_received,
-        evented_client.bytes_received
-    );
-    assert_eq!(threaded_server.requests, evented_server.requests);
-    assert_eq!(
-        threaded_server.bytes_received,
-        evented_server.bytes_received
-    );
-    assert_eq!(threaded_server.bytes_sent, evented_server.bytes_sent);
 }
 
 #[test]
@@ -276,6 +229,71 @@ fn malformed_frame_gets_typed_error_then_close() {
     // The loop is unharmed: a real client still gets served.
     let client = Client::connect_tcp(addr).expect("connect");
     client.metrics().expect("server alive after garbage peer");
+    let _ = server.shutdown();
+}
+
+/// An engine whose `Snapshot` (run on a pool worker) and `Advance`
+/// (run inline on the loop) panic; every other request is served.
+struct PanickingService(Engine);
+
+impl EngineService for PanickingService {
+    fn call(&self, request: Request) -> Result<Response, EngineError> {
+        match request {
+            Request::Snapshot { .. } => panic!("snapshot blew up"),
+            Request::Advance { .. } => panic!("advance blew up"),
+            other => self.0.call(other),
+        }
+    }
+}
+
+#[test]
+fn a_panicking_request_is_answered_and_its_connection_keeps_serving() {
+    let engine = Engine::spawn(EngineConfig::new(infinite_spec()).with_shards(1));
+    // One worker: if a panic cost the pool its worker, every later
+    // pooled request would hang.
+    let server = Server::bind_tcp_with(
+        "127.0.0.1:0",
+        Arc::new(PanickingService(engine)),
+        ServerConfig::Evented { workers: 1 },
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+
+    // The exchange runs on its own thread and the test waits with a
+    // deadline, so a hung connection fails the test instead of hanging
+    // the suite.
+    let (done, outcome) = std::sync::mpsc::channel();
+    let exchange = std::thread::spawn(move || {
+        let first = Client::connect_tcp(addr).expect("connect");
+        first.observe(TenantId(1), Element(7)).expect("ingest");
+        first.flush().expect("barrier");
+        let pooled = first.snapshot(TenantId(1));
+        let inline = first.call_remote(&Request::Advance { now: Slot(3) });
+        let same_connection = first.snapshot_all().map(|census| census.len());
+        let second = Client::connect_tcp(addr).expect("second connect");
+        let other_connection = second.snapshot_all().map(|census| census.len());
+        let _ = done.send((pooled, inline, same_connection, other_connection));
+    });
+    let (pooled, inline, same_connection, other_connection) = outcome
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a panicking request hung its connection");
+    exchange.join().expect("the exchange thread finishes");
+
+    fn answered<T>(outcome: &Result<T, EngineError>, what: &str) -> bool {
+        matches!(outcome, Err(EngineError::Unsupported(m)) if m.contains(what))
+    }
+    assert!(answered(&pooled, "snapshot blew up"), "{pooled:?}");
+    assert!(answered(&inline, "advance blew up"), "{inline:?}");
+    assert_eq!(same_connection, Ok(1), "the worker and connection live");
+    assert_eq!(other_connection, Ok(1), "a second connection is served");
+    if !dds_obs::IS_NOOP {
+        assert_eq!(
+            server
+                .telemetry()
+                .counter_value("server_request_panics_total", &[]),
+            Some(2)
+        );
+    }
     let _ = server.shutdown();
 }
 

@@ -16,7 +16,7 @@ use dds_core::sampler::{SamplerKind, SamplerSpec};
 use dds_data::{MultiTenantStream, TraceProfile};
 use dds_engine::{Engine, EngineConfig, EngineError, TenantId};
 use dds_proto::{EngineHost, EngineService, Request, Response};
-use dds_server::{Client, Server, ServerConfig};
+use dds_server::{Client, Server};
 use dds_sim::{Element, Slot};
 
 fn infinite_spec() -> SamplerSpec {
@@ -27,27 +27,11 @@ fn sliding_spec() -> SamplerSpec {
     SamplerSpec::new(SamplerKind::Sliding { window: 16 }, 1, 515)
 }
 
-/// Which server architecture this suite runs against: threaded by
-/// default; `DDS_SERVER_MODE=evented` re-runs the whole suite through
-/// the event loop (CI does both — the wire contract must not depend on
-/// the scheduling model).
-fn server_config() -> ServerConfig {
-    match std::env::var("DDS_SERVER_MODE").as_deref() {
-        Ok("evented") => ServerConfig::Evented { workers: 0 },
-        _ => ServerConfig::Threaded,
-    }
-}
-
 /// Serve `spec` over loopback TCP; return the running server and a
 /// connected client.
 fn serve(spec: SamplerSpec, shards: usize) -> (Server, Client) {
     let engine = Engine::spawn(EngineConfig::new(spec).with_shards(shards));
-    let server = Server::bind_tcp_with(
-        "127.0.0.1:0",
-        Arc::new(EngineHost::new(engine)),
-        server_config(),
-    )
-    .expect("bind");
+    let server = Server::bind_tcp("127.0.0.1:0", Arc::new(EngineHost::new(engine))).expect("bind");
     let addr = server.local_addr().expect("tcp endpoint");
     let client = Client::connect_tcp(addr).expect("connect");
     (server, client)
@@ -310,8 +294,7 @@ fn unix_socket_serves_the_same_protocol() {
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let path = dir.join("engine.sock");
     let engine = Engine::spawn(EngineConfig::new(infinite_spec()).with_shards(2));
-    let server = Server::bind_unix_with(&path, Arc::new(EngineHost::new(engine)), server_config())
-        .expect("bind unix");
+    let server = Server::bind_unix(&path, Arc::new(EngineHost::new(engine))).expect("bind unix");
     let client = Client::connect_unix(&path)
         .expect("connect unix")
         .with_batch_capacity(32);
@@ -340,7 +323,7 @@ fn telemetry_over_the_wire_matches_the_in_process_registry() {
     let engine = Engine::spawn(EngineConfig::new(infinite_spec()).with_shards(4));
     let host = Arc::new(EngineHost::new(engine));
     let service: Arc<dyn EngineService> = host.clone();
-    let server = Server::bind_tcp_with("127.0.0.1:0", service, server_config()).expect("bind");
+    let server = Server::bind_tcp("127.0.0.1:0", service).expect("bind");
     let addr = server.local_addr().expect("tcp endpoint");
     let client = Client::connect_tcp(addr)
         .expect("connect")
@@ -532,12 +515,7 @@ fn late_data_is_refused_and_observable_over_the_wire() {
             .with_shards(2)
             .with_lateness(8),
     );
-    let server = Server::bind_tcp_with(
-        "127.0.0.1:0",
-        Arc::new(EngineHost::new(engine)),
-        server_config(),
-    )
-    .expect("bind");
+    let server = Server::bind_tcp("127.0.0.1:0", Arc::new(EngineHost::new(engine))).expect("bind");
     let client = Client::connect_tcp(server.local_addr().expect("tcp endpoint")).expect("connect");
 
     client

@@ -44,6 +44,6 @@ pub mod runner;
 
 pub use message::WireMessage;
 pub use model::{Element, SiteId, Slot};
-pub use network::{AtomicMessageCounters, Direction, MessageCounters};
+pub use network::{Direction, MessageCounters};
 pub use protocol::{CoordinatorNode, Destination, SiteNode};
 pub use runner::Cluster;

@@ -4,13 +4,6 @@
 //! and coordinator (Chapter 2). [`MessageCounters`] tracks that number
 //! exactly — split by direction and by site, with encoded bytes alongside —
 //! and is the single source of truth every experiment reads.
-//! [`AtomicMessageCounters`] is the lock-free shared-memory variant for
-//! threaded deployments: each of the `k` site slots is its own
-//! [`dds_obs::Counter`] cell, so concurrent recorders never contend on a
-//! lock (or on each other, when they record for different sites) — and
-//! the cells can double as registry-visible telemetry.
-
-use dds_obs::Counter;
 
 use crate::model::SiteId;
 
@@ -188,128 +181,9 @@ impl MessageCounters {
     }
 }
 
-/// Lock-free message accounting shared across recorder threads.
-///
-/// The write path is two relaxed fetch-adds on per-site
-/// [`dds_obs::Counter`] cells — safe to sit on a protocol hot path.
-/// Reads ([`AtomicMessageCounters::snapshot`]) are only exact once
-/// recorders are quiescent (e.g. behind a flush barrier); per-cell they
-/// are always consistent, but a snapshot taken mid-flight may pair a
-/// message with not-yet-visible bytes. That is the same caveat the
-/// lock-based version had for in-flight traffic, minus the lock.
-///
-/// Sitting on `dds-obs` primitives means a deployment can expose the
-/// exact per-site protocol tallies in its telemetry without a second
-/// counting scheme: [`AtomicMessageCounters::cell`] hands out the live
-/// handles.
-#[derive(Debug, Default)]
-pub struct AtomicMessageCounters {
-    up_msgs: Vec<Counter>,
-    down_msgs: Vec<Counter>,
-    up_bytes: Vec<Counter>,
-    down_bytes: Vec<Counter>,
-}
-
-impl AtomicMessageCounters {
-    /// Counters for a `k`-site system, all zero.
-    #[must_use]
-    pub fn new(k: usize) -> Self {
-        let zeros = || (0..k).map(|_| Counter::new()).collect::<Vec<_>>();
-        Self {
-            up_msgs: zeros(),
-            down_msgs: zeros(),
-            up_bytes: zeros(),
-            down_bytes: zeros(),
-        }
-    }
-
-    /// Number of sites this counter set covers.
-    #[must_use]
-    pub fn sites(&self) -> usize {
-        self.up_msgs.len()
-    }
-
-    /// Record one message involving `site` in `dir`, of `bytes` encoded
-    /// size. Takes `&self`: callers share it freely across threads.
-    pub fn record(&self, dir: Direction, site: SiteId, bytes: usize) {
-        let (msgs, bts) = match dir {
-            Direction::Up => (&self.up_msgs[site.0], &self.up_bytes[site.0]),
-            Direction::Down => (&self.down_msgs[site.0], &self.down_bytes[site.0]),
-        };
-        msgs.inc();
-        bts.add(bytes as u64);
-    }
-
-    /// The live counter cell for `(dir, site)` — `(messages, bytes)`
-    /// handles sharing the cells this set records into, so a telemetry
-    /// registry can re-export them without double counting.
-    ///
-    /// # Panics
-    /// Panics if `site` is out of range for this `k`-site set.
-    #[must_use]
-    pub fn cell(&self, dir: Direction, site: SiteId) -> (Counter, Counter) {
-        match dir {
-            Direction::Up => (self.up_msgs[site.0].clone(), self.up_bytes[site.0].clone()),
-            Direction::Down => (
-                self.down_msgs[site.0].clone(),
-                self.down_bytes[site.0].clone(),
-            ),
-        }
-    }
-
-    /// Materialize a plain [`MessageCounters`] for reporting.
-    #[must_use]
-    pub fn snapshot(&self) -> MessageCounters {
-        let load = |v: &[Counter]| v.iter().map(Counter::get).collect();
-        MessageCounters {
-            up_msgs: load(&self.up_msgs),
-            down_msgs: load(&self.down_msgs),
-            up_bytes: load(&self.up_bytes),
-            down_bytes: load(&self.down_bytes),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn atomic_counters_match_locked_semantics() {
-        let a = AtomicMessageCounters::new(3);
-        a.record(Direction::Up, SiteId(0), 24);
-        a.record(Direction::Up, SiteId(0), 24);
-        a.record(Direction::Down, SiteId(2), 8);
-        let c = a.snapshot();
-        let mut expect = MessageCounters::new(3);
-        expect.record(Direction::Up, SiteId(0), 24);
-        expect.record(Direction::Up, SiteId(0), 24);
-        expect.record(Direction::Down, SiteId(2), 8);
-        assert_eq!(c, expect);
-        assert_eq!(a.sites(), 3);
-    }
-
-    #[test]
-    fn atomic_counters_sum_across_threads() {
-        let a = std::sync::Arc::new(AtomicMessageCounters::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let a = std::sync::Arc::clone(&a);
-                std::thread::spawn(move || {
-                    for _ in 0..1_000 {
-                        a.record(Direction::Up, SiteId(i), 16);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let c = a.snapshot();
-        assert_eq!(c.up_messages(), 4_000);
-        assert_eq!(c.total_bytes(), 64_000);
-        assert_eq!(c.per_site_messages(), vec![1_000; 4]);
-    }
 
     #[test]
     fn records_by_direction_and_site() {

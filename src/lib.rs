@@ -43,11 +43,10 @@
 //! | [`dds_hash`] | MurmurHash2/3, SplitMix64, SipHash-1-3, seeded unit-interval families |
 //! | [`dds_data`] | calibrated OC48-like / Enron-like synthetic traces, Zipf, routing strategies, slotted schedules |
 //! | [`dds_stats`] | KMV distinct-count estimation, predicate estimators, chi-square / KS machinery |
-//! | [`dds_runtime`] | real multi-threaded deployment over crossbeam channels |
 //! | [`dds_engine`] | sharded multi-tenant serving layer: thousands of sampler instances (infinite- or sliding-window) behind one batched, timestamped ingest path |
 //! | [`dds_proto`] | the engine's formal service API: versioned request/response frames, byte-accounted codec, the transport-agnostic `EngineService` trait |
 //! | [`dds_reactor`] | zero-dependency readiness core: raw-syscall `epoll` (with a `poll(2)` fallback), edge/level interest, and a cross-thread `Waker` |
-//! | [`dds_server`] | wire transport: TCP/Unix-socket server — thread-per-connection or a reactor-driven event loop holding thousands of sockets — plus the typed batching, reconnecting `Client` |
+//! | [`dds_server`] | wire transport: a TCP/Unix-socket server whose reactor-driven event loop holds thousands of sockets, plus the typed batching, reconnecting `Client` |
 //! | [`dds_obs`] | zero-dependency observability core: lock-free counters/gauges, mergeable log-scale histograms, labeled registry, span timers, bounded event ring, wire-portable telemetry snapshots |
 //! | [`dds_cluster`] | true distributed deployment: site-daemon and coordinator processes speaking the paper's protocols over sockets, byte-exact with the in-process twin |
 //!
@@ -65,7 +64,6 @@ pub use dds_hash as hash;
 pub use dds_obs as obs;
 pub use dds_proto as proto;
 pub use dds_reactor as reactor;
-pub use dds_runtime as runtime;
 pub use dds_server as server;
 pub use dds_sim as sim;
 pub use dds_stats as stats;
@@ -99,7 +97,6 @@ pub mod prelude {
     pub use dds_hash::{HashFamily, SeededHash, UnitHash, UnitValue};
     pub use dds_obs::{Registry, TelemetrySnapshot};
     pub use dds_proto::{EngineHost, EngineService, Request, Response};
-    pub use dds_runtime::ThreadedCluster;
     pub use dds_server::{
         Client, ClientConfig, ClientStats, Server, ServerConfig, ServerStats, TenantHandle,
     };

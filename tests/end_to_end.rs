@@ -2,6 +2,12 @@
 //! strategy, against the centralized oracle — plus system-level
 //! invariants (thresholds, byte accounting, fault tolerance).
 
+use std::io::Write;
+use std::net::TcpStream;
+
+use dds_cluster::ClusterCoordinator;
+use dds_proto::cluster::{decode_cluster_outcome, ClusterRequest, ClusterResponse};
+use dds_proto::frame::read_frame;
 use dds_sim::fault::DuplicateAndReorder;
 use distinct_stream_sampling::prelude::*;
 
@@ -186,31 +192,60 @@ fn broadcast_and_lazy_agree_on_samples_everywhere() {
 
 #[test]
 fn threaded_and_simulated_agree() {
-    let k = 6;
-    let s = 20;
-    let config = InfiniteConfig::with_seed(s, 808);
+    // Site daemons on their own threads settle their ups with a real
+    // coordinator in whatever order the threads reach it; the simulated
+    // cluster settles every element in stream order.
+    let (k, s, seed) = (6, 20, 808);
     let profile = TraceProfile {
         name: "threads",
         total: 25_000,
         distinct: 7_000,
     };
-
-    let mut threaded = ThreadedCluster::spawn(config.sites(k), config.coordinator());
-    let mut sim = config.cluster(k);
-    let mut router_a = Router::new(Routing::Random, k, 4);
-    let mut router_b = Router::new(Routing::Random, k, 4);
+    let mut sim = InfiniteConfig::with_seed(s, seed).cluster(k);
+    let mut shares = vec![Vec::new(); k];
+    let mut router = Router::new(Routing::Random, k, 4);
     for e in TraceLikeStream::new(profile, 6) {
-        match router_a.route() {
-            RouteTarget::One(site) => threaded.observe(site, e),
-            RouteTarget::All => unreachable!(),
-        }
-        match router_b.route() {
-            RouteTarget::One(site) => sim.observe(site, e),
-            RouteTarget::All => unreachable!(),
-        }
+        let RouteTarget::One(site) = router.route() else {
+            unreachable!("random routing picks one site");
+        };
+        sim.observe(site, e);
+        shares[site.0].push(e);
     }
-    assert_eq!(threaded.sample(), sim.sample());
-    threaded.shutdown();
+
+    let spec = ClusterSpec::new(SamplerSpec::new(SamplerKind::Infinite, s, seed), k);
+    let coordinator = ClusterCoordinator::bind_tcp("127.0.0.1:0", spec).expect("bind");
+    let addr = coordinator.local_addr().expect("tcp coordinator");
+    std::thread::scope(|scope| {
+        for (i, share) in shares.into_iter().enumerate() {
+            scope.spawn(move || {
+                let mut site = SiteDaemon::connect_tcp(addr, SiteId(i), &spec).expect("join");
+                for e in share {
+                    site.observe(e).expect("observe");
+                }
+                site.leave().expect("graceful leave");
+            });
+        }
+    });
+
+    // The coordinator's sample, read over a raw control connection.
+    let mut control = TcpStream::connect(addr).expect("control connect");
+    let mut call = |request: ClusterRequest| {
+        control.write_all(&request.encode()).expect("send frame");
+        let (op, payload) = read_frame(&mut control).expect("read").expect("a reply");
+        decode_cluster_outcome(op, &payload)
+            .expect("decode")
+            .expect("accepted")
+    };
+    let digest = spec.digest();
+    assert!(matches!(
+        call(ClusterRequest::Control { digest }),
+        ClusterResponse::Welcome { .. }
+    ));
+    let ClusterResponse::Sample { sample } = call(ClusterRequest::Sample) else {
+        panic!("a Sample request is answered with a sample");
+    };
+    assert_eq!(sample, sim.sample());
+    let _ = coordinator.shutdown();
 }
 
 #[test]
