@@ -11,32 +11,25 @@
 
 use std::time::Instant;
 
-use dds_bench::experiments::{all, select};
+use dds_bench::experiments::{all, parse_args};
 use dds_bench::output::{default_output_dir, emit};
-use dds_bench::Scale;
 
 fn main() {
-    let mut scale = Scale::quick();
-    let mut ids: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if let Some(s) = Scale::from_flag(&arg) {
-            scale = s;
-        } else if arg == "--help" || arg == "-h" {
-            print_help();
-            return;
-        } else {
-            ids.push(arg);
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print_help();
+        return;
     }
-
-    let chosen = select(&ids);
-    if chosen.is_empty() {
-        eprintln!("no experiment matches {ids:?}; known ids:");
-        for e in all() {
-            eprintln!("  {:<16} {}", e.id, e.title);
+    let (scale, chosen) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(unknown) => {
+            eprintln!("unknown argument(s) {unknown:?}; known ids:");
+            for e in all() {
+                eprintln!("  {:<16} {}", e.id, e.title);
+            }
+            std::process::exit(2);
         }
-        std::process::exit(2);
-    }
+    };
 
     let dir = default_output_dir();
     println!("# Distinct sampling experiments — {}\n", scale.label);

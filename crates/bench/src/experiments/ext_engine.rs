@@ -10,7 +10,9 @@
 //! Besides the usual figure CSVs, this experiment writes a
 //! machine-readable `BENCH_engine.json` next to them: one record per
 //! configuration with its elements/s, giving later PRs a perf trajectory
-//! to diff against (`schema` field versions the format).
+//! to diff against (`schema` field versions the format). A report-only
+//! `single_element` record sets one-element ingest through
+//! [`Engine::observe`] against a one-element [`Engine::observe_batch`].
 
 use std::path::Path;
 use std::time::Instant;
@@ -30,6 +32,9 @@ const SAMPLE_SIZE: usize = 8;
 /// Full-scale elements per configuration (divided by the scale divisor,
 /// floored so every tenant still sees a handful of elements).
 const TOTAL_BASE: u64 = 4_000_000;
+/// The single-element point's configuration.
+const SINGLE_SHARDS: usize = 2;
+const SINGLE_TENANTS: u64 = 100;
 
 /// One measured configuration, destined for `BENCH_engine.json`.
 struct Point {
@@ -45,8 +50,45 @@ fn total_for(scale: &Scale, tenants: u64) -> u64 {
     (TOTAL_BASE / scale.divisor).max(tenants * 10)
 }
 
+/// One-element ingest, two ways: `one_cmd` sends each element as one
+/// allocation-free shard command ([`Engine::observe`]); `batch_of_one`
+/// sends it as a one-element batch.
+struct SingleElement {
+    elements: u64,
+    one_cmd: f64,
+    batch_of_one: f64,
+}
+
+fn single_element(scale: &Scale) -> SingleElement {
+    let (elements, one_cmd) = measure_with(scale, SINGLE_SHARDS, SINGLE_TENANTS, |engine, feed| {
+        for &(t, e) in feed {
+            engine.observe(t, e);
+        }
+    });
+    let (_, batch_of_one) = measure(scale, SINGLE_SHARDS, SINGLE_TENANTS, 1);
+    SingleElement {
+        elements,
+        one_cmd,
+        batch_of_one,
+    }
+}
+
 /// Time one configuration: returns (elements ingested, mean elements/s).
 fn measure(scale: &Scale, shards: usize, tenants: u64, batch: usize) -> (u64, f64) {
+    measure_with(scale, shards, tenants, |engine, feed| {
+        for chunk in feed.chunks(batch) {
+            engine.observe_batch(chunk.iter().copied());
+        }
+    })
+}
+
+/// [`measure`] with the feed handed to the engine by `ingest`.
+fn measure_with(
+    scale: &Scale,
+    shards: usize,
+    tenants: u64,
+    ingest: impl Fn(&Engine, &[(TenantId, dds_sim::Element)]),
+) -> (u64, f64) {
     let total = total_for(scale, tenants);
     let per_tenant = TraceProfile {
         name: "engine-sweep",
@@ -63,9 +105,7 @@ fn measure(scale: &Scale, shards: usize, tenants: u64, batch: usize) -> (u64, f6
         let spec = SamplerSpec::new(SamplerKind::Infinite, SAMPLE_SIZE, 7 + u64::from(run));
         let engine = Engine::spawn(EngineConfig::new(spec).with_shards(shards));
         let started = Instant::now();
-        for chunk in feed.chunks(batch) {
-            engine.observe_batch(chunk.iter().copied());
-        }
+        ingest(&engine, &feed);
         engine.flush();
         let secs = started.elapsed().as_secs_f64();
         rate_sum += elements as f64 / secs.max(1e-9);
@@ -109,10 +149,10 @@ fn sweep<T: Copy + Into<f64>>(
 
 /// Render the measurement records as a stable, dependency-free JSON
 /// document (`BENCH_engine.json`).
-fn to_json(scale: &Scale, points: &[Point]) -> String {
+fn to_json(scale: &Scale, points: &[Point], single: &SingleElement) -> String {
     use std::fmt::Write;
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"dds-engine-throughput/v1\",");
+    let _ = writeln!(out, "  \"schema\": \"dds-engine-throughput/v2\",");
     let _ = writeln!(out, "  \"scale\": \"{}\",", scale.label);
     let _ = writeln!(out, "  \"sampler\": \"infinite\",");
     let _ = writeln!(out, "  \"sample_size\": {SAMPLE_SIZE},");
@@ -126,11 +166,20 @@ fn to_json(scale: &Scale, points: &[Point]) -> String {
             p.sweep, p.shards, p.tenants, p.batch, p.elements, p.elems_per_sec
         );
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ],\n");
+    let _ = writeln!(
+        out,
+        "  \"single_element\": {{\"shards\": {SINGLE_SHARDS}, \"tenants\": {SINGLE_TENANTS}, \
+         \"elements\": {}, \"one_cmd_elems_per_sec\": {:.1}, \
+         \"batch_of_one_elems_per_sec\": {:.1}}}",
+        single.elements, single.one_cmd, single.batch_of_one
+    );
+    out.push_str("}\n");
     out
 }
 
-/// Run the three sweeps and persist `BENCH_engine.json` into `dir`.
+/// Run the three sweeps and the single-element point, and persist
+/// `BENCH_engine.json` into `dir`.
 #[must_use]
 pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
     let mut points = Vec::new();
@@ -157,7 +206,15 @@ pub fn run(scale: &Scale, dir: &Path) -> Vec<SeriesSet> {
             &mut points,
         ),
     ];
-    write_record(dir, "BENCH_engine.json", &to_json(scale, &points));
+    let single = single_element(scale);
+    println!(
+        "single-element ingest ({SINGLE_SHARDS} shards, {SINGLE_TENANTS} tenants): \
+         observe {:.0} elem/s, one-element observe_batch {:.0} elem/s ({:.2}×)\n",
+        single.one_cmd,
+        single.batch_of_one,
+        single.one_cmd / single.batch_of_one
+    );
+    write_record(dir, "BENCH_engine.json", &to_json(scale, &points, &single));
     sets
 }
 
@@ -191,8 +248,9 @@ mod tests {
         let json = std::fs::read_to_string(dir.join("BENCH_engine.json"))
             .expect("BENCH_engine.json written");
         std::fs::remove_dir_all(&dir).ok();
-        assert!(json.contains("\"schema\": \"dds-engine-throughput/v1\""));
+        assert!(json.contains("\"schema\": \"dds-engine-throughput/v2\""));
         assert_eq!(json.matches("\"sweep\"").count(), 12);
+        assert!(json.contains("\"single_element\": {\"shards\": 2, \"tenants\": 100,"));
         assert!(!json.contains(",\n  ]"), "trailing comma in results");
     }
 

@@ -3,8 +3,8 @@
 //! Every experiment is `fn run(&Scale) -> Vec<SeriesSet>`, or
 //! `fn run(&Scale, &Path) -> Vec<SeriesSet>` when it also keeps a
 //! `BENCH_*.json` record, which it writes into the directory it is
-//! given. The returned sets carry paper-style titles so the binary and
-//! the bench targets can print and persist them uniformly.
+//! given. The returned sets carry paper-style titles so the binary can
+//! print and persist them uniformly.
 
 pub mod ext_ablation;
 pub mod ext_bounds;
@@ -158,23 +158,46 @@ pub fn all() -> Vec<Experiment> {
     ]
 }
 
-/// Look up experiments by CLI selector (`all` or an id list).
-#[must_use]
-pub fn select(ids: &[String]) -> Vec<Experiment> {
-    let registry = all();
-    if ids.is_empty() || ids.iter().any(|s| s == "all") {
-        return registry;
+/// Parse the `experiments` arguments (after `--help`): the last scale
+/// flag wins, and no id or `all` means every experiment. Every other
+/// argument must be a catalog id or an alias (`fig58`, `fig510`); the
+/// ones that are not come back as the error, so a misspelled id or flag
+/// stops the run instead of being skipped.
+///
+/// # Errors
+/// The arguments that are neither a scale flag, `all`, nor an id.
+pub fn parse_args(args: &[String]) -> Result<(Scale, Vec<Experiment>), Vec<String>> {
+    let mut scale = Scale::quick();
+    let mut ids = Vec::new();
+    for arg in args {
+        match Scale::from_flag(arg) {
+            Some(s) => scale = s,
+            None => ids.push(arg.as_str()),
+        }
     }
-    registry
-        .into_iter()
-        .filter(|e| {
-            ids.iter().any(|want| {
-                e.id == want
-                    || (want == "fig58" && e.id == "fig57")
-                    || (want == "fig510" && e.id == "fig59")
-            })
+    let wanted: Vec<&str> = ids
+        .iter()
+        .map(|&id| match id {
+            "fig58" => "fig57",
+            "fig510" => "fig59",
+            id => id,
         })
-        .collect()
+        .collect();
+    let registry = all();
+    let unknown: Vec<String> = wanted
+        .iter()
+        .filter(|&&id| id != "all" && !registry.iter().any(|e| e.id == id))
+        .map(|id| (*id).to_string())
+        .collect();
+    if !unknown.is_empty() {
+        return Err(unknown);
+    }
+    let every = wanted.is_empty() || wanted.contains(&"all");
+    let chosen = registry
+        .into_iter()
+        .filter(|e| every || wanted.contains(&e.id))
+        .collect();
+    Ok((scale, chosen))
 }
 
 #[cfg(test)]
@@ -211,15 +234,26 @@ mod tests {
         }
     }
 
+    fn ids(args: &[&str]) -> Result<Vec<&'static str>, Vec<String>> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
+        parse_args(&args).map(|(_, chosen)| chosen.iter().map(|e| e.id).collect())
+    }
+
     #[test]
     fn select_filters_and_aliases() {
-        assert_eq!(select(&[]).len(), all().len());
-        assert_eq!(select(&["all".into()]).len(), all().len());
-        let one = select(&["fig54".into()]);
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].id, "fig54");
-        let alias = select(&["fig58".into()]);
-        assert_eq!(alias.len(), 1);
-        assert_eq!(alias[0].id, "fig57");
+        assert_eq!(ids(&[]).unwrap().len(), all().len());
+        assert_eq!(ids(&["all"]).unwrap().len(), all().len());
+        assert_eq!(ids(&["fig54"]), Ok(vec!["fig54"]));
+        assert_eq!(ids(&["fig58"]), Ok(vec!["fig57"]));
+        assert_eq!(ids(&["fig510", "table51"]), Ok(vec!["table51", "fig59"]));
+        let args = ["--medium".to_string(), "fig57".into()];
+        assert_eq!(parse_args(&args).unwrap().0, Scale::medium());
+    }
+
+    #[test]
+    fn unknown_ids_and_flags_are_refused() {
+        assert_eq!(ids(&["table51", "bogus_id"]), Err(vec!["bogus_id".into()]));
+        assert_eq!(ids(&["--ful", "table51"]), Err(vec!["--ful".into()]));
+        assert_eq!(ids(&["all", "fig5"]), Err(vec!["fig5".into()]));
     }
 }

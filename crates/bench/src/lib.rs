@@ -3,12 +3,12 @@
 //! Regenerates **every table and figure** of the paper's evaluation
 //! (Chapter 5) plus the extension/ablation studies listed in DESIGN.md.
 //! Each experiment is a pure function from a [`Scale`] to one or more
-//! [`dds_sim::metrics::SeriesSet`]s, so the same code backs:
-//!
-//! * the `experiments` binary (`cargo run -p dds-bench --bin experiments
-//!   --release -- all`), which prints paper-style tables and writes CSVs;
-//! * the criterion bench targets (one per figure), which print the same
-//!   series at quick scale and then time the protocol hot paths.
+//! [`dds_sim::metrics::SeriesSet`]s. The `experiments` binary
+//! (`cargo run -p dds-bench --release --bin experiments -- all`) prints
+//! them as paper-style tables and writes CSVs; the `ext_*` experiments
+//! also write `BENCH_*.json` records, and a few of them gate CI. Per-layer
+//! costs of the serving stack live in the repository benchmark
+//! (`perfbench`), not here.
 //!
 //! Experiment defaults follow the paper exactly — `k = 5, s = 10` for the
 //! distribution study, `k = 100, s = 20` for the Broadcast comparison,
@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_support;
 pub mod driver;
 pub mod experiments;
 pub mod output;

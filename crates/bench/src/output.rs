@@ -8,8 +8,8 @@ use dds_sim::metrics::SeriesSet;
 
 /// Default directory for experiment CSVs and `BENCH_*.json` records:
 /// `$CARGO_TARGET_DIR/experiments`, else `target/experiments` relative
-/// to the working directory. The `experiments` binary and the bench
-/// targets write here; tests hand experiments a temporary directory.
+/// to the working directory. The `experiments` binary writes here;
+/// tests hand experiments a temporary directory.
 #[must_use]
 pub fn default_output_dir() -> PathBuf {
     PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()))

@@ -23,18 +23,14 @@ use dds_core::with_replacement::{WrConfig, WrCoordinator, WrSite};
 use dds_hash::UnitValue;
 use dds_proto::cluster::{ClusterError, ClusterSpec, CoordDown, SiteUp};
 use dds_sim::{CoordinatorNode as CoordinatorTrait, Destination, Element, SiteId, SiteNode, Slot};
-use dds_treap::FlatStaircase;
 
-/// The per-site half of the configured protocol. Sliding sites keep
-/// their candidate sets on [`FlatStaircase`], the engine's backend; the
-/// candidate set is invisible to the protocol, so the Treap-based
-/// `dds-sim` twin stays byte-exact.
+/// The per-site half of the configured protocol.
 #[derive(Debug)]
 pub(crate) enum SiteMachine {
     Infinite(LazySite),
     Wr(WrSite),
-    Sliding(SwSite<FlatStaircase>),
-    SlidingMulti(MultiSwSite<FlatStaircase>),
+    Sliding(SwSite),
+    SlidingMulti(MultiSwSite),
 }
 
 impl SiteMachine {

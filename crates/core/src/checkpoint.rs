@@ -42,9 +42,7 @@
 //! an envelope cannot smuggle in an inconsistent `(element, hash)` pair.
 //! Candidate sets serialize as their sorted staircase entries and are
 //! rebuilt through the ordinary [`CandidateSet::insert_or_refresh`]
-//! path, which re-establishes every structural invariant; treap shape
-//! and priorities are deliberately not persisted (they are invisible to
-//! the protocol).
+//! path, which re-establishes every structural invariant.
 //!
 //! The restored instance is *observationally identical* to the original:
 //! same samples, same thresholds, same memory, and the same message

@@ -37,7 +37,6 @@
 use dds_hash::family::HashFamily;
 use dds_hash::{SeededHash, UnitHash, UnitValue};
 use dds_sim::{CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
-use dds_treap::{CandidateSet, FlatStaircase};
 
 use crate::centralized::{CentralizedSampler, SlidingOracle};
 use crate::checkpoint::{self, CheckpointError, StateReader, StateWriter};
@@ -404,16 +403,9 @@ impl DistinctSampler for FusedWr {
 /// system, so jumping and replaying the coordinator's slot hook once is
 /// observationally identical to stepping — which keeps `advance` cheap
 /// for serving layers whose idle tenants wake up far in the future.
-///
-/// The adapter is generic over the candidate-set backend. The default is
-/// the [`FlatStaircase`] — Lemma 10 keeps `Tᵢ` a few dozen entries, where
-/// one sorted vec beats the treap's pointer-chasing — while the simulator
-/// clusters keep the paper's treap; the two backends are conformance- and
-/// differential-tested to be observationally identical, so the choice is
-/// purely a performance one.
 #[derive(Debug, Clone)]
-pub struct FusedSliding<T: CandidateSet = FlatStaircase> {
-    site: SwSite<T>,
+pub struct FusedSliding {
+    site: SwSite,
     coordinator: SwCoordinator,
     now: Slot,
     /// Batch-hash scratch, reused across `observe_batch` calls (transient;
@@ -422,7 +414,7 @@ pub struct FusedSliding<T: CandidateSet = FlatStaircase> {
     messages: u64,
 }
 
-impl<T: CandidateSet + Default> FusedSliding<T> {
+impl FusedSliding {
     /// Build from the same config a distributed deployment would use
     /// (`k = 1` registry sizing, same hash, same coordinator mode).
     #[must_use]
@@ -494,7 +486,7 @@ impl<T: CandidateSet + Default> FusedSliding<T> {
     }
 }
 
-impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSliding<T> {
+impl DistinctSampler for FusedSliding {
     fn clock(&self) -> Slot {
         self.now
     }
@@ -586,8 +578,8 @@ impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSliding<T> {
 /// [`MultiSwCoordinator`] — `s` independent copies of Algorithms 3 & 4
 /// advanced by one shared clock.
 #[derive(Debug, Clone)]
-pub struct FusedSlidingMulti<T: CandidateSet = FlatStaircase> {
-    site: MultiSwSite<T>,
+pub struct FusedSlidingMulti {
+    site: MultiSwSite,
     coordinator: MultiSwCoordinator,
     now: Slot,
     /// Batch-hash scratch, reused across `observe_batch` calls (transient;
@@ -596,7 +588,7 @@ pub struct FusedSlidingMulti<T: CandidateSet = FlatStaircase> {
     messages: u64,
 }
 
-impl<T: CandidateSet + Default> FusedSlidingMulti<T> {
+impl FusedSlidingMulti {
     /// Build `s` fused sliding copies from a deployment config.
     #[must_use]
     pub fn new(config: &MultiSlidingConfig) -> Self {
@@ -658,7 +650,7 @@ impl<T: CandidateSet + Default> FusedSlidingMulti<T> {
     }
 }
 
-impl<T: CandidateSet + Default + Send> DistinctSampler for FusedSlidingMulti<T> {
+impl DistinctSampler for FusedSlidingMulti {
     fn clock(&self) -> Slot {
         self.now
     }
@@ -1133,7 +1125,7 @@ mod tests {
         use dds_data::{SlottedInput, TraceLikeStream, TraceProfile};
         let window = 12;
         let config = SlidingConfig::with_seed(window, 404);
-        let mut fused = FusedSliding::<FlatStaircase>::new(&config);
+        let mut fused = FusedSliding::new(&config);
         let mut sim = config.cluster(1);
         let mut oracle = SlidingOracle::new(window, config.hasher());
         let profile = TraceProfile {
@@ -1186,7 +1178,7 @@ mod tests {
     #[test]
     fn fused_sliding_fast_forward_is_exact() {
         let config = SlidingConfig::with_seed(10, 77);
-        let mut fused = FusedSliding::<FlatStaircase>::new(&config);
+        let mut fused = FusedSliding::new(&config);
         let mut sim = config.cluster(1);
         // Gap 1: from pristine state.
         fused.advance(Slot(5_000));
@@ -1214,7 +1206,7 @@ mod tests {
         use dds_data::{SlottedInput, TraceLikeStream, TraceProfile};
         let spec = SamplerSpec::new(SamplerKind::SlidingMulti { window: 20 }, 4, 909);
         let config = MultiSlidingConfig::with_seed(4, 20, 909);
-        let mut fused = FusedSlidingMulti::<FlatStaircase>::new(&config);
+        let mut fused = FusedSlidingMulti::new(&config);
         let mut sim = config.cluster(1);
         let mut oracles = spec.sliding_oracles();
         assert_eq!(oracles.len(), 4);
@@ -1294,7 +1286,7 @@ mod tests {
     fn faithful_mode_fast_forwards_after_drain() {
         use crate::sliding::CoordinatorMode;
         let config = SlidingConfig::with_seed(5, 3).mode(CoordinatorMode::Faithful);
-        let mut fused = FusedSliding::<FlatStaircase>::new(&config);
+        let mut fused = FusedSliding::new(&config);
         let mut sim = config.cluster(1);
         DistinctSampler::observe(&mut fused, Element(9));
         sim.observe(SiteId(0), Element(9));

@@ -1,8 +1,9 @@
 //! Algorithms 3 & 4 — distinct sampling over time-based sliding windows
 //! (`s = 1`).
 //!
-//! Each site keeps the candidate set `Tᵢ` (a [`CandidateSet`], by default
-//! the paper's treap) plus its view `(eᵢ, uᵢ, tᵢ)` of the global sample.
+//! Each site keeps the candidate set `Tᵢ` (a [`FlatStaircase`]: Lemma 10
+//! keeps it logarithmic, so one sorted `Vec` serves where the paper
+//! suggests a treap) plus its view `(eᵢ, uᵢ, tᵢ)` of the global sample.
 //! A site contacts the coordinator when (a) a new element beats `uᵢ`, or
 //! (b) its sample view expires, in which case it falls back to its local
 //! minimum and announces it. The coordinator keeps the winning tuple
@@ -35,18 +36,18 @@
 //! `O(k)` coordinator memory and **zero extra messages**: the coordinator
 //! remembers each site's last announcement and, when `(e*, t*)` expires,
 //! falls back to the minimum live remembered tuple — mirroring the sites'
-//! own treap fallback. Every differential test passes in this mode.
+//! own candidate-set fallback. Every differential test passes in this mode.
 //! [`CoordinatorMode::Faithful`] keeps the published behaviour; the test
 //! `faithful_mode_diverges_from_oracle` pins the gap so the finding
 //! stays reproducible. Message *counts* are essentially unchanged between
-//! modes (the registry never transmits), so the figure benches reflect
+//! modes (the registry never transmits), so the figures reflect
 //! the paper's protocol either way.
 
 use dds_hash::family::HashFamily;
 use dds_hash::{SeededHash, UnitHash, UnitValue};
 use dds_sim::model::is_expired;
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
-use dds_treap::{CandidateSet, Treap};
+use dds_treap::{CandidateSet, FlatStaircase};
 
 use crate::messages::{SwDown, SwUp};
 
@@ -163,18 +164,9 @@ impl SlidingConfig {
         self.family.primary()
     }
 
-    /// Assemble a cluster using the paper's treap candidate sets.
+    /// Assemble a cluster of `k` sites.
     #[must_use]
-    pub fn cluster(&self, k: usize) -> Cluster<SwSite<Treap>, SwCoordinator> {
-        self.cluster_with::<Treap>(k)
-    }
-
-    /// Assemble a cluster with a chosen candidate-set implementation.
-    #[must_use]
-    pub fn cluster_with<T: CandidateSet + Default>(
-        &self,
-        k: usize,
-    ) -> Cluster<SwSite<T>, SwCoordinator> {
+    pub fn cluster(&self, k: usize) -> Cluster<SwSite, SwCoordinator> {
         let sites = (0..k)
             .map(|_| SwSite::new(self.window, self.hasher()))
             .collect();
@@ -182,18 +174,17 @@ impl SlidingConfig {
     }
 }
 
-/// Algorithm 3 — the per-site state machine, generic over the candidate
-/// set (`Tᵢ`) implementation.
+/// Algorithm 3 — the per-site state machine.
 #[derive(Debug, Clone)]
-pub struct SwSite<T: CandidateSet = Treap> {
+pub struct SwSite {
     hasher: SeededHash,
     window: u64,
-    candidates: T,
+    candidates: FlatStaircase,
     /// `(eᵢ, uᵢ, tᵢ)`; `None` encodes "no sample known" (`uᵢ = 1`).
     view: Option<SampleTuple>,
 }
 
-impl<T: CandidateSet + Default> SwSite<T> {
+impl SwSite {
     /// A site with window `w` sharing the protocol hash function.
     #[must_use]
     pub fn new(window: u64, hasher: SeededHash) -> Self {
@@ -201,7 +192,7 @@ impl<T: CandidateSet + Default> SwSite<T> {
         Self {
             hasher,
             window,
-            candidates: T::default(),
+            candidates: FlatStaircase::new(),
             view: None,
         }
     }
@@ -235,7 +226,7 @@ impl<T: CandidateSet + Default> SwSite<T> {
 
     /// The candidate set `Tᵢ` (for memory probes and tests).
     #[must_use]
-    pub fn candidates(&self) -> &T {
+    pub fn candidates(&self) -> &FlatStaircase {
         &self.candidates
     }
 
@@ -282,7 +273,7 @@ impl<T: CandidateSet + Default> SwSite<T> {
         }
         let view = decode_opt_tuple(r, &hasher)?;
         let n = r.get_len(16)?;
-        let mut candidates = T::default();
+        let mut candidates = FlatStaircase::new();
         for _ in 0..n {
             let e = r.get_element()?;
             let expiry = r.get_slot()?;
@@ -300,7 +291,7 @@ impl<T: CandidateSet + Default> SwSite<T> {
     }
 }
 
-impl<T: CandidateSet + Default> SiteNode for SwSite<T> {
+impl SiteNode for SwSite {
     type Up = SwUp;
     type Down = SwDown;
 
@@ -534,20 +525,13 @@ mod tests {
     use super::*;
     use crate::centralized::SlidingOracle;
     use dds_data::{DistinctOnlyStream, SlottedInput, TraceLikeStream, TraceProfile};
-    use dds_treap::StaircaseSet;
 
     /// Drive a cluster + oracle over a slotted input; check the
     /// coordinator's answer against the true window minimum after every
     /// completed slot.
-    fn run_against_oracle<T: CandidateSet + Default>(
-        mode: CoordinatorMode,
-        window: u64,
-        k: usize,
-        slots: u64,
-        seed: u64,
-    ) {
+    fn run_against_oracle(mode: CoordinatorMode, window: u64, k: usize, slots: u64, seed: u64) {
         let config = SlidingConfig::with_seed(window, 7_000 + seed).mode(mode);
-        let mut cluster = config.cluster_with::<T>(k);
+        let mut cluster = config.cluster(k);
         let mut oracle = SlidingOracle::new(window, config.hasher());
         let profile = TraceProfile {
             name: "t",
@@ -589,32 +573,22 @@ mod tests {
 
     #[test]
     fn matches_oracle_small_window() {
-        run_against_oracle::<Treap>(CoordinatorMode::Registry, 4, 3, 300, 1);
+        run_against_oracle(CoordinatorMode::Registry, 4, 3, 300, 1);
     }
 
     #[test]
     fn matches_oracle_medium_window() {
-        run_against_oracle::<Treap>(CoordinatorMode::Registry, 25, 5, 400, 2);
+        run_against_oracle(CoordinatorMode::Registry, 25, 5, 400, 2);
     }
 
     #[test]
     fn matches_oracle_large_window() {
-        run_against_oracle::<Treap>(CoordinatorMode::Registry, 100, 10, 300, 3);
-    }
-
-    #[test]
-    fn matches_oracle_staircase_backend() {
-        run_against_oracle::<StaircaseSet>(CoordinatorMode::Registry, 25, 5, 400, 6);
+        run_against_oracle(CoordinatorMode::Registry, 100, 10, 300, 3);
     }
 
     #[test]
     fn matches_oracle_flat_backend() {
-        run_against_oracle::<dds_treap::FlatStaircase>(CoordinatorMode::Registry, 25, 5, 400, 6);
-    }
-
-    #[test]
-    fn matches_oracle_flat_backend_small_window() {
-        run_against_oracle::<dds_treap::FlatStaircase>(CoordinatorMode::Registry, 4, 3, 300, 1);
+        run_against_oracle(CoordinatorMode::Registry, 25, 5, 400, 6);
     }
 
     #[test]
@@ -622,12 +596,12 @@ mod tests {
         // With one site, every reply syncs the lone site to the
         // coordinator exactly, so even the published pseudocode is
         // airtight.
-        run_against_oracle::<Treap>(CoordinatorMode::Faithful, 10, 1, 300, 4);
+        run_against_oracle(CoordinatorMode::Faithful, 10, 1, 300, 4);
     }
 
     #[test]
     fn matches_oracle_window_one() {
-        run_against_oracle::<Treap>(CoordinatorMode::Registry, 1, 4, 200, 5);
+        run_against_oracle(CoordinatorMode::Registry, 1, 4, 200, 5);
     }
 
     /// The published pseudocode's gap (see module docs): on multi-site
@@ -702,43 +676,6 @@ mod tests {
             run(CoordinatorMode::Faithful),
             run(CoordinatorMode::Registry)
         );
-    }
-
-    #[test]
-    fn treap_and_staircase_agree_on_messages() {
-        let run = |use_staircase: bool| {
-            let config = SlidingConfig::with_seed(20, 77);
-            let profile = TraceProfile {
-                name: "t",
-                total: 2_000,
-                distinct: 800,
-            };
-            let input = SlottedInput::new(TraceLikeStream::new(profile, 3), 4, 5, 11);
-            if use_staircase {
-                let mut c = config.cluster_with::<StaircaseSet>(4);
-                for (slot, batch) in input {
-                    while c.now() < slot {
-                        c.advance_slot();
-                    }
-                    for (site, e) in batch {
-                        c.observe(site, e);
-                    }
-                }
-                (c.counters().clone(), c.sample())
-            } else {
-                let mut c = config.cluster_with::<Treap>(4);
-                for (slot, batch) in input {
-                    while c.now() < slot {
-                        c.advance_slot();
-                    }
-                    for (site, e) in batch {
-                        c.observe(site, e);
-                    }
-                }
-                (c.counters().clone(), c.sample())
-            }
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

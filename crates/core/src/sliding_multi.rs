@@ -5,7 +5,7 @@
 //! `j` under hash `h_j`; the answer is the vector of copy samples — `s`
 //! independent uniform draws from the window's distinct elements. Message
 //! cost is `s ×` the single-copy cost; per-site memory is the sum of `s`
-//! candidate treaps, i.e. expected `O(s·log|Dᵢ(t,w)|)`.
+//! candidate sets, i.e. expected `O(s·log|Dᵢ(t,w)|)`.
 //!
 //! Together with [`crate::sliding_nofeedback`] (bottom-`s` *without*
 //! replacement via the s-skyband) this completes the sliding-window
@@ -16,7 +16,6 @@
 use dds_hash::family::HashFamily;
 use dds_hash::{SeededHash, UnitValue};
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
-use dds_treap::{CandidateSet, Treap};
 
 use crate::messages::{CopyDown, CopyUp, SwDown, SwUp};
 use crate::sliding::{CoordinatorMode, SwCoordinator, SwSite};
@@ -67,15 +66,13 @@ impl MultiSlidingConfig {
     }
 }
 
-/// Site: `s` independent [`SwSite`]s, generic over the candidate-set
-/// backend (the simulator keeps the paper's treap; the fused adapter
-/// defaults to the flat staircase).
+/// Site: `s` independent [`SwSite`]s.
 #[derive(Debug, Clone)]
-pub struct MultiSwSite<T: CandidateSet = Treap> {
-    copies: Vec<SwSite<T>>,
+pub struct MultiSwSite {
+    copies: Vec<SwSite>,
 }
 
-impl<T: CandidateSet + Default> MultiSwSite<T> {
+impl MultiSwSite {
     /// A site given the copy hash functions.
     #[must_use]
     pub fn new(window: u64, hashers: Vec<SeededHash>) -> Self {
@@ -153,7 +150,7 @@ impl<T: CandidateSet + Default> MultiSwSite<T> {
     }
 }
 
-impl<T: CandidateSet + Default> SiteNode for MultiSwSite<T> {
+impl SiteNode for MultiSwSite {
     type Up = CopyUp<SwUp>;
     type Down = CopyDown<SwDown>;
 

@@ -1,6 +1,5 @@
 //! Property: fusing the sliding-window protocol is *relocation*, not
-//! reimplementation — and the candidate-set backend is *representation*,
-//! not behaviour.
+//! reimplementation.
 //!
 //! Over arbitrary interleavings of slot advances and observations, a
 //! [`FusedSliding`] instance must agree with a `k = 1`
@@ -8,32 +7,20 @@
 //! same sample after every slot boundary and after every observation,
 //! and the same cumulative message count (the traffic the fused halves
 //! *would* have put on the wire). The multi-copy adapter carries the
-//! same contract against the multi-sliding cluster.
-//!
-//! Every fused-vs-cluster property here runs under **both** candidate-set
-//! backends (the paper's treap and the flat staircase), and dedicated
-//! properties pit the two backends directly against each other — samples,
-//! memory, and message counts over arbitrary observe/advance
-//! interleavings — plus `observe_batch` against the per-element loop it
-//! must be indistinguishable from.
+//! same contract against the multi-sliding cluster, and `observe_batch`
+//! must be indistinguishable from the per-element loop it replaces.
 
 use dds_core::sampler::{DistinctSampler, FusedSliding, FusedSlidingMulti};
 use dds_core::sliding::SlidingConfig;
 use dds_core::sliding_multi::MultiSlidingConfig;
 use dds_sim::{CoordinatorNode, Element, SiteId, Slot};
-use dds_treap::{CandidateSet, FlatStaircase, Treap};
 use proptest::prelude::*;
 
-/// Single-sample sliding vs the k = 1 cluster, generic over the backend:
-/// exact sample, message, and memory agreement at every step, through
-/// drain.
-fn check_tracks_k1_cluster<T: CandidateSet + Default + Send>(
-    ops: &[(u64, u64)],
-    window: u64,
-    seed: u64,
-) {
+/// Single-sample sliding vs the k = 1 cluster: exact sample, message,
+/// and memory agreement at every step, through drain.
+fn check_tracks_k1_cluster(ops: &[(u64, u64)], window: u64, seed: u64) {
     let config = SlidingConfig::with_seed(window, 9_000 + seed);
-    let mut fused = FusedSliding::<T>::new(&config);
+    let mut fused = FusedSliding::new(&config);
     let mut sim = config.cluster(1);
     for &(gap, e) in ops {
         for _ in 0..gap {
@@ -87,57 +74,17 @@ fn check_tracks_k1_cluster<T: CandidateSet + Default + Send>(
 
 proptest! {
     #[test]
-    fn fused_sliding_tracks_k1_cluster_exactly_treap(
-        ops in prop::collection::vec((0u64..4, 0u64..60), 1..250),
-        window in 1u64..40,
-        seed in 0u64..500,
-    ) {
-        check_tracks_k1_cluster::<Treap>(&ops, window, seed);
-    }
-
-    #[test]
     fn fused_sliding_tracks_k1_cluster_exactly_flat(
         ops in prop::collection::vec((0u64..4, 0u64..60), 1..250),
         window in 1u64..40,
         seed in 0u64..500,
     ) {
-        check_tracks_k1_cluster::<FlatStaircase>(&ops, window, seed);
-    }
-
-    /// The two backends head to head inside the same adapter: identical
-    /// samples, thresholds, memory footprints, and message counts at
-    /// every query point of an arbitrary observe/advance interleaving.
-    #[test]
-    fn flat_and_treap_backends_agree_exactly(
-        ops in prop::collection::vec((0u64..4, 0u64..60), 1..250),
-        window in 1u64..40,
-        seed in 0u64..500,
-    ) {
-        let config = SlidingConfig::with_seed(window, 21_000 + seed);
-        let mut flat = FusedSliding::<FlatStaircase>::new(&config);
-        let mut treap = FusedSliding::<Treap>::new(&config);
-        let mut now = 0u64;
-        for &(gap, e) in &ops {
-            now += gap;
-            flat.advance(Slot(now));
-            treap.advance(Slot(now));
-            flat.observe(Element(e));
-            treap.observe(Element(e));
-            prop_assert_eq!(flat.sample(), treap.sample(), "sample at {}", now);
-            prop_assert_eq!(flat.threshold(), treap.threshold(), "threshold at {}", now);
-            prop_assert_eq!(flat.memory_tuples(), treap.memory_tuples(), "memory at {}", now);
-            prop_assert_eq!(
-                flat.protocol_messages(),
-                treap.protocol_messages(),
-                "messages at {}", now
-            );
-        }
+        check_tracks_k1_cluster(&ops, window, seed);
     }
 
     /// `observe_batch` must be indistinguishable from the per-element
     /// loop it replaces — same samples, memory, and message counts under
-    /// arbitrary batch splits — for both backends and for the batched
-    /// infinite-window adapter driven through the boxed interface.
+    /// arbitrary batch splits.
     #[test]
     fn observe_batch_equals_per_element_loop(
         ops in prop::collection::vec((0u64..3, prop::collection::vec(0u64..60, 0..20)), 1..40),
@@ -145,31 +92,23 @@ proptest! {
         seed in 0u64..200,
     ) {
         let config = SlidingConfig::with_seed(window, 33_000 + seed);
-        let mut batched = FusedSliding::<FlatStaircase>::new(&config);
-        let mut looped = FusedSliding::<FlatStaircase>::new(&config);
-        let mut treap_batched = FusedSliding::<Treap>::new(&config);
+        let mut batched = FusedSliding::new(&config);
+        let mut looped = FusedSliding::new(&config);
         let mut now = 0u64;
         for (gap, raw) in &ops {
             now += gap;
             let batch: Vec<Element> = raw.iter().copied().map(Element).collect();
             batched.observe_batch_at(Slot(now), &batch);
-            treap_batched.observe_batch_at(Slot(now), &batch);
             looped.advance(Slot(now));
             for &e in &batch {
                 looped.observe(e);
             }
             prop_assert_eq!(batched.sample(), looped.sample(), "sample at {}", now);
-            prop_assert_eq!(batched.sample(), treap_batched.sample(), "treap sample at {}", now);
             prop_assert_eq!(batched.memory_tuples(), looped.memory_tuples(), "memory at {}", now);
             prop_assert_eq!(
                 batched.protocol_messages(),
                 looped.protocol_messages(),
                 "messages at {}", now
-            );
-            prop_assert_eq!(
-                batched.protocol_messages(),
-                treap_batched.protocol_messages(),
-                "treap messages at {}", now
             );
         }
     }
@@ -184,8 +123,8 @@ proptest! {
         window in 1u64..20,
     ) {
         let config = MultiSlidingConfig::with_seed(s, window, 47);
-        let mut batched = FusedSlidingMulti::<FlatStaircase>::new(&config);
-        let mut looped = FusedSlidingMulti::<FlatStaircase>::new(&config);
+        let mut batched = FusedSlidingMulti::new(&config);
+        let mut looped = FusedSlidingMulti::new(&config);
         let mut now = 0u64;
         for (gap, raw) in &ops {
             now += gap;
@@ -214,7 +153,7 @@ proptest! {
         window in 1u64..25,
     ) {
         let config = MultiSlidingConfig::with_seed(s, window, 31);
-        let mut fused = FusedSlidingMulti::<FlatStaircase>::new(&config);
+        let mut fused = FusedSlidingMulti::new(&config);
         let mut sim = config.cluster(1);
         for &(gap, e) in &ops {
             for _ in 0..gap {
@@ -241,7 +180,7 @@ proptest! {
         window in 1u64..10,
     ) {
         let config = SlidingConfig::with_seed(window, 77);
-        let mut fused = FusedSliding::<FlatStaircase>::new(&config);
+        let mut fused = FusedSliding::new(&config);
         let mut sim = config.cluster(1);
         for (i, &gap) in gaps.iter().enumerate() {
             fused.observe(Element(i as u64 % 7));

@@ -6,9 +6,8 @@
 //!    the per-copy seeds of a [`crate::family::HashFamily`] from a single
 //!    master seed — guaranteeing distinct, well-separated seeds without any
 //!    RNG dependency.
-//! 2. [`SplitMix64`] is a tiny deterministic PRNG used by `dds-treap` for
-//!    treap priorities, keeping the data-structure crates free of external
-//!    dependencies.
+//! 2. [`SplitMix64`] is a tiny deterministic PRNG for tests and data
+//!    generators, keeping the workspace free of external RNG dependencies.
 
 /// One application of the SplitMix64 output mixer to `x + GOLDEN_GAMMA`.
 ///
@@ -33,8 +32,8 @@ pub fn splitmix64_keyed(x: u64, seed: u64) -> u64 {
 
 /// A minimal deterministic PRNG built on SplitMix64.
 ///
-/// Satisfies the needs of treap priorities and synthetic-data generation
-/// seeding without pulling `rand` into foundational crates.
+/// Satisfies the needs of tests and synthetic-data generation seeding
+/// without pulling `rand` into foundational crates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,

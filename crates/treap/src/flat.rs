@@ -1,8 +1,8 @@
-//! Flat sorted-vec staircase — the small-`s` fast path for `Tᵢ`.
+//! Flat sorted-vec staircase — the candidate set `Tᵢ`.
 //!
 //! Lemma 10 bounds the expected candidate-set size by `H_{|Dᵢ|}` — a few
-//! dozen entries even for million-element windows. At that size the
-//! treap's pointer-chasing (arena indices + a `HashMap` element index)
+//! dozen entries even for million-element windows. At that size a
+//! search tree's pointer-chasing (node indices plus an element index)
 //! costs more than it saves: a single contiguous `Vec<CandidateEntry>`
 //! kept in key order fits in one or two cache lines, and every operation
 //! is a binary search plus a `memmove`.
@@ -31,10 +31,9 @@
 //! expiries and distinct elements that share a hash take the general
 //! path.
 //!
-//! Semantics are identical to [`crate::Treap`] and
-//! [`crate::StaircaseSet`] (same conformance suite, differential-tested
-//! at the sliding-window protocol level), so `SwSite` can pick a backend
-//! purely on performance.
+//! The conformance suite and the differential property tests
+//! (`tests/differential.rs`) hold it to [`crate::NaiveCandidateSet`], the
+//! definition-level oracle.
 
 use dds_sim::{Element, Slot};
 
@@ -320,7 +319,7 @@ mod tests {
 
     #[test]
     fn expected_size_is_logarithmic() {
-        // Lemma 10: E[|Tᵢ|] ≤ H_M — same bound the treap test pins.
+        // Lemma 10: E[|Tᵢ|] ≤ H_M.
         let mut s = FlatStaircase::new();
         let mut rng = dds_hash::splitmix::SplitMix64::new(5);
         let m = 1024u64;

@@ -9,24 +9,23 @@
 //!
 //! The paper suggests a treap (Seidel–Aragon) for `Tᵢ`, following the
 //! priority-sampling-over-sliding-windows idea of Babcock, Datar & Motwani
-//! (SODA '02), which also gives the expected size `E[|Tᵢ|] ≤ H_{|Dᵢ|}`
-//! (Lemma 10 — logarithmic in the number of distinct in-window elements).
+//! (SODA '02). Its own Lemma 10 bounds the expected size by
+//! `E[|Tᵢ|] ≤ H_{|Dᵢ|}` — logarithmic in the number of distinct in-window
+//! elements, a few dozen entries even for million-element windows. At that
+//! size a balanced search tree buys nothing: one sorted `Vec` answers every
+//! query with a binary search and a `memmove`, in one or two cache lines.
+//! So the candidate set here is that `Vec`, and the treap is gone. The
+//! candidate set is invisible to the protocol — every figure CSV of the
+//! paper's evaluation (`experiments table51 … fig57 fig59 ext_ablation`,
+//! including the tuple counts of Figures 5.7 and 5.9) came out
+//! byte-identical when the treap was replaced.
 //!
-//! This crate provides four interchangeable implementations plus shared
-//! semantics:
+//! This crate provides:
 //!
-//! * [`treap`] — an arena-based randomized treap keyed by
-//!   `(expiry, element)` and augmented with subtree min/max hash, giving
-//!   `O(log n)` insert, refresh, expiry sweep, dominance sweep and
-//!   min-hash query. This is the structure the paper names.
-//! * [`staircase`] — a `BTreeMap`-based monotonic "staircase" exploiting
-//!   the anti-chain invariant (hash strictly increases with expiry among
-//!   surviving tuples); simpler, and used for differential testing.
-//! * [`flat`] — the same staircase flattened into one sorted `Vec`:
-//!   inline `(e, u, t)` tuples, no per-node allocation, no side index.
-//!   Since Lemma 10 bounds `E[|Tᵢ|]` logarithmically, this is the fastest
-//!   backend in the common small-`s` regime and the default behind the
-//!   fused sliding samplers.
+//! * [`flat`] — the staircase of surviving tuples kept in one sorted `Vec`:
+//!   inline `(e, u, t)` tuples, no per-node allocation, no side index. It
+//!   backs every sliding-window site: the `dds-sim` clusters, the fused
+//!   samplers of the engine and the cluster's site daemons.
 //! * [`naive`] — an O(n²) straight-from-the-definition implementation:
 //!   the oracle for property-based tests.
 //! * [`skyband`] — the s-**skyband** generalisation (keep a tuple unless
@@ -34,6 +33,10 @@
 //!   from a single sample to bottom-`s` *without replacement* — the
 //!   "straightforward extension to larger sample sizes" of §4.1,
 //!   made concrete.
+//!
+//! [`CandidateSet`] is the contract the conformance suite and the
+//! differential property tests hold [`FlatStaircase`] and
+//! [`NaiveCandidateSet`] to.
 //!
 //! ## Dominance convention
 //!
@@ -54,12 +57,8 @@ pub mod candidate;
 pub mod flat;
 pub mod naive;
 pub mod skyband;
-pub mod staircase;
-pub mod treap;
 
 pub use candidate::{CandidateEntry, CandidateSet};
 pub use flat::FlatStaircase;
 pub use naive::NaiveCandidateSet;
 pub use skyband::SkybandSet;
-pub use staircase::StaircaseSet;
-pub use treap::Treap;

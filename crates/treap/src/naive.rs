@@ -3,7 +3,7 @@
 //! Stores tuples in a plain `Vec` and re-derives the dominance invariant by
 //! quadratic scan after every mutation. Obviously correct, obviously slow;
 //! its only job is to adjudicate differential tests against
-//! [`crate::treap::Treap`] and [`crate::staircase::StaircaseSet`].
+//! [`crate::FlatStaircase`].
 
 use dds_sim::{Element, Slot};
 

@@ -4,7 +4,7 @@
 //! representative of the distinct elements seen in the last `w` timesteps
 //! (Algorithms 3 & 4). The example prints a live-style dashboard every
 //! few hundred slots: the current window sample, the per-site candidate
-//! memory (the treap `Tᵢ` — Lemma 10 says it stays logarithmic), and the
+//! memory (the candidate set `Tᵢ` — Lemma 10 says it stays logarithmic), and the
 //! cumulative message cost.
 //!
 //! Run with: `cargo run --release --example sliding_dashboard`

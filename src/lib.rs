@@ -39,7 +39,7 @@
 //! |---|---|
 //! | [`dds_core`] | the paper's algorithms: infinite window (Alg. 1–2), sliding windows (Alg. 3–4), Broadcast baseline, with-replacement, no-feedback variant, DRS baselines, analytic bounds |
 //! | [`dds_sim`] | the continuous distributed monitoring model: site/coordinator traits, synchronous runner, exact message accounting |
-//! | [`dds_treap`] | candidate-set structures for sliding windows: the paper's treap, a staircase twin, the s-skyband generalisation |
+//! | [`dds_treap`] | candidate-set structures for sliding windows: the flat staircase every sliding site runs (Lemma 10 keeps it logarithmic, so a sorted `Vec` replaces the paper's treap), its naive oracle, the s-skyband generalisation |
 //! | [`dds_hash`] | MurmurHash2/3, SplitMix64, SipHash-1-3, seeded unit-interval families |
 //! | [`dds_data`] | calibrated OC48-like / Enron-like synthetic traces, Zipf, routing strategies, slotted schedules |
 //! | [`dds_stats`] | KMV distinct-count estimation, predicate estimators, chi-square / KS machinery |
