@@ -46,9 +46,12 @@
 
 mod conn;
 mod coordinator;
+#[cfg(test)]
+mod explorer;
 mod handle;
 mod local;
 mod machine;
+mod sequencer;
 mod site;
 #[cfg(test)]
 mod tests;

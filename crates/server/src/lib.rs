@@ -5,7 +5,9 @@
 //! (normally an [`EngineHost`](dds_proto::EngineHost) wrapping an
 //! engine) behind a TCP or Unix socket: one event loop owns every
 //! connection, with framed decode, in-order pipelined responses, and
-//! graceful shutdown.
+//! graceful shutdown. That loop, [`evented::EventLoop`], is generic
+//! over a [`evented::Handler`]; the cluster coordinator in
+//! `dds-cluster` runs the same loop with its own handler.
 //! [`Client`] is the typed other end: the engine's full API with
 //! client-side batching, ack pipelining, a [`TenantHandle`] convenience
 //! view, and exact byte accounting on every frame.
@@ -41,7 +43,7 @@
 #![warn(missing_docs)]
 
 mod client;
-mod evented;
+pub mod evented;
 pub mod net;
 mod server;
 

@@ -1,13 +1,22 @@
 //! The wire server: an [`EngineService`] behind a listening socket.
 //!
-//! One readiness-driven event loop owns the listener and every
-//! connection; a small worker pool runs the requests that can block
-//! (the `evented` module holds both). Each connection is a framed
-//! stream: decode one request frame, dispatch it into the service,
-//! answer with one outcome frame, in order. Because responses go out
-//! strictly in request order, a client may *pipeline*: send any number
-//! of requests before reading, and pair responses back up by position
-//! (exactly what [`crate::Client`] does for ingest acks).
+//! One readiness-driven [`EventLoop`] owns the listener and every
+//! connection; this module is its engine [`Handler`], plus a small
+//! worker pool for the requests that can block. Each connection is a
+//! framed stream: decode one request frame, dispatch it into the
+//! service, answer with one outcome frame, in order. Because responses
+//! go out strictly in request order, a client may *pipeline*: send any
+//! number of requests before reading, and pair responses back up by
+//! position (exactly what [`crate::Client`] does for ingest acks).
+//!
+//! The non-blocking ingest family (observe/advance) executes inline on
+//! the loop — a worker round trip costs more than the request — while
+//! anything that can block or burn CPU (flush barriers, snapshots,
+//! checkpoints) goes to the pool, and its connection is parked until
+//! the answer comes back. One request per connection in the pool keeps
+//! responses, and the connection's engine effects, in request order, so
+//! a served engine stays byte-exact with an in-process twin fed the same
+//! requests (the loopback suite pins it).
 //!
 //! A malformed frame (bad magic, bad checksum, oversized length) is
 //! answered with a typed error frame and the connection is closed —
@@ -30,14 +39,20 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 #[cfg(unix)]
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
+use dds_core::checkpoint::CheckpointError;
 use dds_engine::{EngineError, TenantId};
 use dds_obs::{Counter, Histogram, Registry, TelemetrySnapshot};
+use dds_proto::frame::OVERHEAD_BYTES;
 use dds_proto::message::{decode_batch_request, encode_outcome_checked, Request, Response};
 use dds_proto::{opcode, EngineService};
+use dds_reactor::Waker;
 use dds_sim::Element;
 
+use crate::evented::{ConnId, EventLoop, Handler, Io};
 use crate::net::{Endpoint, Listener};
 
 /// Byte and frame counters, shared across all connections. The server
@@ -65,52 +80,31 @@ pub struct ServerStats {
     pub bytes_sent: u64,
 }
 
-/// Registered transport-telemetry handles (the registry keys stay
-/// queryable; these are the hot-path clones).
-pub(crate) struct Telemetry {
-    pub(crate) accept_errors: Counter,
-    pub(crate) connections_opened: Counter,
-    pub(crate) connections_closed: Counter,
-    pub(crate) connections_failed: Counter,
-    pub(crate) request_panics: Counter,
-    pub(crate) decode_nanos: Histogram,
-    pub(crate) handle_nanos: Histogram,
-    pub(crate) respond_nanos: Histogram,
-}
-
-impl Telemetry {
-    fn register(registry: &Registry) -> Self {
-        Self {
-            accept_errors: registry.counter("server_accept_errors_total"),
-            connections_opened: registry.counter("server_connections_opened_total"),
-            connections_closed: registry.counter("server_connections_closed_total"),
-            connections_failed: registry.counter("server_connections_failed_total"),
-            request_panics: registry.counter("server_request_panics_total"),
-            decode_nanos: registry.histogram("server_decode_nanos"),
-            handle_nanos: registry.histogram("server_handle_nanos"),
-            respond_nanos: registry.histogram("server_respond_nanos"),
-        }
-    }
-}
-
+/// What the loop thread and the pool workers share. The request
+/// series are hot-path clones of registry handles; the loop registers
+/// its own (accepts, connection lifecycle, turns, buffers, writes)
+/// under the same `server_` prefix.
 pub(crate) struct Shared {
     pub(crate) service: Arc<dyn EngineService>,
     pub(crate) stop: AtomicBool,
     pub(crate) counters: Counters,
     pub(crate) registry: Arc<Registry>,
-    pub(crate) obs: Telemetry,
+    request_panics: Counter,
+    decode_nanos: Histogram,
+    handle_nanos: Histogram,
 }
 
 impl Shared {
     pub(crate) fn new(service: Arc<dyn EngineService>) -> Shared {
         let registry = Arc::new(Registry::new());
-        let obs = Telemetry::register(&registry);
         Shared {
             service,
             stop: AtomicBool::new(false),
             counters: Counters::default(),
+            request_panics: registry.counter("server_request_panics_total"),
+            decode_nanos: registry.histogram("server_decode_nanos"),
+            handle_nanos: registry.histogram("server_handle_nanos"),
             registry,
-            obs,
         }
     }
 }
@@ -133,7 +127,9 @@ pub enum ServerConfig {
 /// Unix socket.
 pub struct Server {
     shared: Arc<Shared>,
-    handle: crate::evented::Handle,
+    waker: Arc<Waker>,
+    loop_thread: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     endpoint: Endpoint,
 }
 
@@ -194,10 +190,38 @@ impl Server {
         let ServerConfig::Evented { workers } = config;
         let endpoint = listener.endpoint();
         let shared = Arc::new(Shared::new(service));
-        let handle = crate::evented::spawn(listener, Arc::clone(&shared), workers)?;
+        let worker_count = if workers == 0 {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+                .min(4)
+        } else {
+            workers
+        };
+        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let (done_tx, done_rx) = mpsc::channel::<Completion>();
+        let serve = Serve::new(Arc::clone(&shared), job_tx, done_rx);
+        // Built here, not on the loop thread, so the loop's instruments
+        // are registered before `bind_*` returns and a first scrape sees
+        // them.
+        let (event_loop, waker) = EventLoop::new(listener, &shared.registry, "server", serve)?;
+        let waker = Arc::new(waker);
+        let workers = (0..worker_count)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                let job_rx = Arc::clone(&job_rx);
+                let done_tx = done_tx.clone();
+                let waker = Arc::clone(&waker);
+                std::thread::spawn(move || worker(&shared, &job_rx, &done_tx, &waker))
+            })
+            .collect();
+        let loop_thread = std::thread::spawn(move || drop(event_loop.run()));
         Ok(Server {
             shared,
-            handle,
+            waker,
+            loop_thread: Some(loop_thread),
+            workers,
             endpoint,
         })
     }
@@ -253,7 +277,15 @@ impl Server {
         if self.shared.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.handle.stop();
+        self.waker.wake();
+        if let Some(t) = self.loop_thread.take() {
+            let _ = t.join();
+        }
+        // The loop dropped its handler, and with it the job sender, on
+        // exit, so workers drain their queue and see the disconnect.
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
         self.endpoint.cleanup();
     }
 }
@@ -266,21 +298,170 @@ impl Drop for Server {
     }
 }
 
+/// A decoded request on its way to the worker pool.
+pub(crate) struct Job {
+    conn: ConnId,
+    op: u8,
+    payload: Vec<u8>,
+}
+
+/// An executed request on its way back: the fully encoded response
+/// frame, plus the payload buffer for recycling.
+pub(crate) struct Completion {
+    conn: ConnId,
+    frame: Vec<u8>,
+    payload: Vec<u8>,
+}
+
+/// One pool worker: execute requests, send back encoded frames. All
+/// request semantics live in [`respond`], shared byte-for-byte with
+/// the loop's inline path.
+///
+/// The workers share one receiver: the one holding the lock waits on
+/// the queue, the rest wait on the lock. Nothing panics while holding
+/// it, but a poisoned lock is recovered rather than taking the pool
+/// down with it.
+fn worker(
+    shared: &Arc<Shared>,
+    job_rx: &Mutex<Receiver<Job>>,
+    done_tx: &Sender<Completion>,
+    waker: &Arc<Waker>,
+) {
+    // Worker-local batch scratch, reused by every job it runs.
+    let mut batch_scratch = Vec::new();
+    loop {
+        let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = job else {
+            return; // loop gone: shutdown
+        };
+        let frame = respond(shared, job.op, &job.payload, &mut batch_scratch);
+        let done = Completion {
+            conn: job.conn,
+            frame,
+            payload: job.payload,
+        };
+        if done_tx.send(done).is_err() {
+            return; // loop gone: shutdown
+        }
+        waker.wake();
+    }
+}
+
+/// A request the loop thread executes itself: the non-blocking ingest
+/// family, whose engine calls are cheap channel pushes. A worker round
+/// trip costs two context switches plus an eventfd wake per frame —
+/// more than the request itself — so pooling these halves small-batch
+/// pipelined throughput.
+fn inline_op(op: u8) -> bool {
+    matches!(
+        op,
+        opcode::OBSERVE
+            | opcode::OBSERVE_AT
+            | opcode::OBSERVE_BATCH
+            | opcode::OBSERVE_BATCH_AT
+            | opcode::ADVANCE
+    )
+}
+
+/// The engine server's [`Handler`]: ingest inline, everything else on
+/// the pool with its connection parked until the answer returns.
+pub(crate) struct Serve {
+    pub(crate) shared: Arc<Shared>,
+    job_tx: Sender<Job>,
+    done_rx: Receiver<Completion>,
+    /// Batch-decode scratch for requests executed inline on the loop.
+    batch_scratch: Vec<(TenantId, Element)>,
+    per_opcode: OpcodeCounters,
+}
+
+impl Serve {
+    pub(crate) fn new(
+        shared: Arc<Shared>,
+        job_tx: Sender<Job>,
+        done_rx: Receiver<Completion>,
+    ) -> Serve {
+        Serve {
+            shared,
+            job_tx,
+            done_rx,
+            batch_scratch: Vec::new(),
+            per_opcode: OpcodeCounters::new(),
+        }
+    }
+
+    /// Queue a response, counting it before the client can observe it.
+    fn reply(&self, io: &mut Io, conn: ConnId, frame: &[u8]) {
+        if io.reply(conn, frame) {
+            self.shared
+                .counters
+                .bytes_sent
+                .fetch_add(frame.len() as u64, Ordering::SeqCst);
+        }
+    }
+}
+
+impl Handler for Serve {
+    fn opened(&mut self, _conn: ConnId) {
+        self.shared
+            .counters
+            .connections
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn frame(&mut self, io: &mut Io, conn: ConnId, op: u8, payload: Vec<u8>) {
+        let frame_bytes = (OVERHEAD_BYTES + payload.len()) as u64;
+        self.shared
+            .counters
+            .bytes_received
+            .fetch_add(frame_bytes, Ordering::Relaxed);
+        self.per_opcode
+            .record(&self.shared.registry, op, frame_bytes);
+        if !inline_op(op) {
+            io.park(conn);
+            let _ = self.job_tx.send(Job { conn, op, payload });
+            return;
+        }
+        let frame = respond(&self.shared, op, &payload, &mut self.batch_scratch);
+        io.recycle(payload);
+        self.reply(io, conn, &frame);
+    }
+
+    fn wake(&mut self, io: &mut Io) {
+        if self.shared.stop.load(Ordering::SeqCst) {
+            return io.exit();
+        }
+        while let Ok(done) = self.done_rx.try_recv() {
+            io.recycle(done.payload);
+            self.reply(io, done.conn, &done.frame);
+            io.unpark(done.conn);
+        }
+    }
+
+    fn malformed(&mut self, error: CheckpointError) -> Vec<u8> {
+        let frame = encode_outcome_checked(&Err(EngineError::Format(error.to_string())));
+        self.shared
+            .counters
+            .bytes_sent
+            .fetch_add(frame.len() as u64, Ordering::SeqCst);
+        frame
+    }
+}
+
 /// Lazily registered per-opcode `(frames, bytes)` counters, cached per
 /// event loop so the hot path is one `Vec` index after the first frame
 /// of each opcode (the registry lock is only taken on a cache miss).
-pub(crate) struct OpcodeCounters {
+struct OpcodeCounters {
     cells: Vec<Option<(Counter, Counter)>>,
 }
 
 impl OpcodeCounters {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             cells: (0..=u8::MAX as usize).map(|_| None).collect(),
         }
     }
 
-    pub(crate) fn record(&mut self, registry: &Registry, op: u8, bytes: u64) {
+    fn record(&mut self, registry: &Registry, op: u8, bytes: u64) {
         let Some(name) = opcode::name(op) else {
             return; // unknown opcode: the decode error is the signal
         };
@@ -305,7 +486,7 @@ impl OpcodeCounters {
 /// variant says the service could not perform a well-formed request;
 /// a retry would panic again, so the transport error (bytes lost on
 /// the way) would be the wrong answer.
-pub(crate) fn respond(
+fn respond(
     shared: &Shared,
     op: u8,
     payload: &[u8],
@@ -315,7 +496,7 @@ pub(crate) fn respond(
         execute_frame(shared, op, payload, batch_scratch)
     }))
     .unwrap_or_else(|panic| {
-        shared.obs.request_panics.inc();
+        shared.request_panics.inc();
         let what = panic
             .downcast_ref::<&str>()
             .copied()
@@ -348,7 +529,6 @@ fn execute_frame(
         let decode_start = dds_obs::maybe_now();
         let decoded = decode_batch_request(op, payload, batch_scratch);
         shared
-            .obs
             .decode_nanos
             .observe(dds_obs::nanos_since(decode_start));
         match decoded {
@@ -361,7 +541,6 @@ fn execute_frame(
         let decode_start = dds_obs::maybe_now();
         let decoded = Request::decode(op, payload);
         shared
-            .obs
             .decode_nanos
             .observe(dds_obs::nanos_since(decode_start));
         match decoded {
@@ -393,7 +572,7 @@ fn dispatch_timed(
     let handle_start = dds_obs::maybe_now();
     let outcome = dispatch();
     let nanos = dds_obs::nanos_since(handle_start);
-    shared.obs.handle_nanos.observe(nanos);
+    shared.handle_nanos.observe(nanos);
     shared
         .registry
         .events()

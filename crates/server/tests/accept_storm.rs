@@ -73,7 +73,8 @@ fn emfile_storm_is_counted_and_does_not_stall_connected_clients() {
 
     // The storm is counted, and the already-connected client keeps
     // making full round trips the whole time.
-    let deadline = Instant::now() + Duration::from_secs(5);
+    let storm_start = Instant::now();
+    let deadline = storm_start + Duration::from_secs(5);
     let mut seen_errors = 0;
     while seen_errors == 0 {
         assert!(Instant::now() < deadline, "no accept error counted");
@@ -88,7 +89,13 @@ fn emfile_storm_is_counted_and_does_not_stall_connected_clients() {
                 .is_empty(),
             "connected client starved during an accept storm"
         );
-        seen_errors = accept_errors(&server);
+        if !dds_obs::IS_NOOP {
+            seen_errors = accept_errors(&server);
+        } else if storm_start.elapsed() >= Duration::from_millis(100) {
+            // Telemetry compiled out: no counter to wait for, so ten
+            // accept backoffs' worth of round trips stand in for it.
+            break;
+        }
     }
 
     // Recovery: restore the limit; the paused listener resumes, drains
@@ -109,6 +116,8 @@ fn emfile_storm_is_counted_and_does_not_stall_connected_clients() {
         }
     }
     drop(stalled);
-    assert!(accept_errors(&server) >= seen_errors);
+    if !dds_obs::IS_NOOP {
+        assert!(accept_errors(&server) >= seen_errors);
+    }
     let _ = server.shutdown();
 }

@@ -118,19 +118,22 @@ fn many_idle_connections_stay_live_on_one_listener() {
         );
     }
 
-    // The loop's gauge sees the whole crowd.
-    let page = server.telemetry().render_text();
-    let gauge_line = page
-        .lines()
-        .find(|l| l.starts_with("server_loop_connections"))
-        .expect("loop connection gauge exported");
-    let count: u64 = gauge_line
-        .rsplit(' ')
-        .next()
-        .expect("gauge value")
-        .parse()
-        .expect("numeric gauge");
-    assert!(count >= 257, "gauge shows {count}, expected >= 257");
+    // The loop's gauge sees the whole crowd (an obs-noop build has no
+    // gauge to read).
+    if !dds_obs::IS_NOOP {
+        let page = server.telemetry().render_text();
+        let gauge_line = page
+            .lines()
+            .find(|l| l.starts_with("server_loop_connections"))
+            .expect("loop connection gauge exported");
+        let count: u64 = gauge_line
+            .rsplit(' ')
+            .next()
+            .expect("gauge value")
+            .parse()
+            .expect("numeric gauge");
+        assert!(count >= 257, "gauge shows {count}, expected >= 257");
+    }
 
     drop(idle);
     drop(active);
@@ -139,8 +142,12 @@ fn many_idle_connections_stay_live_on_one_listener() {
 
 /// Poll a server gauge until `done` accepts it (the loop updates it on
 /// its own thread), or fail naming what it last read. The loop's
-/// gauges are registered by the time `bind_*` returns.
+/// gauges are registered by the time `bind_*` returns. An obs-noop
+/// build has no gauge to read: it reads 0 and waits for nothing.
 fn await_gauge(server: &Server, name: &str, what: &str, done: impl Fn(u64) -> bool) -> u64 {
+    if dds_obs::IS_NOOP {
+        return 0;
+    }
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
         let value = server

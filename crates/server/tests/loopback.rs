@@ -180,7 +180,9 @@ fn typed_errors_travel_the_wire() {
 
     // Shutdown, then everything answers ShutDown — across the wire.
     let report = client.shutdown_engine().expect("stops");
-    assert_eq!(report.metrics.total_elements(), 1);
+    if !dds_obs::IS_NOOP {
+        assert_eq!(report.metrics.total_elements(), 1);
+    }
     assert_eq!(client.snapshot(TenantId(1)), Err(EngineError::ShutDown));
     assert_eq!(
         client
@@ -265,7 +267,9 @@ fn pipelining_many_clients_and_graceful_shutdown() {
 
     // All four clients' traffic landed in one engine.
     let metrics = probe.metrics().expect("metrics");
-    assert_eq!(metrics.total_elements(), CLIENTS as u64 * PER_CLIENT);
+    if !dds_obs::IS_NOOP {
+        assert_eq!(metrics.total_elements(), CLIENTS as u64 * PER_CLIENT);
+    }
 
     // Server-side byte accounting covers every connection (the probe's
     // own traffic included).
@@ -464,7 +468,10 @@ fn unbounded_unbatched_ingest_does_not_deadlock() {
     let stats = client.stats();
     assert_eq!(stats.acks_pending, 0);
     assert_eq!(stats.elements_observed, 60_000);
-    assert_eq!(client.metrics().expect("metrics").total_elements(), 60_000);
+    let metrics = client.metrics().expect("metrics");
+    if !dds_obs::IS_NOOP {
+        assert_eq!(metrics.total_elements(), 60_000);
+    }
     let _ = client.shutdown_engine().expect("stops");
     let _ = server.shutdown();
 }
@@ -541,7 +548,9 @@ fn late_data_is_refused_and_observable_over_the_wire() {
 
     // The drop is visible in the structured metrics endpoint…
     let metrics = client.metrics().expect("metrics");
-    assert_eq!(metrics.total_late_dropped(), 1);
+    if !dds_obs::IS_NOOP {
+        assert_eq!(metrics.total_late_dropped(), 1);
+    }
     // …and in the scrape-shaped telemetry exposition.
     let text = client.telemetry_text().expect("telemetry");
     assert!(
