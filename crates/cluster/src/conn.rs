@@ -18,10 +18,9 @@
 
 use std::io::{BufReader, BufWriter, Write};
 
-use dds_proto::cluster::{
-    decode_cluster_outcome, encode_cluster_outcome, ClusterError, ClusterRequest, ClusterResponse,
-};
+use dds_proto::cluster::{ClusterError, ClusterRequest, ClusterResponse};
 use dds_proto::frame::read_frame;
+use dds_proto::{decode_outcome, encode_outcome};
 use dds_server::net::Stream;
 
 pub(crate) struct Framed {
@@ -58,7 +57,7 @@ impl Framed {
         outcome: &Result<ClusterResponse, ClusterError>,
     ) -> Result<(), ClusterError> {
         self.writer
-            .write_all(&encode_cluster_outcome(outcome))
+            .write_all(&encode_outcome(outcome))
             .and_then(|()| self.writer.flush())
             .map_err(transport)
     }
@@ -70,7 +69,7 @@ impl Framed {
             None => Err(ClusterError::Transport(
                 "connection closed while awaiting a reply".into(),
             )),
-            Some((op, payload)) => decode_cluster_outcome(op, &payload)?,
+            Some((op, payload)) => decode_outcome(op, &payload)?,
         }
     }
 

@@ -59,9 +59,9 @@ use std::thread::JoinHandle;
 use dds_core::checkpoint::CheckpointError;
 use dds_obs::{Registry, TelemetrySnapshot};
 use dds_proto::cluster::{
-    encode_cluster_outcome, ClusterError, ClusterRequest, ClusterResponse, ClusterSpec,
-    ClusterStats,
+    ClusterError, ClusterRequest, ClusterResponse, ClusterSpec, ClusterStats,
 };
+use dds_proto::encode_outcome;
 use dds_reactor::Waker;
 use dds_server::evented::{ConnId, EventLoop, Handler, Io};
 use dds_server::net::{Endpoint, Listener};
@@ -301,7 +301,12 @@ impl Handler for Coordinator {
             (Ok(request), Role::Site(site)) => self.site_request(io, conn, site, request),
             (Ok(request), Role::Control) => self.control_request(io, conn, request),
             // A payload that does not decode ends the connection.
-            (Err(e), _) => io.close_after(conn, encode_cluster_outcome(&Err(e.into()))),
+            (Err(e), _) => {
+                io.close_after(
+                    conn,
+                    encode_outcome(&Err::<ClusterResponse, ClusterError>(e.into())),
+                );
+            }
         }
         self.perform(io);
     }
@@ -324,7 +329,7 @@ impl Handler for Coordinator {
     }
 
     fn malformed(&mut self, error: CheckpointError) -> Vec<u8> {
-        encode_cluster_outcome(&Err(error.into()))
+        encode_outcome(&Err::<ClusterResponse, ClusterError>(error.into()))
     }
 }
 
@@ -339,7 +344,7 @@ impl Coordinator {
                     let Some(conn) = self.sites[site.0] else {
                         continue;
                     };
-                    let frame = encode_cluster_outcome(&outcome);
+                    let frame = encode_outcome(&outcome);
                     if outcome.is_ok() {
                         io.reply(conn, &frame);
                     } else {
@@ -347,7 +352,7 @@ impl Coordinator {
                     }
                 }
                 Action::Answer(conn, outcome) => {
-                    io.reply(conn, &encode_cluster_outcome(&outcome));
+                    io.reply(conn, &encode_outcome(&outcome));
                     io.unpark(conn);
                 }
             }
@@ -379,10 +384,11 @@ impl Coordinator {
         };
         match outcome {
             Ok(()) => {
-                let welcome = Ok(ClusterResponse::Welcome { k: self.spec.k });
-                io.reply(conn, &encode_cluster_outcome(&welcome));
+                let welcome: Result<_, ClusterError> =
+                    Ok(ClusterResponse::Welcome { k: self.spec.k });
+                io.reply(conn, &encode_outcome(&welcome));
             }
-            Err(e) => io.close_after(conn, encode_cluster_outcome(&Err(e))),
+            Err(e) => io.close_after(conn, encode_outcome(&Err::<ClusterResponse, _>(e))),
         }
     }
 
@@ -392,12 +398,16 @@ impl Coordinator {
             ClusterRequest::SeqUp { seq, up } => self.seq.seq_up(site, seq, up),
             ClusterRequest::Done { through } => self.seq.done(site, through),
             ClusterRequest::Leave => {
-                io.close_after(conn, encode_cluster_outcome(&Ok(ClusterResponse::Goodbye)));
+                io.close_after(
+                    conn,
+                    encode_outcome(&Ok::<_, ClusterError>(ClusterResponse::Goodbye)),
+                );
                 self.seq.leave(site);
             }
             _ => {
-                let refusal = Err(ClusterError::Protocol("not a site request".into()));
-                io.close_after(conn, encode_cluster_outcome(&refusal));
+                let refusal: Result<ClusterResponse, _> =
+                    Err(ClusterError::Protocol("not a site request".into()));
+                io.close_after(conn, encode_outcome(&refusal));
                 self.seq.fail(site);
             }
         }
@@ -429,6 +439,6 @@ impl Coordinator {
             }
             _ => Err(ClusterError::Protocol("not a control request".into())),
         };
-        io.reply(conn, &encode_cluster_outcome(&outcome));
+        io.reply(conn, &encode_outcome(&outcome));
     }
 }

@@ -25,7 +25,8 @@ use dds_core::sampler::{SamplerKind, SamplerSpec};
 use dds_core::CentralizedSampler;
 use dds_data::{RouteTarget, Router, Routing, TraceLikeStream, TraceProfile};
 use dds_hash::splitmix::SplitMix64;
-use dds_proto::cluster::{decode_cluster_outcome, ClusterRequest, ClusterResponse};
+use dds_proto::cluster::{ClusterError, ClusterRequest, ClusterResponse};
+use dds_proto::decode_outcome;
 use dds_proto::frame::read_frame;
 use dds_sim::{Element, SiteId};
 
@@ -41,7 +42,7 @@ fn call(stream: &mut TcpStream, request: &ClusterRequest) -> ClusterResponse {
     let (op, payload) = read_frame(stream)
         .expect("read reply")
         .expect("peer owed a reply");
-    decode_cluster_outcome(op, &payload)
+    decode_outcome::<ClusterResponse, ClusterError>(op, &payload)
         .expect("well-formed outcome")
         .expect("coordinator accepted the request")
 }

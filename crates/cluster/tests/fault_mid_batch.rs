@@ -12,9 +12,8 @@ use std::time::{Duration, Instant};
 
 use dds_cluster::{ClusterCoordinator, ClusterHandle, SiteDaemon};
 use dds_core::sampler::{SamplerKind, SamplerSpec};
-use dds_proto::cluster::{
-    decode_cluster_outcome, ClusterError, ClusterRequest, ClusterResponse, ClusterSpec,
-};
+use dds_proto::cluster::{ClusterError, ClusterRequest, ClusterResponse, ClusterSpec};
+use dds_proto::decode_outcome;
 use dds_proto::frame::read_frame;
 use dds_server::net::Listener;
 use dds_sim::{Element, SiteId, Slot};
@@ -45,7 +44,7 @@ fn a_site_dying_while_another_sites_up_is_held_surfaces_as_site_down() {
     uplink.write_all(&join.encode()).expect("join");
     let (op, payload) = read_frame(&mut uplink).expect("welcome").expect("reply");
     assert!(matches!(
-        decode_cluster_outcome(op, &payload),
+        decode_outcome::<ClusterResponse, ClusterError>(op, &payload),
         Ok(Ok(ClusterResponse::Welcome { k: 2 }))
     ));
     let doomed_driver = Listener::bind_tcp("127.0.0.1:0").expect("bind site 1");

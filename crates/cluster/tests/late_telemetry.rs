@@ -10,9 +10,8 @@ use std::net::TcpStream;
 
 use dds_cluster::{fetch_telemetry, ClusterCoordinator};
 use dds_core::sampler::{SamplerKind, SamplerSpec};
-use dds_proto::cluster::{
-    decode_cluster_outcome, ClusterRequest, ClusterResponse, ClusterSpec, SiteUp,
-};
+use dds_proto::cluster::{ClusterError, ClusterRequest, ClusterResponse, ClusterSpec, SiteUp};
+use dds_proto::decode_outcome;
 use dds_proto::frame::read_frame;
 use dds_sim::{Element, SiteId, Slot};
 
@@ -22,7 +21,7 @@ fn call(stream: &mut TcpStream, request: &ClusterRequest) -> ClusterResponse {
     let (op, payload) = read_frame(stream)
         .expect("read reply")
         .expect("peer owed a reply");
-    decode_cluster_outcome(op, &payload)
+    decode_outcome::<ClusterResponse, ClusterError>(op, &payload)
         .expect("well-formed outcome")
         .expect("coordinator accepted the request")
 }

@@ -15,9 +15,8 @@ use std::time::{Duration, Instant};
 
 use dds_cluster::ClusterCoordinator;
 use dds_core::sampler::{SamplerKind, SamplerSpec};
-use dds_proto::cluster::{
-    decode_cluster_outcome, ClusterError, ClusterRequest, ClusterResponse, ClusterSpec,
-};
+use dds_proto::cluster::{ClusterError, ClusterRequest, ClusterResponse, ClusterSpec};
+use dds_proto::decode_outcome;
 use dds_proto::frame::read_frame;
 use dds_sim::SiteId;
 
@@ -41,7 +40,7 @@ fn dial(coordinator: &ClusterCoordinator, hello: &ClusterRequest) -> UnixStream 
     stream.write_all(&hello.encode()).expect("handshake");
     let (op, payload) = read_frame(&mut stream).expect("welcome").expect("reply");
     assert!(matches!(
-        decode_cluster_outcome(op, &payload),
+        decode_outcome::<ClusterResponse, ClusterError>(op, &payload),
         Ok(Ok(ClusterResponse::Welcome { k: 2 }))
     ));
     match stream {
@@ -103,7 +102,7 @@ fn a_control_peer_that_never_reads_is_backpressured() {
     peer.set_nonblocking(false).expect("blocking peer");
     let (op, payload) = read_frame(&mut peer).expect("reply").expect("open");
     assert!(matches!(
-        decode_cluster_outcome(op, &payload),
+        decode_outcome::<ClusterResponse, ClusterError>(op, &payload),
         Ok(Ok(ClusterResponse::Stats { .. }))
     ));
 }
@@ -156,7 +155,9 @@ fn read_until_eof(peer: &mut UnixStream) -> Vec<Result<ClusterResponse, ClusterE
     let mut rest = &bytes[..];
     while !rest.is_empty() {
         let (op, payload) = read_frame(&mut rest).expect("framed").expect("whole");
-        frames.push(decode_cluster_outcome(op, &payload).expect("an outcome"));
+        frames.push(
+            decode_outcome::<ClusterResponse, ClusterError>(op, &payload).expect("an outcome"),
+        );
     }
     frames
 }
@@ -195,7 +196,7 @@ fn a_malformed_frame_gets_a_typed_error_then_close() {
         .expect("stats");
     let (op, payload) = read_frame(&mut again).expect("reply").expect("open");
     assert!(matches!(
-        decode_cluster_outcome(op, &payload),
+        decode_outcome::<ClusterResponse, ClusterError>(op, &payload),
         Ok(Ok(ClusterResponse::Stats { .. }))
     ));
 }

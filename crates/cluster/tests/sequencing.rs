@@ -15,8 +15,9 @@ use dds_core::messages::{SwUp, UpElem};
 use dds_core::sampler::{SamplerKind, SamplerSpec};
 use dds_core::sliding::SlidingConfig;
 use dds_proto::cluster::{
-    decode_cluster_outcome, ClusterRequest, ClusterResponse, ClusterSpec, CoordDown, SiteUp,
+    ClusterError, ClusterRequest, ClusterResponse, ClusterSpec, CoordDown, SiteUp,
 };
+use dds_proto::decode_outcome;
 use dds_proto::frame::read_frame;
 use dds_sim::{CoordinatorNode, Element, SiteId, Slot};
 
@@ -32,7 +33,7 @@ fn recv(stream: &mut TcpStream) -> ClusterResponse {
     let (op, payload) = read_frame(stream)
         .expect("read reply")
         .expect("peer owed a reply");
-    decode_cluster_outcome(op, &payload)
+    decode_outcome::<ClusterResponse, ClusterError>(op, &payload)
         .expect("well-formed outcome")
         .expect("coordinator accepted the request")
 }

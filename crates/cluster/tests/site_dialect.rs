@@ -9,9 +9,8 @@ use std::time::{Duration, Instant};
 
 use dds_cluster::{ClusterCoordinator, SiteDaemon};
 use dds_core::sampler::{SamplerKind, SamplerSpec};
-use dds_proto::cluster::{
-    decode_cluster_outcome, ClusterError, ClusterRequest, ClusterResponse, ClusterSpec,
-};
+use dds_proto::cluster::{ClusterError, ClusterRequest, ClusterResponse, ClusterSpec};
+use dds_proto::decode_outcome;
 use dds_proto::frame::read_frame;
 use dds_server::net::Listener;
 use dds_sim::{Element, SiteId, Slot};
@@ -28,7 +27,7 @@ fn recv(stream: &mut TcpStream) -> Result<ClusterResponse, ClusterError> {
     let (op, payload) = read_frame(stream)
         .expect("read reply")
         .expect("peer owed a reply");
-    decode_cluster_outcome(op, &payload).expect("well-formed outcome")
+    decode_outcome::<ClusterResponse, ClusterError>(op, &payload).expect("well-formed outcome")
 }
 
 #[test]

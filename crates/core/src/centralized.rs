@@ -17,6 +17,8 @@ use std::collections::BTreeMap;
 use dds_hash::{SeededHash, UnitHash, UnitValue};
 use dds_sim::{Element, Slot};
 
+use crate::checkpoint::{CheckpointError, StateReader, StateWriter, Wire};
+
 /// The `s` smallest `(hash, element)` pairs seen so far, with the
 /// threshold `u` = largest retained hash once full (else 1).
 ///
@@ -121,24 +123,23 @@ impl BottomS {
         self.sorted.iter().map(|&(h, e)| (e, h)).collect()
     }
 
-    /// Checkpoint encoding: capacity plus the sampled elements in hash
-    /// order. Hashes are *not* stored — they are derived state, and the
-    /// decoder recomputes them from the protocol hash function.
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
+    /// The fewest bytes [`BottomS::encode_state`] writes.
+    pub(crate) const MIN_STATE_BYTES: usize = 4 + 4;
+
+    /// Checkpoint encoding: capacity (a `u32`) plus the sampled elements
+    /// in hash order. Hashes are *not* stored — they are derived state,
+    /// and the decoder recomputes them from the protocol hash function.
+    pub(crate) fn encode_state(&self, w: &mut StateWriter) {
         w.put_len(self.s);
-        w.put_len(self.sorted.len());
-        for &(_, e) in &self.sorted {
-            w.put_element(e);
-        }
+        w.put_iter(self.sorted.iter().map(|&(_, e)| e));
     }
 
     /// Rebuild from [`BottomS::encode_state`] output, recomputing hashes
     /// under `hasher`.
     pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
+        r: &mut StateReader<'_>,
         hasher: &impl UnitHash,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
+    ) -> Result<Self, CheckpointError> {
         // The capacity is a scalar, not a collection length: `s` may far
         // exceed the stored (≤ s) element count and must not be bounds-
         // checked against the remaining payload bytes.
@@ -146,17 +147,18 @@ impl BottomS {
         if s == 0 {
             return Err(CheckpointError::Corrupt("bottom-s capacity is zero"));
         }
-        let n = r.get_len(8)?;
-        if n > s {
-            return Err(CheckpointError::Corrupt("bottom-s holds more than s"));
-        }
         let mut bottom = Self::new(s);
-        for _ in 0..n {
-            let e = r.get_element()?;
+        let mut held = 0;
+        r.get_each(|e: Element| {
+            held += 1;
+            if held > s {
+                return Err(CheckpointError::Corrupt("bottom-s holds more than s"));
+            }
             if !bottom.offer(e, hasher.unit(e.0)) {
                 return Err(CheckpointError::Corrupt("duplicate bottom-s element"));
             }
-        }
+            Ok(())
+        })?;
         Ok(bottom)
     }
 }
@@ -227,37 +229,35 @@ impl CentralizedSampler {
     pub fn bottom(&self) -> &BottomS {
         &self.bottom
     }
+}
 
-    /// Checkpoint encoding: hash function, bottom-`s` sample, counters,
-    /// and the (sorted, so encoding is deterministic) exact distinct set
-    /// — the O(d) oracle bookkeeping is part of the state by design.
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_hasher(self.hasher);
+/// Checkpoint layout: hash function, bottom-`s` sample, counters, and
+/// the (sorted, so encoding is deterministic) exact distinct set — the
+/// O(d) oracle bookkeeping is part of the state by design.
+impl Wire for CentralizedSampler {
+    const MIN_BYTES: usize = SeededHash::MIN_BYTES + BottomS::MIN_STATE_BYTES + 8 + 4;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.hasher);
         self.bottom.encode_state(w);
-        w.put_u64(self.total_seen);
+        w.put(&self.total_seen);
         let mut seen: Vec<Element> = self.seen.iter().copied().collect();
         seen.sort_unstable();
-        w.put_len(seen.len());
-        for e in seen {
-            w.put_element(e);
-        }
+        w.put(&seen);
     }
 
-    /// Rebuild from [`CentralizedSampler::encode_state`] output.
-    pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
-        let hasher = r.get_hasher()?;
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let hasher: SeededHash = r.get()?;
         let bottom = BottomS::decode_state(r, &hasher)?;
-        let total_seen = r.get_u64()?;
-        let n = r.get_len(8)?;
-        let mut seen = std::collections::HashSet::with_capacity(n);
-        for _ in 0..n {
-            if !seen.insert(r.get_element()?) {
-                return Err(CheckpointError::Corrupt("duplicate in distinct set"));
+        let total_seen: u64 = r.get()?;
+        let mut seen = std::collections::HashSet::new();
+        r.get_each(|e: Element| {
+            if seen.insert(e) {
+                Ok(())
+            } else {
+                Err(CheckpointError::Corrupt("duplicate in distinct set"))
             }
-        }
+        })?;
         if total_seen < seen.len() as u64 {
             return Err(CheckpointError::Corrupt("total below distinct count"));
         }

@@ -27,6 +27,7 @@ use dds_hash::{SeededHash, UnitHash, UnitValue};
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 
 use crate::centralized::BottomS;
+use crate::checkpoint::{CheckpointError, StateReader, StateWriter, Wire};
 use crate::messages::{DownThreshold, UpElem};
 
 /// Everything needed to instantiate the protocol identically at every
@@ -139,26 +140,11 @@ impl LazySite {
             UpElem { element: e }
         })
     }
-
-    /// Checkpoint encoding: the whole Algorithm 1 state — hash function,
-    /// `uᵢ`, and the send diagnostic.
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_hasher(self.hasher);
-        w.put_u64(self.u_i.0);
-        w.put_u64(self.sends);
-    }
-
-    /// Rebuild from [`LazySite::encode_state`] output.
-    pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        Ok(Self {
-            hasher: r.get_hasher()?,
-            u_i: UnitValue(r.get_u64()?),
-            sends: r.get_u64()?,
-        })
-    }
 }
+
+// Checkpoint layout: the whole Algorithm 1 state — hash function, `uᵢ`,
+// and the send diagnostic.
+crate::wire_record! { LazySite { hasher: SeededHash, u_i: UnitValue, sends: u64 } }
 
 impl SiteNode for LazySite {
     type Up = UpElem;
@@ -229,21 +215,22 @@ impl LazyCoordinator {
     pub fn bottom(&self) -> &BottomS {
         &self.sample
     }
+}
 
-    /// Checkpoint encoding: hash function, reply policy, and the
-    /// bottom-`s` sample `P` (Algorithm 2's entire state).
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_hasher(self.hasher);
-        w.put_bool(self.reply_only_on_change);
+/// Checkpoint layout: hash function, reply policy, and the bottom-`s`
+/// sample `P` (Algorithm 2's entire state).
+impl Wire for LazyCoordinator {
+    const MIN_BYTES: usize = SeededHash::MIN_BYTES + 1 + BottomS::MIN_STATE_BYTES;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.hasher);
+        w.put(&self.reply_only_on_change);
         self.sample.encode_state(w);
     }
 
-    /// Rebuild from [`LazyCoordinator::encode_state`] output.
-    pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let hasher = r.get_hasher()?;
-        let reply_only_on_change = r.get_bool()?;
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let hasher: SeededHash = r.get()?;
+        let reply_only_on_change = r.get()?;
         let sample = BottomS::decode_state(r, &hasher)?;
         Ok(Self {
             hasher,

@@ -39,7 +39,7 @@ use dds_hash::{SeededHash, UnitHash, UnitValue};
 use dds_sim::{CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 
 use crate::centralized::{CentralizedSampler, SlidingOracle};
-use crate::checkpoint::{self, CheckpointError, StateReader, StateWriter};
+use crate::checkpoint::{self, CheckpointError, StateReader, StateWriter, Wire};
 use crate::infinite::{InfiniteConfig, LazyCoordinator, LazySite};
 use crate::sliding::{SlidingConfig, SwCoordinator, SwSite};
 use crate::sliding_multi::{MultiSlidingConfig, MultiSwCoordinator, MultiSwSite};
@@ -208,9 +208,7 @@ impl DistinctSampler for CentralizedSampler {
     }
 
     fn checkpoint(&self, out: &mut Vec<u8>) {
-        let mut w = StateWriter::new();
-        self.encode_state(&mut w);
-        checkpoint::write_envelope(checkpoint::kind::CENTRALIZED, &w.into_bytes(), out);
+        checkpoint::seal_state(checkpoint::kind::CENTRALIZED, self, out);
     }
 }
 
@@ -249,19 +247,10 @@ impl FusedInfinite {
     pub fn coordinator(&self) -> &LazyCoordinator {
         &self.coordinator
     }
-
-    /// Rebuild from a [`DistinctSampler::checkpoint`] payload.
-    pub(crate) fn decode_state(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
-        let site = LazySite::decode_state(r)?;
-        let coordinator = LazyCoordinator::decode_state(r)?;
-        let messages = r.get_u64()?;
-        Ok(Self {
-            site,
-            coordinator,
-            messages,
-        })
-    }
 }
+
+// Checkpoint layout: site, coordinator, message counter.
+crate::wire_record! { FusedInfinite { site: LazySite, coordinator: LazyCoordinator, messages: u64 } }
 
 impl DistinctSampler for FusedInfinite {
     fn observe(&mut self, e: Element) {
@@ -311,11 +300,7 @@ impl DistinctSampler for FusedInfinite {
     }
 
     fn checkpoint(&self, out: &mut Vec<u8>) {
-        let mut w = StateWriter::new();
-        self.site.encode_state(&mut w);
-        self.coordinator.encode_state(&mut w);
-        w.put_u64(self.messages);
-        checkpoint::write_envelope(checkpoint::kind::INFINITE, &w.into_bytes(), out);
+        checkpoint::seal_state(checkpoint::kind::INFINITE, self, out);
     }
 }
 
@@ -339,19 +324,10 @@ impl FusedWr {
             messages: 0,
         }
     }
-
-    /// Rebuild from a [`DistinctSampler::checkpoint`] payload.
-    pub(crate) fn decode_state(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
-        let site = WrSite::decode_state(r)?;
-        let coordinator = WrCoordinator::decode_state(r)?;
-        let messages = r.get_u64()?;
-        Ok(Self {
-            site,
-            coordinator,
-            messages,
-        })
-    }
 }
+
+// Checkpoint layout: site, coordinator, message counter.
+crate::wire_record! { FusedWr { site: WrSite, coordinator: WrCoordinator, messages: u64 } }
 
 impl DistinctSampler for FusedWr {
     fn observe(&mut self, e: Element) {
@@ -381,11 +357,7 @@ impl DistinctSampler for FusedWr {
     }
 
     fn checkpoint(&self, out: &mut Vec<u8>) {
-        let mut w = StateWriter::new();
-        self.site.encode_state(&mut w);
-        self.coordinator.encode_state(&mut w);
-        w.put_u64(self.messages);
-        checkpoint::write_envelope(checkpoint::kind::WITH_REPLACEMENT, &w.into_bytes(), out);
+        checkpoint::seal_state(checkpoint::kind::WITH_REPLACEMENT, self, out);
     }
 }
 
@@ -441,21 +413,6 @@ impl FusedSliding {
         &self.coordinator
     }
 
-    /// Rebuild from a [`DistinctSampler::checkpoint`] payload.
-    pub(crate) fn decode_state(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
-        let site = SwSite::decode_state(r)?;
-        let coordinator = SwCoordinator::decode_state(r)?;
-        let now = r.get_slot()?;
-        let messages = r.get_u64()?;
-        Ok(Self {
-            site,
-            coordinator,
-            now,
-            hash_buf: Vec::new(),
-            messages,
-        })
-    }
-
     /// One slot boundary, in the simulator's order: coordinator hook,
     /// deliver its output, site hook, settle.
     fn step_slot(&mut self) {
@@ -483,6 +440,29 @@ impl FusedSliding {
             &mut down_buf,
             &mut self.messages,
         );
+    }
+}
+
+/// Checkpoint layout: site, coordinator, clock, message counter (the
+/// batch-hash scratch is transient).
+impl Wire for FusedSliding {
+    const MIN_BYTES: usize = SwSite::MIN_BYTES + SwCoordinator::MIN_BYTES + 8 + 8;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.site);
+        w.put(&self.coordinator);
+        w.put(&self.now);
+        w.put(&self.messages);
+    }
+
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        Ok(Self {
+            site: r.get()?,
+            coordinator: r.get()?,
+            now: r.get()?,
+            hash_buf: Vec::new(),
+            messages: r.get()?,
+        })
     }
 }
 
@@ -564,12 +544,7 @@ impl DistinctSampler for FusedSliding {
     }
 
     fn checkpoint(&self, out: &mut Vec<u8>) {
-        let mut w = StateWriter::new();
-        self.site.encode_state(&mut w);
-        self.coordinator.encode_state(&mut w);
-        w.put_slot(self.now);
-        w.put_u64(self.messages);
-        checkpoint::write_envelope(checkpoint::kind::SLIDING, &w.into_bytes(), out);
+        checkpoint::seal_state(checkpoint::kind::SLIDING, self, out);
     }
 }
 
@@ -607,21 +582,6 @@ impl FusedSlidingMulti {
         self.now
     }
 
-    /// Rebuild from a [`DistinctSampler::checkpoint`] payload.
-    pub(crate) fn decode_state(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
-        let site = MultiSwSite::decode_state(r)?;
-        let coordinator = MultiSwCoordinator::decode_state(r)?;
-        let now = r.get_slot()?;
-        let messages = r.get_u64()?;
-        Ok(Self {
-            site,
-            coordinator,
-            now,
-            hash_buf: Vec::new(),
-            messages,
-        })
-    }
-
     fn step_slot(&mut self) {
         self.now = self.now.next();
         let (mut up_buf, mut down_buf) = (Vec::new(), Vec::new());
@@ -647,6 +607,29 @@ impl FusedSlidingMulti {
             &mut down_buf,
             &mut self.messages,
         );
+    }
+}
+
+/// Checkpoint layout: site, coordinator, clock, message counter (the
+/// batch-hash scratch is transient).
+impl Wire for FusedSlidingMulti {
+    const MIN_BYTES: usize = MultiSwSite::MIN_BYTES + MultiSwCoordinator::MIN_BYTES + 8 + 8;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.site);
+        w.put(&self.coordinator);
+        w.put(&self.now);
+        w.put(&self.messages);
+    }
+
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        Ok(Self {
+            site: r.get()?,
+            coordinator: r.get()?,
+            now: r.get()?,
+            hash_buf: Vec::new(),
+            messages: r.get()?,
+        })
     }
 }
 
@@ -725,12 +708,7 @@ impl DistinctSampler for FusedSlidingMulti {
     }
 
     fn checkpoint(&self, out: &mut Vec<u8>) {
-        let mut w = StateWriter::new();
-        self.site.encode_state(&mut w);
-        self.coordinator.encode_state(&mut w);
-        w.put_slot(self.now);
-        w.put_u64(self.messages);
-        checkpoint::write_envelope(checkpoint::kind::SLIDING_MULTI, &w.into_bytes(), out);
+        checkpoint::seal_state(checkpoint::kind::SLIDING_MULTI, self, out);
     }
 }
 

@@ -49,6 +49,7 @@ use dds_sim::model::is_expired;
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 use dds_treap::{CandidateSet, FlatStaircase};
 
+use crate::checkpoint::{CheckpointError, StateReader, StateWriter, Wire};
 use crate::messages::{SwDown, SwUp};
 
 /// A sample tuple as tracked by sites and coordinator: element, its hash,
@@ -64,44 +65,19 @@ pub struct SampleTuple {
 }
 
 impl SampleTuple {
-    /// Checkpoint encoding: element and expiry only — the hash is derived
-    /// state, recomputed on decode under the protocol hash function.
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_element(self.element);
-        w.put_slot(self.expiry);
-    }
-
-    /// Rebuild from [`SampleTuple::encode_state`] output.
-    pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-        hasher: &SeededHash,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let element = r.get_element()?;
-        let expiry = r.get_slot()?;
-        Ok(Self {
+    /// Rebuild from its checkpoint form, `(element, expiry)`: the hash
+    /// is derived state, recomputed under the protocol hash function.
+    fn rehash((element, expiry): (Element, Slot), hasher: &SeededHash) -> Self {
+        Self {
             element,
             hash: hasher.unit(element.0),
             expiry,
-        })
+        }
     }
-}
 
-/// Encode an `Option<SampleTuple>` as a presence byte plus the tuple.
-fn encode_opt_tuple(view: Option<&SampleTuple>, w: &mut crate::checkpoint::StateWriter) {
-    w.put_bool(view.is_some());
-    if let Some(t) = view {
-        t.encode_state(w);
-    }
-}
-
-fn decode_opt_tuple(
-    r: &mut crate::checkpoint::StateReader<'_>,
-    hasher: &SeededHash,
-) -> Result<Option<SampleTuple>, crate::checkpoint::CheckpointError> {
-    if r.get_bool()? {
-        Ok(Some(SampleTuple::decode_state(r, hasher)?))
-    } else {
-        Ok(None)
+    /// The checkpoint form: element and expiry only.
+    fn unhashed(&self) -> (Element, Slot) {
+        (self.element, self.expiry)
     }
 }
 
@@ -242,43 +218,38 @@ impl SwSite {
     pub(crate) fn is_quiescent(&self) -> bool {
         self.view.is_none() && self.candidates.is_empty()
     }
+}
 
-    /// Checkpoint encoding: hash function, window, sample view, and the
-    /// candidate staircase (sorted entries; elements + expiries only —
-    /// hashes and tree shape are rebuilt on decode).
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_hasher(self.hasher);
-        w.put_u64(self.window);
-        encode_opt_tuple(self.view.as_ref(), w);
+/// Checkpoint layout: hash function, window, sample view, and the
+/// candidate staircase (sorted entries; elements + expiries only —
+/// hashes and structure are rebuilt on decode through the ordinary
+/// insertion path, and an entry list that is not a valid staircase, one
+/// entry dominating another, is corrupt).
+impl Wire for SwSite {
+    const MIN_BYTES: usize = SeededHash::MIN_BYTES + 8 + 1 + 4;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.hasher);
+        w.put(&self.window);
+        w.put(&self.view.as_ref().map(SampleTuple::unhashed));
         let entries = self.candidates.entries_sorted();
-        w.put_len(entries.len());
-        for e in entries {
-            w.put_element(e.element);
-            w.put_slot(e.expiry);
-        }
+        w.put_iter(entries.iter().map(|e| (e.element, e.expiry)));
     }
 
-    /// Rebuild from [`SwSite::encode_state`] output. The candidate set is
-    /// reconstructed through the ordinary insertion path, which restores
-    /// every structural invariant; a serialized entry list that is not a
-    /// valid staircase (some entry dominates another) is corrupt.
-    pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
-        let hasher = r.get_hasher()?;
-        let window = r.get_u64()?;
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let hasher: SeededHash = r.get()?;
+        let window = r.get()?;
         if window == 0 {
             return Err(CheckpointError::Corrupt("sliding window of zero slots"));
         }
-        let view = decode_opt_tuple(r, &hasher)?;
-        let n = r.get_len(16)?;
+        let view = r
+            .get::<Option<_>>()?
+            .map(|t| SampleTuple::rehash(t, &hasher));
         let mut candidates = FlatStaircase::new();
-        for _ in 0..n {
-            let e = r.get_element()?;
-            let expiry = r.get_slot()?;
+        let n = r.get_each(|(e, expiry): (Element, Slot)| {
             candidates.insert_or_refresh(e, hasher.unit(e.0).0, expiry);
-        }
+            Ok(())
+        })?;
         if candidates.len() != n {
             return Err(CheckpointError::Corrupt("candidate list not a staircase"));
         }
@@ -403,41 +374,43 @@ impl SwCoordinator {
                 .flatten()
                 .all(|t| is_expired(t.expiry, now))
     }
+}
 
-    /// Checkpoint encoding: hash function, mode, clock, sample tuple, and
-    /// the per-site announcement registry.
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_hasher(self.hasher);
+/// Checkpoint layout: hash function, mode, clock, sample tuple, and the
+/// per-site announcement registry; tuple hashes are recomputed.
+impl Wire for SwCoordinator {
+    const MIN_BYTES: usize = SeededHash::MIN_BYTES + 1 + 8 + 1 + 4;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.hasher);
         w.put_u8(match self.mode {
             CoordinatorMode::Registry => 0,
             CoordinatorMode::Faithful => 1,
         });
-        w.put_slot(self.now);
-        encode_opt_tuple(self.sample.as_ref(), w);
-        w.put_len(self.registry.len());
-        for entry in &self.registry {
-            encode_opt_tuple(entry.as_ref(), w);
-        }
+        w.put(&self.now);
+        w.put(&self.sample.as_ref().map(SampleTuple::unhashed));
+        w.put_iter(
+            self.registry
+                .iter()
+                .map(|entry| entry.as_ref().map(SampleTuple::unhashed)),
+        );
     }
 
-    /// Rebuild from [`SwCoordinator::encode_state`] output.
-    pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
-        let hasher = r.get_hasher()?;
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let hasher: SeededHash = r.get()?;
         let mode = match r.get_u8()? {
             0 => CoordinatorMode::Registry,
             1 => CoordinatorMode::Faithful,
             _ => return Err(CheckpointError::Corrupt("unknown coordinator mode")),
         };
-        let now = r.get_slot()?;
-        let sample = decode_opt_tuple(r, &hasher)?;
-        let k = r.get_len(1)?;
-        let mut registry = Vec::with_capacity(k);
-        for _ in 0..k {
-            registry.push(decode_opt_tuple(r, &hasher)?);
-        }
+        let now = r.get()?;
+        let rehash = |t: Option<(Element, Slot)>| t.map(|t| SampleTuple::rehash(t, &hasher));
+        let sample = rehash(r.get()?);
+        let mut registry = Vec::new();
+        r.get_each(|entry| {
+            registry.push(rehash(entry));
+            Ok(())
+        })?;
         Ok(Self {
             hasher,
             sample,

@@ -17,6 +17,7 @@ use dds_hash::family::HashFamily;
 use dds_hash::{SeededHash, UnitValue};
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 
+use crate::checkpoint::{CheckpointError, StateReader, StateWriter, Wire};
 use crate::messages::{CopyDown, CopyUp, SwDown, SwUp};
 use crate::sliding::{CoordinatorMode, SwCoordinator, SwSite};
 
@@ -123,28 +124,22 @@ impl MultiSwSite {
             inner: m,
         })
     }
+}
 
-    /// Checkpoint encoding: the `s` per-copy site states.
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_len(self.copies.len());
-        for copy in &self.copies {
-            copy.encode_state(w);
-        }
+/// Checkpoint layout: the `s` per-copy site states (at least one).
+impl Wire for MultiSwSite {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.copies);
     }
 
-    /// Rebuild from [`MultiSwSite::encode_state`] output.
-    pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let s = r.get_len(18)?;
-        if s == 0 {
-            return Err(crate::checkpoint::CheckpointError::Corrupt(
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let copies: Vec<SwSite> = r.get()?;
+        if copies.is_empty() {
+            return Err(CheckpointError::Corrupt(
                 "multi-sliding site has zero copies",
             ));
-        }
-        let mut copies = Vec::with_capacity(s);
-        for _ in 0..s {
-            copies.push(SwSite::decode_state(r)?);
         }
         Ok(Self { copies })
     }
@@ -215,28 +210,23 @@ impl MultiSwCoordinator {
     pub(crate) fn is_inert_at(&self, now: Slot) -> bool {
         self.copies.iter().all(|c| c.is_inert_at(now))
     }
+}
 
-    /// Checkpoint encoding: the `s` per-copy coordinator states.
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_len(self.copies.len());
-        for copy in &self.copies {
-            copy.encode_state(w);
-        }
+/// Checkpoint layout: the `s` per-copy coordinator states (at least
+/// one).
+impl Wire for MultiSwCoordinator {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.copies);
     }
 
-    /// Rebuild from [`MultiSwCoordinator::encode_state`] output.
-    pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let s = r.get_len(19)?;
-        if s == 0 {
-            return Err(crate::checkpoint::CheckpointError::Corrupt(
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let copies: Vec<SwCoordinator> = r.get()?;
+        if copies.is_empty() {
+            return Err(CheckpointError::Corrupt(
                 "multi-sliding coordinator has zero copies",
             ));
-        }
-        let mut copies = Vec::with_capacity(s);
-        for _ in 0..s {
-            copies.push(SwCoordinator::decode_state(r)?);
         }
         Ok(Self { copies })
     }

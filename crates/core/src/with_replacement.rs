@@ -20,6 +20,7 @@ use dds_hash::{SeededHash, UnitHash, UnitValue};
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 
 use crate::centralized::BottomS;
+use crate::checkpoint::{CheckpointError, StateReader, StateWriter, Wire};
 use crate::messages::{CopyDown, CopyUp, DownThreshold, UpElem};
 
 /// Configuration: `s` copies over a hash family.
@@ -74,30 +75,23 @@ impl WrSite {
     pub fn threshold(&self, j: usize) -> UnitValue {
         self.copies[j].1
     }
+}
 
-    /// Checkpoint encoding: per copy, the hash function and `uᵢ`.
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_len(self.copies.len());
-        for &(h, u_i) in &self.copies {
-            w.put_hasher(h);
-            w.put_u64(u_i.0);
-        }
+/// Checkpoint layout: per copy, the hash function and `uᵢ` (at least
+/// one copy).
+impl Wire for WrSite {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.copies);
     }
 
-    /// Rebuild from [`WrSite::encode_state`] output.
-    pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let s = r.get_len(17)?;
-        if s == 0 {
-            return Err(crate::checkpoint::CheckpointError::Corrupt(
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let copies: Vec<(SeededHash, UnitValue)> = r.get()?;
+        if copies.is_empty() {
+            return Err(CheckpointError::Corrupt(
                 "with-replacement site has zero copies",
             ));
-        }
-        let mut copies = Vec::with_capacity(s);
-        for _ in 0..s {
-            let h = r.get_hasher()?;
-            copies.push((h, UnitValue(r.get_u64()?)));
         }
         Ok(Self { copies })
     }
@@ -151,32 +145,39 @@ impl WrCoordinator {
             .filter_map(|(_, b)| b.elements().first().copied())
             .collect()
     }
+}
 
-    /// Checkpoint encoding: per copy, the hash function and its
-    /// single-element bottom structure.
-    pub(crate) fn encode_state(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_len(self.copies.len());
-        for (h, b) in &self.copies {
-            w.put_hasher(*h);
-            b.encode_state(w);
-        }
+/// One coordinator copy: its hash function, then its single-element
+/// bottom structure, whose hashes are recomputed under that function.
+impl Wire for (SeededHash, BottomS) {
+    const MIN_BYTES: usize = SeededHash::MIN_BYTES + BottomS::MIN_STATE_BYTES;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.0);
+        self.1.encode_state(w);
     }
 
-    /// Rebuild from [`WrCoordinator::encode_state`] output.
-    pub(crate) fn decode_state(
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let s = r.get_len(17)?;
-        if s == 0 {
-            return Err(crate::checkpoint::CheckpointError::Corrupt(
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let h: SeededHash = r.get()?;
+        let bottom = BottomS::decode_state(r, &h)?;
+        Ok((h, bottom))
+    }
+}
+
+/// Checkpoint layout: the `s` copies (at least one).
+impl Wire for WrCoordinator {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.copies);
+    }
+
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let copies: Vec<(SeededHash, BottomS)> = r.get()?;
+        if copies.is_empty() {
+            return Err(CheckpointError::Corrupt(
                 "with-replacement coordinator has zero copies",
             ));
-        }
-        let mut copies = Vec::with_capacity(s);
-        for _ in 0..s {
-            let h = r.get_hasher()?;
-            let b = BottomS::decode_state(r, &h)?;
-            copies.push((h, b));
         }
         Ok(Self { copies })
     }

@@ -14,13 +14,16 @@
 //!
 //! ## Container format (version 4)
 //!
-//! All integers little-endian, stacked on the primitive codec of
-//! [`dds_core::checkpoint`]:
+//! All integers little-endian, laid out once by the [`Wire`] codec of
+//! [`dds_core::checkpoint`]; one writer ([`Engine::checkpoint`] and
+//! [`compact`] both encode the same in-memory document) and one reader
+//! serve both containers, and a delta's shard section shares its
+//! counters, tenants and buffer with the full document's:
 //!
 //! ```text
 //! magic          u32   0x4553_4444  ("DDSE")
 //! version        u16   4
-//! shards         u32
+//! shards         u32   (the count of shard sections below)
 //! queue_capacity u32
 //! spec           kind u8 ‖ window u64 ‖ s u32 ‖ seed u64
 //! lateness       present u8 ‖ slots u64   (EngineConfig::lateness)
@@ -83,13 +86,18 @@
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::{channel, Sender};
 
-use dds_core::checkpoint::{kind, restore_instance, CheckpointError, StateReader, StateWriter};
+use dds_core::checkpoint::{
+    kind, restore_instance, CheckpointError, Padded, StateReader, StateWriter, Wire,
+};
 use dds_core::sampler::{SamplerKind, SamplerSpec};
+use dds_core::wire_record;
 use dds_hash::murmur2::murmur64a;
+use dds_obs::Counter;
 use dds_sim::Slot;
 
+use crate::metrics::ShardMetrics;
 use crate::shard::{ShardCmd, ShardState, TenantState};
 use crate::{Engine, EngineConfig, EngineError, TenantId};
 
@@ -113,28 +121,6 @@ const TRAILER_BYTES: usize = 8;
 
 /// Per-shard counters carried by the container, in encode order.
 const COUNTERS: usize = 10;
-
-/// Minimum encoded size of a full-document shard section (watermark,
-/// seq, counters, tenant count, buffer slot count) — the per-item floor
-/// for the shard-count length check.
-const SHARD_SECTION_MIN: usize = 8 + 8 + COUNTERS * 8 + 4 + 4;
-
-/// Minimum encoded size of a delta-document shard section (base_seq,
-/// new_seq, watermark, counters, changed-tenant count, buffer slot
-/// count).
-const DELTA_SHARD_SECTION_MIN: usize = 8 + 8 + 8 + COUNTERS * 8 + 4 + 4;
-
-/// Minimum encoded size of one tenant record (id, parked flag, stamp,
-/// blob length; the blob itself may not be empty but is bounded by its
-/// own length check).
-const TENANT_RECORD_MIN: usize = 8 + 1 + 8 + 4;
-
-/// Minimum encoded size of one reorder-buffer slot record (slot, entry
-/// count).
-const BUFFER_SLOT_MIN: usize = 8 + 4;
-
-/// Encoded size of one reorder-buffer entry (tenant, element).
-const BUFFER_ENTRY_BYTES: usize = 8 + 8;
 
 /// Why an engine checkpoint could not be restored: a format error
 /// ([`CheckpointError`]) or, for the reader-based API, an I/O error.
@@ -169,94 +155,82 @@ impl From<io::Error> for RestoreError {
     }
 }
 
-fn spec_kind_tag(kind_of: SamplerKind) -> u8 {
-    match kind_of {
-        SamplerKind::Centralized => kind::CENTRALIZED,
-        SamplerKind::Infinite => kind::INFINITE,
-        SamplerKind::WithReplacement => kind::WITH_REPLACEMENT,
-        SamplerKind::Sliding { .. } => kind::SLIDING,
-        SamplerKind::SlidingMulti { .. } => kind::SLIDING_MULTI,
-    }
-}
+/// One tenant record: `(id, parked, stamp, sampler envelope)`.
+type Tenant = (u64, bool, u64, Vec<u8>);
 
-fn encode_spec(spec: &SamplerSpec, w: &mut StateWriter) {
-    w.put_u8(spec_kind_tag(spec.kind));
-    w.put_u64(spec.window().unwrap_or(0));
-    w.put_len(spec.s);
-    w.put_u64(spec.seed);
-}
-
-fn encode_lateness(lateness: Option<u64>, w: &mut StateWriter) {
-    w.put_bool(lateness.is_some());
-    w.put_u64(lateness.unwrap_or(0));
-}
-
-fn decode_lateness(r: &mut StateReader<'_>) -> Result<Option<u64>, CheckpointError> {
-    let present = r.get_bool()?;
-    let slots = r.get_u64()?;
-    Ok(present.then_some(slots))
-}
-
-/// Encode one tenant record (shared by full and delta sections).
-fn encode_tenant(w: &mut StateWriter, tenant: u64, parked: bool, stamp: u64, blob: &[u8]) {
-    w.put_u64(tenant);
-    w.put_bool(parked);
-    w.put_u64(stamp);
-    w.put_len(blob.len());
-    w.put_bytes(blob);
-}
+/// One reorder-buffer slot: `(slot, [(tenant, element)])`, entries in
+/// arrival order.
+type BufferSlot = (u64, Vec<(u64, u64)>);
 
 /// The refusal for a document that names one tenant twice.
 const REPEATED_TENANT: CheckpointError = CheckpointError::Corrupt("tenant listed twice");
 
-/// Encode one shard's reorder buffer (ascending by slot; entries keep
-/// arrival order).
-fn encode_buffer(buffer: &[(u64, Vec<(u64, u64)>)], w: &mut StateWriter) {
-    w.put_len(buffer.len());
-    for (slot, entries) in buffer {
-        w.put_u64(*slot);
-        w.put_len(entries.len());
-        for (tenant, element) in entries {
-            w.put_u64(*tenant);
-            w.put_u64(*element);
-        }
-    }
+/// The body both containers' shard sections share: counters, tenants
+/// ascending by id, and the reorder buffer ascending by slot. Decoding
+/// sorts both lists and refuses a repeated tenant or slot, so a
+/// re-encoded section matches a live shard's byte for byte.
+struct Section {
+    counters: [u64; COUNTERS],
+    tenants: Vec<Tenant>,
+    buffer: Vec<BufferSlot>,
 }
 
-/// Decode one shard's reorder buffer into its overlay form.
-fn decode_buffer(
-    r: &mut StateReader<'_>,
-) -> Result<BTreeMap<u64, Vec<(u64, u64)>>, CheckpointError> {
-    let slots = r.get_len(BUFFER_SLOT_MIN)?;
-    let mut buffer = BTreeMap::new();
-    for _ in 0..slots {
-        let slot = r.get_u64()?;
-        let count = r.get_len(BUFFER_ENTRY_BYTES)?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let tenant = r.get_u64()?;
-            let element = r.get_u64()?;
-            entries.push((tenant, element));
+impl Wire for Section {
+    const MIN_BYTES: usize = COUNTERS * 8 + 4 + 4;
+
+    fn put(&self, w: &mut StateWriter) {
+        w.put(&self.counters);
+        w.put(&self.tenants);
+        w.put(&self.buffer);
+    }
+
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let counters = r.get()?;
+        let mut tenants: Vec<Tenant> = r.get()?;
+        let mut buffer: Vec<BufferSlot> = r.get()?;
+        tenants.sort_unstable_by_key(|t| t.0);
+        if tenants.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(REPEATED_TENANT);
         }
-        if buffer.insert(slot, entries).is_some() {
+        buffer.sort_unstable_by_key(|b| b.0);
+        if buffer.windows(2).any(|w| w[0].0 == w[1].0) {
             return Err(CheckpointError::Corrupt("duplicate reorder-buffer slot"));
         }
+        Ok(Section {
+            counters,
+            tenants,
+            buffer,
+        })
     }
-    Ok(buffer)
 }
 
-/// [`encode_buffer`] for the overlay form — iterates the map ascending
-/// by slot, the same order a live shard's buffer section emits.
-fn encode_buffer_map(buffer: &BTreeMap<u64, Vec<(u64, u64)>>, w: &mut StateWriter) {
-    w.put_len(buffer.len());
-    for (slot, entries) in buffer {
-        w.put_u64(*slot);
-        w.put_len(entries.len());
-        for (tenant, element) in entries {
-            w.put_u64(*tenant);
-            w.put_u64(*element);
-        }
-    }
+/// A full document's shard section.
+struct FullShard {
+    watermark: Slot,
+    /// The shard's mutation sequence number (a delta's reference point).
+    seq: u64,
+    section: Section,
+}
+
+wire_record! { FullShard { watermark: Slot, seq: u64, section: Section } }
+
+/// A delta document's shard section.
+struct DeltaShard {
+    base_seq: u64,
+    new_seq: u64,
+    watermark: Slot,
+    section: Section,
+}
+
+wire_record! { DeltaShard { base_seq: u64, new_seq: u64, watermark: Slot, section: Section } }
+
+/// A whole document in memory: the deployment shape, then one section
+/// per shard (`FullShard` for `DDSE`, `DeltaShard` for `DDSD`).
+struct Document<S> {
+    queue_capacity: usize,
+    spec: SamplerSpec,
+    lateness: Option<u64>,
+    shards: Vec<S>,
 }
 
 /// Upper bound on the spec sample size accepted from a checkpoint: `s`
@@ -265,39 +239,177 @@ fn encode_buffer_map(buffer: &BTreeMap<u64, Vec<(u64, u64)>>, w: &mut StateWrite
 /// request an absurd one.
 const MAX_SPEC_S: usize = 1 << 20;
 
-fn decode_spec(r: &mut StateReader<'_>) -> Result<SamplerSpec, CheckpointError> {
-    let tag = r.get_u8()?;
-    let window = r.get_u64()?;
-    // A scalar, not a collection length — it must not be bounds-checked
-    // against the remaining document bytes.
-    let s = r.get_u32()? as usize;
-    let seed = r.get_u64()?;
-    if s == 0 {
-        return Err(CheckpointError::Corrupt("spec sample size is zero"));
+impl<S: Wire> Document<S> {
+    /// What a delta must share with its base: shard count, queue
+    /// capacity, spec and lateness.
+    fn shape(&self) -> (usize, usize, SamplerSpec, Option<u64>) {
+        (
+            self.shards.len(),
+            self.queue_capacity,
+            self.spec,
+            self.lateness,
+        )
     }
-    if s > MAX_SPEC_S {
-        return Err(CheckpointError::Corrupt(
-            "spec sample size implausibly large",
-        ));
+
+    /// Encode under `magic ‖ version` and seal with the trailer.
+    fn encode(&self, magic: u32, version: u16) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.put_u32(magic);
+        w.put_u16(version);
+        // The shape header writes its two counts as `u32`s.
+        w.put_len(self.shards.len());
+        w.put_len(self.queue_capacity);
+        w.put_u8(match self.spec.kind {
+            SamplerKind::Centralized => kind::CENTRALIZED,
+            SamplerKind::Infinite => kind::INFINITE,
+            SamplerKind::WithReplacement => kind::WITH_REPLACEMENT,
+            SamplerKind::Sliding { .. } => kind::SLIDING,
+            SamplerKind::SlidingMulti { .. } => kind::SLIDING_MULTI,
+        });
+        w.put(&self.spec.window().unwrap_or(0));
+        w.put_len(self.spec.s);
+        w.put(&self.spec.seed);
+        w.put(&Padded(self.lateness));
+        for shard in &self.shards {
+            w.put(shard);
+        }
+        let mut out = w.into_bytes();
+        let check = checksum(magic, &out);
+        out.extend_from_slice(&check.to_le_bytes());
+        out
     }
-    let kind_of = match tag {
-        kind::CENTRALIZED => SamplerKind::Centralized,
-        kind::INFINITE => SamplerKind::Infinite,
-        kind::WITH_REPLACEMENT => SamplerKind::WithReplacement,
-        kind::SLIDING => SamplerKind::Sliding { window },
-        kind::SLIDING_MULTI => SamplerKind::SlidingMulti { window },
-        other => return Err(CheckpointError::UnknownKind(other)),
-    };
-    if kind_of.window() == Some(0) {
-        return Err(CheckpointError::Corrupt("spec window is zero"));
+
+    /// Check the header and trailer, then decode and validate the body.
+    fn parse(bytes: &[u8], magic: u32, version: u16) -> Result<Self, CheckpointError> {
+        let mut r = open(bytes, magic, version)?;
+        // `shards` counts the sections that follow, so it is bounded
+        // like a sequence length: no shard is spawned for a count the
+        // document cannot actually contain.
+        let shards = r.get_len_of::<S>()?;
+        let queue_capacity = r.get_u32()? as usize;
+        if shards == 0 || queue_capacity == 0 {
+            return Err(CheckpointError::Corrupt("zero shards or queue capacity"));
+        }
+        if queue_capacity > 1 << 20 {
+            return Err(CheckpointError::Corrupt("queue capacity implausibly large"));
+        }
+        let tag = r.get_u8()?;
+        let window = r.get()?;
+        // A scalar, not a collection length — it must not be bounds-
+        // checked against the remaining document bytes.
+        let s = r.get_u32()? as usize;
+        let seed = r.get()?;
+        if s == 0 {
+            return Err(CheckpointError::Corrupt("spec sample size is zero"));
+        }
+        if s > MAX_SPEC_S {
+            return Err(CheckpointError::Corrupt(
+                "spec sample size implausibly large",
+            ));
+        }
+        let kind_of = match tag {
+            kind::CENTRALIZED => SamplerKind::Centralized,
+            kind::INFINITE => SamplerKind::Infinite,
+            kind::WITH_REPLACEMENT => SamplerKind::WithReplacement,
+            kind::SLIDING => SamplerKind::Sliding { window },
+            kind::SLIDING_MULTI => SamplerKind::SlidingMulti { window },
+            other => return Err(CheckpointError::UnknownKind(other)),
+        };
+        if kind_of.window() == Some(0) {
+            return Err(CheckpointError::Corrupt("spec window is zero"));
+        }
+        if matches!(kind_of, SamplerKind::Sliding { .. }) && s != 1 {
+            return Err(CheckpointError::Corrupt("sliding spec with s above one"));
+        }
+        let lateness = r.get::<Padded<u64>>()?.0;
+        let mut sections = Vec::with_capacity(shards);
+        for _ in 0..shards {
+            sections.push(r.get()?);
+        }
+        r.expect_end()?;
+        Ok(Document {
+            queue_capacity,
+            spec: SamplerSpec::new(kind_of, s, seed),
+            lateness,
+            shards: sections,
+        })
     }
-    if matches!(kind_of, SamplerKind::Sliding { .. }) && s != 1 {
-        return Err(CheckpointError::Corrupt("sliding spec with s above one"));
+}
+
+/// Parse a full current-version document. Validates the checksum and
+/// structure — a tenant may appear once in the whole document — but
+/// not the tenant blobs (restore does that).
+fn parse_full(bytes: &[u8]) -> Result<Document<FullShard>, CheckpointError> {
+    let doc = Document::<FullShard>::parse(bytes, MAGIC, VERSION)?;
+    let mut seen = HashSet::new();
+    for shard in &doc.shards {
+        if !shard.section.tenants.iter().all(|t| seen.insert(t.0)) {
+            return Err(REPEATED_TENANT);
+        }
     }
-    Ok(SamplerSpec::new(kind_of, s, seed))
+    Ok(doc)
+}
+
+/// The shard counters a document carries, in container order.
+fn counter_cells(m: &ShardMetrics) -> [&Counter; COUNTERS] {
+    [
+        &m.elements,
+        &m.batches,
+        &m.advances,
+        &m.evictions,
+        &m.snapshots,
+        &m.snapshot_nanos,
+        &m.backpressure,
+        &m.late_dropped,
+        &m.stale_advances,
+        &m.sweeps,
+    ]
 }
 
 impl Engine {
+    /// Send every shard the checkpoint command `cmd` builds for it,
+    /// then collect the answers in shard order — the shards serialize
+    /// their tenants concurrently. Each answer is paired with the
+    /// shard's counters read as it arrives.
+    fn shard_states(
+        &self,
+        cmd: impl Fn(usize, Sender<ShardState>) -> ShardCmd,
+    ) -> Result<Vec<(ShardState, [u64; COUNTERS])>, EngineError> {
+        self.guard()?;
+        let replies = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let (reply_tx, reply_rx) = channel();
+                shard
+                    .tx
+                    .send(cmd(i, reply_tx))
+                    .map_err(|_| self.down_error(i))
+                    .map(|()| reply_rx)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        replies
+            .into_iter()
+            .zip(&self.shards)
+            .enumerate()
+            .map(|(i, (rx, shard))| {
+                let state = rx.recv().map_err(|_| self.down_error(i))?;
+                Ok((state, counter_cells(&shard.metrics).map(Counter::get)))
+            })
+            .collect()
+    }
+
+    /// This engine's shape around `shards` sections.
+    fn document<S>(&self, shards: Vec<S>) -> Document<S> {
+        Document {
+            queue_capacity: self.queue_capacity,
+            spec: self.spec,
+            lateness: self.lateness,
+            shards,
+        }
+    }
+
     /// Serialize the entire engine — spec, shard layout, per-shard
     /// watermarks and counters, and every tenant's full sampler state —
     /// into one self-describing, checksummed byte document.
@@ -313,56 +425,20 @@ impl Engine {
     /// [`EngineError::ShutDown`] after [`Engine::begin_shutdown`];
     /// [`EngineError::ShardDown`] if a worker is gone.
     pub fn try_checkpoint(&self) -> Result<Vec<u8>, EngineError> {
-        self.guard()?;
-        // Fan the barrier out to all shards first, then collect — the
-        // shards serialize their tenant maps concurrently.
-        let replies: Vec<Receiver<ShardState>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let (reply_tx, reply_rx) = channel();
-                shard
-                    .tx
-                    .send(ShardCmd::Checkpoint { reply: reply_tx })
-                    .map_err(|_| self.down_error(i))
-                    .map(|()| reply_rx)
+        let states = self.shard_states(|_, reply| ShardCmd::Checkpoint { reply })?;
+        let shards = states
+            .into_iter()
+            .map(|(state, counters)| FullShard {
+                watermark: state.watermark,
+                seq: state.seq,
+                section: Section {
+                    counters,
+                    tenants: state.tenants,
+                    buffer: state.buffer,
+                },
             })
-            .collect::<Result<_, _>>()?;
-
-        let mut w = StateWriter::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_len(self.shards.len());
-        w.put_len(self.queue_capacity);
-        encode_spec(&self.spec, &mut w);
-        encode_lateness(self.lateness, &mut w);
-        for (i, (shard, rx)) in self.shards.iter().zip(replies).enumerate() {
-            let state = rx.recv().map_err(|_| self.down_error(i))?;
-            let m = shard.metrics.snapshot(0, 0);
-            w.put_slot(state.watermark);
-            w.put_u64(state.seq);
-            for counter in [
-                m.elements,
-                m.batches,
-                m.advances,
-                m.evictions,
-                m.snapshots,
-                m.snapshot_nanos,
-                m.backpressure,
-                m.late_dropped,
-                m.stale_advances,
-                m.sweeps,
-            ] {
-                w.put_u64(counter);
-            }
-            w.put_len(state.tenants.len());
-            for (tenant, parked, stamp, blob) in &state.tenants {
-                encode_tenant(&mut w, *tenant, *parked, *stamp, blob);
-            }
-            encode_buffer(&state.buffer, &mut w);
-        }
-        Ok(seal(MAGIC, w))
+            .collect();
+        Ok(self.document(shards).encode(MAGIC, VERSION))
     }
 
     /// Infallible wrapper over [`Engine::try_checkpoint`].
@@ -402,68 +478,39 @@ impl Engine {
     /// Panics if the engine is shut down or a worker is gone (like
     /// [`Engine::checkpoint`]).
     pub fn checkpoint_delta(&self, base: &[u8]) -> Result<Vec<u8>, CheckpointError> {
-        let doc = parse_full(base)?;
-        if doc.shards != self.shards.len()
-            || doc.queue_capacity != self.queue_capacity
-            || doc.spec != self.spec
-            || doc.lateness != self.lateness
-        {
+        let base = parse_full(base)?;
+        let shape = (
+            self.shards.len(),
+            self.queue_capacity,
+            self.spec,
+            self.lateness,
+        );
+        if base.shape() != shape {
             return Err(CheckpointError::Corrupt(
                 "base checkpoint is from a different deployment shape",
             ));
         }
-        self.guard().expect("engine checkpoints");
-        let replies: Vec<Receiver<ShardState>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let (reply_tx, reply_rx) = channel();
-                shard
-                    .tx
-                    .send(ShardCmd::CheckpointDelta {
-                        since: doc.per_shard[i].seq,
-                        reply: reply_tx,
-                    })
-                    .expect("shard worker alive");
-                reply_rx
+        let states = self
+            .shard_states(|i, reply| ShardCmd::CheckpointDelta {
+                since: base.shards[i].seq,
+                reply,
+            })
+            .expect("engine checkpoints");
+        let shards = states
+            .into_iter()
+            .zip(&base.shards)
+            .map(|((state, counters), base)| DeltaShard {
+                base_seq: base.seq,
+                new_seq: state.seq,
+                watermark: state.watermark,
+                section: Section {
+                    counters,
+                    tenants: state.tenants,
+                    buffer: state.buffer,
+                },
             })
             .collect();
-
-        let mut w = StateWriter::new();
-        w.put_u32(DELTA_MAGIC);
-        w.put_u16(DELTA_VERSION);
-        w.put_len(self.shards.len());
-        w.put_len(self.queue_capacity);
-        encode_spec(&self.spec, &mut w);
-        encode_lateness(self.lateness, &mut w);
-        for (i, (shard, rx)) in self.shards.iter().zip(replies).enumerate() {
-            let state = rx.recv().expect("shard worker answers");
-            let m = shard.metrics.snapshot(0, 0);
-            w.put_u64(doc.per_shard[i].seq);
-            w.put_u64(state.seq);
-            w.put_slot(state.watermark);
-            for counter in [
-                m.elements,
-                m.batches,
-                m.advances,
-                m.evictions,
-                m.snapshots,
-                m.snapshot_nanos,
-                m.backpressure,
-                m.late_dropped,
-                m.stale_advances,
-                m.sweeps,
-            ] {
-                w.put_u64(counter);
-            }
-            w.put_len(state.tenants.len());
-            for (tenant, parked, stamp, blob) in &state.tenants {
-                encode_tenant(&mut w, *tenant, *parked, *stamp, blob);
-            }
-            encode_buffer(&state.buffer, &mut w);
-        }
-        Ok(seal(DELTA_MAGIC, w))
+        Ok(self.document(shards).encode(DELTA_MAGIC, DELTA_VERSION))
     }
 
     /// Rebuild an engine from a base document plus an in-order chain of
@@ -494,65 +541,35 @@ impl Engine {
     /// in one shard section or across two; never panics on untrusted
     /// bytes.
     pub fn restore(bytes: &[u8]) -> Result<Engine, CheckpointError> {
-        let mut r = open(bytes, MAGIC, VERSION)?;
-        // `shards` counts the shard records that follow (each at least
-        // `SHARD_SECTION_MIN` bytes), so the collection-length bound
-        // caps it against the document size — no thread is spawned for
-        // a count the document cannot actually contain.
-        let (shards, queue_capacity, spec, lateness) = parse_shape(&mut r, SHARD_SECTION_MIN)?;
-
-        struct ShardRecord {
-            watermark: Slot,
-            seq: u64,
-            counters: [u64; COUNTERS],
-        }
-        let mut records = Vec::with_capacity(shards);
+        let doc = parse_full(bytes)?;
+        let shards = doc.shards.len();
+        let engine = Engine::spawn(EngineConfig {
+            shards,
+            queue_capacity: doc.queue_capacity,
+            spec: doc.spec,
+            lateness: doc.lateness,
+        });
         // Tenants (and buffered late elements) re-routed by the engine's
         // own placement hash.
         let mut tenants: Vec<Vec<(u64, u64, TenantState)>> = Vec::new();
         let mut buffers: Vec<BTreeMap<u64, Vec<(u64, u64)>>> = Vec::new();
         tenants.resize_with(shards, Vec::new);
         buffers.resize_with(shards, BTreeMap::new);
-        // Re-routing can bring one id from two shard sections together,
-        // so repeats are caught across the whole document.
-        let mut seen = HashSet::new();
-
-        let engine = Engine::spawn(EngineConfig {
-            shards,
-            queue_capacity,
-            spec,
-            lateness,
-        });
-
-        for _ in 0..shards {
-            let watermark = r.get_slot()?;
-            let seq = r.get_u64()?;
-            let mut counters = [0u64; COUNTERS];
-            for c in &mut counters {
-                *c = r.get_u64()?;
-            }
-            let tenant_count = r.get_len(TENANT_RECORD_MIN)?;
-            for _ in 0..tenant_count {
-                let tenant = r.get_u64()?;
-                let is_parked = r.get_bool()?;
-                let stamp = r.get_u64()?;
-                let blob_len = r.get_len(1)?;
-                let blob = r.get_bytes(blob_len)?;
-                if !seen.insert(tenant) {
-                    return Err(REPEATED_TENANT);
-                }
+        let mut records = Vec::with_capacity(shards);
+        for shard in doc.shards {
+            for (tenant, is_parked, stamp, blob) in shard.section.tenants {
                 // A parked blob is validated now too, so a corrupt one
                 // fails the restore, not a later rehydration inside a
                 // shard worker.
-                let sampler = restore_instance(blob)?;
+                let sampler = restore_instance(&blob)?;
                 let state = if is_parked {
-                    TenantState::Parked(blob.to_vec())
+                    TenantState::Parked(blob)
                 } else {
                     TenantState::Live(sampler)
                 };
                 tenants[engine.shard_of(TenantId(tenant))].push((tenant, stamp, state));
             }
-            for (slot, entries) in decode_buffer(&mut r)? {
+            for (slot, entries) in shard.section.buffer {
                 for (tenant, element) in entries {
                     let home = engine.shard_of(TenantId(tenant));
                     buffers[home]
@@ -561,16 +578,11 @@ impl Engine {
                         .push((tenant, element));
                 }
             }
-            records.push(ShardRecord {
-                watermark,
-                seq,
-                counters,
-            });
+            records.push((shard.watermark, shard.seq, shard.section.counters));
         }
-        r.expect_end()?;
 
-        for (i, (record, (tenants, buffer))) in records
-            .iter()
+        for (i, ((watermark, seq, counters), (tenants, buffer))) in records
+            .into_iter()
             .zip(tenants.into_iter().zip(buffers))
             .enumerate()
         {
@@ -578,24 +590,15 @@ impl Engine {
             shard
                 .tx
                 .send(ShardCmd::Install {
-                    watermark: record.watermark,
-                    seq: record.seq,
+                    watermark,
+                    seq,
                     tenants,
                     buffer: buffer.into_iter().collect(),
                 })
                 .expect("shard worker alive");
-            let [elements, batches, advances, evictions, snapshots, snapshot_nanos, backpressure, late_dropped, stale_advances, sweeps] =
-                record.counters;
-            shard.metrics.elements.set(elements);
-            shard.metrics.batches.set(batches);
-            shard.metrics.advances.set(advances);
-            shard.metrics.evictions.set(evictions);
-            shard.metrics.snapshots.set(snapshots);
-            shard.metrics.snapshot_nanos.set(snapshot_nanos);
-            shard.metrics.backpressure.set(backpressure);
-            shard.metrics.late_dropped.set(late_dropped);
-            shard.metrics.stale_advances.set(stale_advances);
-            shard.metrics.sweeps.set(sweeps);
+            for (cell, value) in counter_cells(&shard.metrics).into_iter().zip(counters) {
+                cell.set(value);
+            }
         }
         // Barrier: the Installs have landed (and the tenant/watermark
         // gauges are set) before the engine is handed to the caller.
@@ -615,43 +618,10 @@ impl Engine {
     }
 }
 
-/// One shard's section of a parsed full document.
-struct DocShard {
-    watermark: Slot,
-    seq: u64,
-    counters: [u64; COUNTERS],
-    /// tenant id → (parked, stamp, sampler envelope). A `BTreeMap` so
-    /// re-encoding iterates ascending by tenant id — byte-identical to
-    /// the order a live engine's [`ShardCmd::Checkpoint`] emits.
-    tenants: BTreeMap<u64, (bool, u64, Vec<u8>)>,
-    /// The shard's reorder buffer: slot → buffered `(tenant, element)`
-    /// pairs, in arrival order within a slot. Ascending by slot so
-    /// re-encoding matches a live checkpoint byte for byte.
-    buffer: BTreeMap<u64, Vec<(u64, u64)>>,
-}
-
-/// A fully parsed engine checkpoint (the in-memory form [`compact`]
-/// overlays deltas onto).
-struct Doc {
-    shards: usize,
-    queue_capacity: usize,
-    spec: SamplerSpec,
-    lateness: Option<u64>,
-    per_shard: Vec<DocShard>,
-}
-
 /// The trailer of a document: MurmurHash64A of its body, seeded with
 /// its magic.
 fn checksum(magic: u32, body: &[u8]) -> u64 {
     murmur64a(body, u64::from(magic))
-}
-
-/// Append the trailer to an encoded document body.
-fn seal(magic: u32, w: StateWriter) -> Vec<u8> {
-    let mut out = w.into_bytes();
-    let check = checksum(magic, &out);
-    out.extend_from_slice(&check.to_le_bytes());
-    out
 }
 
 /// Check a document's magic and version, then its trailer, and return a
@@ -679,103 +649,20 @@ fn open(bytes: &[u8], magic: u32, version: u16) -> Result<StateReader<'_>, Check
     Ok(StateReader::new(&body[HEADER_BYTES..]))
 }
 
-/// Decode the shared deployment-shape header (shard count, queue
-/// capacity, spec, lateness); `min_shard_bytes` is the per-shard-section
-/// floor that bounds the shard count against the document size.
-#[allow(clippy::type_complexity)]
-fn parse_shape(
-    r: &mut StateReader<'_>,
-    min_shard_bytes: usize,
-) -> Result<(usize, usize, SamplerSpec, Option<u64>), CheckpointError> {
-    let shards = r.get_len(min_shard_bytes)?;
-    let queue_capacity = r.get_u32()? as usize;
-    if shards == 0 || queue_capacity == 0 {
-        return Err(CheckpointError::Corrupt("zero shards or queue capacity"));
-    }
-    if queue_capacity > 1 << 20 {
-        return Err(CheckpointError::Corrupt("queue capacity implausibly large"));
-    }
-    let spec = decode_spec(r)?;
-    let lateness = decode_lateness(r)?;
-    Ok((shards, queue_capacity, spec, lateness))
-}
-
-/// Decode one tenant record (shared by full and delta sections).
-fn parse_tenant(r: &mut StateReader<'_>) -> Result<(u64, (bool, u64, Vec<u8>)), CheckpointError> {
-    let tenant = r.get_u64()?;
-    let parked = r.get_bool()?;
-    let stamp = r.get_u64()?;
-    let blob_len = r.get_len(1)?;
-    let blob = r.get_bytes(blob_len)?.to_vec();
-    Ok((tenant, (parked, stamp, blob)))
-}
-
-/// Parse a full current-version document into its overlay form. Validates the
-/// checksum and structure — a tenant may appear once in the whole
-/// document — but not the tenant blobs (restore does that).
-fn parse_full(bytes: &[u8]) -> Result<Doc, CheckpointError> {
-    let mut r = open(bytes, MAGIC, VERSION)?;
-    let (shards, queue_capacity, spec, lateness) = parse_shape(&mut r, SHARD_SECTION_MIN)?;
-    let mut per_shard = Vec::with_capacity(shards);
-    let mut seen = HashSet::new();
-    for _ in 0..shards {
-        let watermark = r.get_slot()?;
-        let seq = r.get_u64()?;
-        let mut counters = [0u64; COUNTERS];
-        for c in &mut counters {
-            *c = r.get_u64()?;
+/// `base` with `changed` laid over it: both ascending by tenant id, a
+/// changed record replacing the base's record of the same id. Blobs move;
+/// none is copied.
+fn overlay(base: Vec<Tenant>, changed: Vec<Tenant>) -> Vec<Tenant> {
+    let mut out = Vec::with_capacity(base.len() + changed.len());
+    let mut changed = changed.into_iter().peekable();
+    for tenant in base {
+        while let Some(c) = changed.next_if(|c| c.0 < tenant.0) {
+            out.push(c);
         }
-        let tenant_count = r.get_len(TENANT_RECORD_MIN)?;
-        let mut tenants = BTreeMap::new();
-        for _ in 0..tenant_count {
-            let (tenant, record) = parse_tenant(&mut r)?;
-            if !seen.insert(tenant) {
-                return Err(REPEATED_TENANT);
-            }
-            tenants.insert(tenant, record);
-        }
-        let buffer = decode_buffer(&mut r)?;
-        per_shard.push(DocShard {
-            watermark,
-            seq,
-            counters,
-            tenants,
-            buffer,
-        });
+        out.push(changed.next_if(|c| c.0 == tenant.0).unwrap_or(tenant));
     }
-    r.expect_end()?;
-    Ok(Doc {
-        shards,
-        queue_capacity,
-        spec,
-        lateness,
-        per_shard,
-    })
-}
-
-/// Re-encode an overlay as a full current-version document — the exact byte
-/// layout [`Engine::try_checkpoint`] produces for the same state.
-fn encode_full(doc: &Doc) -> Vec<u8> {
-    let mut w = StateWriter::new();
-    w.put_u32(MAGIC);
-    w.put_u16(VERSION);
-    w.put_len(doc.shards);
-    w.put_len(doc.queue_capacity);
-    encode_spec(&doc.spec, &mut w);
-    encode_lateness(doc.lateness, &mut w);
-    for shard in &doc.per_shard {
-        w.put_slot(shard.watermark);
-        w.put_u64(shard.seq);
-        for c in shard.counters {
-            w.put_u64(c);
-        }
-        w.put_len(shard.tenants.len());
-        for (&tenant, (parked, stamp, blob)) in &shard.tenants {
-            encode_tenant(&mut w, tenant, *parked, *stamp, blob);
-        }
-        encode_buffer_map(&shard.buffer, &mut w);
-    }
-    seal(MAGIC, w)
+    out.extend(changed);
+    out
 }
 
 /// Overlay one delta document onto a parsed base. Rejects deltas for a
@@ -785,60 +672,48 @@ fn encode_full(doc: &Doc) -> Vec<u8> {
 /// predate it (the delta is stale). A tenant may appear once per delta
 /// section, and never in a section other than the one the overlay
 /// already holds it in.
-fn apply_delta(doc: &mut Doc, delta: &[u8]) -> Result<(), CheckpointError> {
-    let mut r = open(delta, DELTA_MAGIC, DELTA_VERSION)?;
-    let (shards, queue_capacity, spec, lateness) = parse_shape(&mut r, DELTA_SHARD_SECTION_MIN)?;
-    if shards != doc.shards
-        || queue_capacity != doc.queue_capacity
-        || spec != doc.spec
-        || lateness != doc.lateness
-    {
+fn apply_delta(doc: &mut Document<FullShard>, delta: &[u8]) -> Result<(), CheckpointError> {
+    let delta = Document::<DeltaShard>::parse(delta, DELTA_MAGIC, DELTA_VERSION)?;
+    if doc.shape() != delta.shape() {
         return Err(CheckpointError::Corrupt(
             "delta is for a different deployment shape",
         ));
     }
-    for i in 0..doc.per_shard.len() {
-        let base_seq = r.get_u64()?;
-        let shard = &doc.per_shard[i];
-        let new_seq = r.get_u64()?;
-        if base_seq > shard.seq {
+    for (i, changed) in delta.shards.into_iter().enumerate() {
+        let seq = doc.shards[i].seq;
+        if changed.base_seq > seq {
             return Err(CheckpointError::Corrupt(
                 "delta applied out of order: its base postdates the chain",
             ));
         }
-        if new_seq < shard.seq {
+        if changed.new_seq < seq {
             return Err(CheckpointError::Corrupt(
                 "delta predates the state it is applied to",
             ));
         }
-        let watermark = r.get_slot()?;
-        let mut counters = [0u64; COUNTERS];
-        for c in &mut counters {
-            *c = r.get_u64()?;
+        let elsewhere = |id: u64| {
+            doc.shards.iter().enumerate().any(|(j, other)| {
+                j != i
+                    && other
+                        .section
+                        .tenants
+                        .binary_search_by_key(&id, |t| t.0)
+                        .is_ok()
+            })
+        };
+        if changed.section.tenants.iter().any(|t| elsewhere(t.0)) {
+            return Err(REPEATED_TENANT);
         }
-        let changed = r.get_len(TENANT_RECORD_MIN)?;
-        let mut seen = HashSet::new();
-        for _ in 0..changed {
-            let (tenant, record) = parse_tenant(&mut r)?;
-            let elsewhere = doc
-                .per_shard
-                .iter()
-                .enumerate()
-                .any(|(j, other)| j != i && other.tenants.contains_key(&tenant));
-            if !seen.insert(tenant) || elsewhere {
-                return Err(REPEATED_TENANT);
-            }
-            doc.per_shard[i].tenants.insert(tenant, record);
-        }
-        let shard = &mut doc.per_shard[i];
-        shard.watermark = watermark;
-        shard.seq = new_seq;
-        shard.counters = counters;
+        let shard = &mut doc.shards[i];
+        let base = std::mem::take(&mut shard.section.tenants);
+        shard.section.tenants = overlay(base, changed.section.tenants);
+        shard.watermark = changed.watermark;
+        shard.seq = changed.new_seq;
+        shard.section.counters = changed.section.counters;
         // The buffer is tiny and carried whole in every delta, so it
         // replaces rather than merges.
-        shard.buffer = decode_buffer(&mut r)?;
+        shard.section.buffer = changed.section.buffer;
     }
-    r.expect_end()?;
     Ok(())
 }
 
@@ -857,7 +732,7 @@ pub fn compact(base: &[u8], deltas: &[Vec<u8>]) -> Result<Vec<u8>, CheckpointErr
     for delta in deltas {
         apply_delta(&mut doc, delta)?;
     }
-    Ok(encode_full(&doc))
+    Ok(doc.encode(MAGIC, VERSION))
 }
 
 #[cfg(test)]
@@ -932,14 +807,15 @@ mod tests {
         fn parked_bytes_in(doc: &[u8]) -> Vec<u64> {
             parse_full(doc)
                 .expect("parses")
-                .per_shard
+                .shards
                 .iter()
                 .map(|shard| {
                     shard
+                        .section
                         .tenants
-                        .values()
-                        .filter(|(parked, _, _)| *parked)
-                        .map(|(_, _, blob)| blob.len() as u64)
+                        .iter()
+                        .filter(|(_, parked, _, _)| *parked)
+                        .map(|(_, _, _, blob)| blob.len() as u64)
                         .sum()
                 })
                 .collect()
@@ -1190,41 +1066,42 @@ mod tests {
         (live_blob, parked_blob)
     }
 
-    /// A document sealed with this module's own encoders: shard section
+    /// A document sealed with this module's own encoder: shard section
     /// `i` lists `sections[i]` as `(tenant, parked, blob)` records, at
     /// seq 1 for a full document or from seq 1 to 2 for a delta.
     fn hand_sealed(delta: bool, sections: &[Vec<(u64, bool, Vec<u8>)>]) -> Vec<u8> {
-        let (magic, version) = if delta {
-            (DELTA_MAGIC, DELTA_VERSION)
-        } else {
-            (MAGIC, VERSION)
+        let section = |tenants: &Vec<(u64, bool, Vec<u8>)>| Section {
+            counters: [0; COUNTERS],
+            tenants: tenants
+                .iter()
+                .map(|(tenant, parked, blob)| (*tenant, *parked, 1, blob.clone()))
+                .collect(),
+            buffer: Vec::new(),
         };
-        let mut w = StateWriter::new();
-        w.put_u32(magic);
-        w.put_u16(version);
-        w.put_len(sections.len());
-        w.put_len(8);
-        encode_spec(&sliding_spec(), &mut w);
-        encode_lateness(None, &mut w);
-        for tenants in sections {
-            if delta {
-                w.put_u64(1);
-                w.put_u64(2);
-                w.put_slot(Slot(3));
-            } else {
-                w.put_slot(Slot(3));
-                w.put_u64(1);
+        fn shaped<S>(shards: Vec<S>) -> Document<S> {
+            Document {
+                queue_capacity: 8,
+                spec: sliding_spec(),
+                lateness: None,
+                shards,
             }
-            for _ in 0..COUNTERS {
-                w.put_u64(0);
-            }
-            w.put_len(tenants.len());
-            for (tenant, parked, blob) in tenants {
-                encode_tenant(&mut w, *tenant, *parked, 1, blob);
-            }
-            encode_buffer(&[], &mut w);
         }
-        seal(magic, w)
+        if delta {
+            let shards = sections.iter().map(|tenants| DeltaShard {
+                base_seq: 1,
+                new_seq: 2,
+                watermark: Slot(3),
+                section: section(tenants),
+            });
+            shaped(shards.collect()).encode(DELTA_MAGIC, DELTA_VERSION)
+        } else {
+            let shards = sections.iter().map(|tenants| FullShard {
+                watermark: Slot(3),
+                seq: 1,
+                section: section(tenants),
+            });
+            shaped(shards.collect()).encode(MAGIC, VERSION)
+        }
     }
 
     #[test]

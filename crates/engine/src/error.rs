@@ -52,6 +52,17 @@ pub enum EngineError {
     },
 }
 
+// The payload of an error frame: a tag byte, then the variant's fields.
+dds_core::wire_enum! { EngineError {
+    0 => UnknownTenant(tenant: TenantId),
+    1 => ShutDown,
+    2 => ShardDown(shard: usize),
+    3 => Format(msg: String),
+    4 => Unsupported(msg: String),
+    5 => Transport(msg: String),
+    6 => LateData { slot: Slot, watermark: Slot },
+} }
+
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -80,6 +80,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use dds_core::checkpoint::{CheckpointError, StateReader, StateWriter, Wire};
 use dds_core::sampler::SamplerSpec;
 use dds_hash::splitmix::splitmix64_keyed;
 use dds_obs::{Registry, TelemetrySnapshot};
@@ -92,6 +93,19 @@ use shard::{shard_loop, ShardCmd};
 /// Identifies one tenant (one independent sampling instance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub u64);
+
+/// A `u64`.
+impl Wire for TenantId {
+    const MIN_BYTES: usize = 8;
+    #[inline]
+    fn put(&self, w: &mut StateWriter) {
+        w.put_u64(self.0);
+    }
+    #[inline]
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        Ok(TenantId(r.get_u64()?))
+    }
+}
 
 /// Salt for the tenant → shard hash, fixed so placement is stable across
 /// engine restarts with the same shard count.
@@ -175,6 +189,8 @@ pub struct TenantView {
     pub protocol_messages: u64,
 }
 
+dds_core::wire_record! { TenantView { sample: Vec<Element>, memory_tuples: usize, protocol_messages: u64 } }
+
 struct Shard {
     /// The shard's command queue; every send goes through it, so its
     /// depth count stays exact.
@@ -196,6 +212,8 @@ pub struct EngineReport {
     /// Tenants hosted per shard at shutdown.
     pub tenants_per_shard: Vec<usize>,
 }
+
+dds_core::wire_record! { EngineReport { metrics: EngineMetrics, tenants_per_shard: Vec<usize> } }
 
 /// Reuse statistics of the engine's shared ingest-buffer pool (see
 /// [`Engine::batch_pool_stats`]).

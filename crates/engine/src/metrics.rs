@@ -158,6 +158,13 @@ pub struct ShardMetricsSnapshot {
     pub buffered: usize,
 }
 
+// Fifteen words per shard on the wire; the counts are `u64`s too.
+dds_core::wire_record! { ShardMetricsSnapshot {
+    shard: usize, batches: u64, elements: u64, snapshots: u64, snapshot_nanos: u64,
+    backpressure: u64, tenants: usize, advances: u64, evictions: u64, watermark: u64,
+    queue_depth: usize, late_dropped: u64, stale_advances: u64, sweeps: u64, buffered: usize,
+} }
+
 impl ShardMetricsSnapshot {
     /// Mean snapshot round-trip latency in nanoseconds (0 before the
     /// first snapshot).
@@ -177,6 +184,8 @@ pub struct EngineMetrics {
     /// One snapshot per shard, in shard order.
     pub shards: Vec<ShardMetricsSnapshot>,
 }
+
+dds_core::wire_record! { EngineMetrics { shards: Vec<ShardMetricsSnapshot> } }
 
 impl EngineMetrics {
     /// Elements processed across all shards.

@@ -14,8 +14,10 @@
 //!    relaxed atomics; [`Histogram`] is a fixed array of relaxed
 //!    atomics. Handles are `Arc`-clones, so recorders share cells
 //!    without going back to the [`Registry`].
-//! 2. **Zero dependencies.** Like the vendored stubs, this crate uses
-//!    only `std` — it can sit under every other crate in the workspace
+//! 2. **No external dependencies.** This crate uses `std` and
+//!    `dds-core`, whose `Wire` codec lays a snapshot out on the wire
+//!    (the impls sit here, beside the types). Every serving crate
+//!    already depends on `dds-core`, so this one sits under all of them
 //!    without widening the build graph.
 //! 3. **Measurably cheap.** With the `obs-noop` feature every record
 //!    call (and every clock read behind [`maybe_now`]) compiles to a
@@ -45,6 +47,7 @@ pub mod metric;
 pub mod registry;
 pub mod snapshot;
 pub mod timer;
+mod wire;
 
 pub use events::{Event, EventRing};
 pub use hist::{

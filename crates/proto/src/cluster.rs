@@ -38,12 +38,20 @@
 //! to a [`ClusterSpec::digest`] that join handshakes compare, so a
 //! site compiled against different parameters is rejected before it
 //! can corrupt the sample.
+//!
+//! Every layout here is declared once on `dds_core`'s `Wire` codec: the
+//! enums one line per variant, the stats records one line each, and
+//! outcomes go through the codec the engine dialect uses too
+//! (`crate::codec`), under [`opcode::CLUSTER_ERROR`].
 
-use dds_core::checkpoint::{CheckpointError, StateReader, StateWriter};
+use dds_core::checkpoint::{CheckpointError, Padded, StateReader, StateWriter, Wire};
 use dds_core::sampler::{SamplerKind, SamplerSpec};
+use dds_core::{wire_enum, wire_record};
 use dds_hash::fnv::fnv1a_64;
+use dds_obs::TelemetrySnapshot;
 use dds_sim::{Element, MessageCounters, SiteId, Slot};
 
+use crate::codec::Refusal;
 use crate::frame;
 
 /// Opcode assignments for the cluster dialect. Requests sit in
@@ -160,18 +168,7 @@ impl ClusterSpec {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
-        let (tag, window) = match self.sampler.kind {
-            SamplerKind::Infinite => (KIND_INFINITE, 0),
-            SamplerKind::WithReplacement => (KIND_WR, 0),
-            SamplerKind::Sliding { window } => (KIND_SLIDING, window),
-            SamplerKind::SlidingMulti { window } => (KIND_SLIDING_MULTI, window),
-            SamplerKind::Centralized => unreachable!("rejected by ClusterSpec::new"),
-        };
-        w.put_u8(tag);
-        w.put_u64(self.sampler.s as u64);
-        w.put_u64(self.sampler.seed);
-        w.put_u64(window);
-        w.put_u64(self.k as u64);
+        w.put(self);
         w.into_bytes()
     }
 
@@ -182,41 +179,9 @@ impl ClusterSpec {
     /// parameter combinations `SamplerSpec::new` would reject.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = StateReader::new(bytes);
-        let tag = r.get_u8()?;
-        let s = usize::try_from(r.get_u64()?)
-            .map_err(|_| CheckpointError::Corrupt("sample size exceeds usize"))?;
-        let seed = r.get_u64()?;
-        let window = r.get_u64()?;
-        let k = usize::try_from(r.get_u64()?)
-            .map_err(|_| CheckpointError::Corrupt("site count exceeds usize"))?;
+        let spec = r.get()?;
         r.expect_end()?;
-        let kind = match tag {
-            KIND_INFINITE => SamplerKind::Infinite,
-            KIND_WR => SamplerKind::WithReplacement,
-            KIND_SLIDING => SamplerKind::Sliding { window },
-            KIND_SLIDING_MULTI => SamplerKind::SlidingMulti { window },
-            other => return Err(CheckpointError::UnknownKind(other)),
-        };
-        if s == 0 {
-            return Err(CheckpointError::Corrupt("sample size must be >= 1"));
-        }
-        if matches!(tag, KIND_SLIDING | KIND_SLIDING_MULTI) && window == 0 {
-            return Err(CheckpointError::Corrupt("window must be >= 1"));
-        }
-        if tag == KIND_SLIDING && s != 1 {
-            return Err(CheckpointError::Corrupt(
-                "single-sample sliding needs s == 1",
-            ));
-        }
-        if k == 0 {
-            return Err(CheckpointError::Corrupt(
-                "a cluster needs at least one site",
-            ));
-        }
-        Ok(Self {
-            sampler: SamplerSpec::new(kind, s, seed),
-            k,
-        })
+        Ok(spec)
     }
 
     /// FNV-1a digest of the encoding — the value join handshakes
@@ -255,6 +220,62 @@ impl ClusterSpec {
             bytes.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
         }
         Self::decode(&bytes)
+    }
+}
+
+/// Kind tag, `s`, seed, window (0 when the kind has none), `k`;
+/// decoding refuses what `ClusterSpec::new` would.
+impl Wire for ClusterSpec {
+    const MIN_BYTES: usize = 1 + 4 * 8;
+
+    fn put(&self, w: &mut StateWriter) {
+        let (tag, window) = match self.sampler.kind {
+            SamplerKind::Infinite => (KIND_INFINITE, 0),
+            SamplerKind::WithReplacement => (KIND_WR, 0),
+            SamplerKind::Sliding { window } => (KIND_SLIDING, window),
+            SamplerKind::SlidingMulti { window } => (KIND_SLIDING_MULTI, window),
+            SamplerKind::Centralized => unreachable!("rejected by ClusterSpec::new"),
+        };
+        w.put_u8(tag);
+        w.put(&self.sampler.s);
+        w.put(&self.sampler.seed);
+        w.put(&window);
+        w.put(&self.k);
+    }
+
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        let tag = r.get_u8()?;
+        let s: usize = r.get()?;
+        let seed = r.get()?;
+        let window = r.get()?;
+        let k: usize = r.get()?;
+        let kind = match tag {
+            KIND_INFINITE => SamplerKind::Infinite,
+            KIND_WR => SamplerKind::WithReplacement,
+            KIND_SLIDING => SamplerKind::Sliding { window },
+            KIND_SLIDING_MULTI => SamplerKind::SlidingMulti { window },
+            other => return Err(CheckpointError::UnknownKind(other)),
+        };
+        if s == 0 {
+            return Err(CheckpointError::Corrupt("sample size must be >= 1"));
+        }
+        if matches!(tag, KIND_SLIDING | KIND_SLIDING_MULTI) && window == 0 {
+            return Err(CheckpointError::Corrupt("window must be >= 1"));
+        }
+        if tag == KIND_SLIDING && s != 1 {
+            return Err(CheckpointError::Corrupt(
+                "single-sample sliding needs s == 1",
+            ));
+        }
+        if k == 0 {
+            return Err(CheckpointError::Corrupt(
+                "a cluster needs at least one site",
+            ));
+        }
+        Ok(Self {
+            sampler: SamplerSpec::new(kind, s, seed),
+            k,
+        })
     }
 }
 
@@ -311,61 +332,16 @@ impl SiteUp {
             SiteUp::SlidingMulti { .. } => 20,
         }
     }
-
-    fn opcode(&self) -> u8 {
-        match self {
-            SiteUp::Infinite { .. } => opcode::UP_INFINITE,
-            SiteUp::Wr { .. } => opcode::UP_WR,
-            SiteUp::Sliding { .. } => opcode::UP_SLIDING,
-            SiteUp::SlidingMulti { .. } => opcode::UP_SLIDING_MULTI,
-        }
-    }
-
-    fn put(&self, w: &mut StateWriter) {
-        match *self {
-            SiteUp::Infinite { element } => w.put_element(element),
-            SiteUp::Wr { copy, element } => {
-                w.put_u32(copy);
-                w.put_element(element);
-            }
-            SiteUp::Sliding { element, expiry } => {
-                w.put_element(element);
-                w.put_slot(expiry);
-            }
-            SiteUp::SlidingMulti {
-                copy,
-                element,
-                expiry,
-            } => {
-                w.put_u32(copy);
-                w.put_element(element);
-                w.put_slot(expiry);
-            }
-        }
-    }
-
-    fn get(op: u8, r: &mut StateReader<'_>) -> Result<SiteUp, CheckpointError> {
-        Ok(match op {
-            opcode::UP_INFINITE => SiteUp::Infinite {
-                element: r.get_element()?,
-            },
-            opcode::UP_WR => SiteUp::Wr {
-                copy: r.get_u32()?,
-                element: r.get_element()?,
-            },
-            opcode::UP_SLIDING => SiteUp::Sliding {
-                element: r.get_element()?,
-                expiry: r.get_slot()?,
-            },
-            opcode::UP_SLIDING_MULTI => SiteUp::SlidingMulti {
-                copy: r.get_u32()?,
-                element: r.get_element()?,
-                expiry: r.get_slot()?,
-            },
-            other => return Err(CheckpointError::UnknownKind(other)),
-        })
-    }
 }
+
+// Tagged by its opcode: a frame of its own as `ClusterRequest::Up`, the
+// opcode byte then the fields inside a `SeqUp`.
+wire_enum! { SiteUp {
+    opcode::UP_INFINITE => Infinite { element: Element },
+    opcode::UP_WR => Wr { copy: u32, element: Element },
+    opcode::UP_SLIDING => Sliding { element: Element, expiry: Slot },
+    opcode::UP_SLIDING_MULTI => SlidingMulti { copy: u32, element: Element, expiry: Slot },
+} }
 
 /// One coordinator→site protocol message — the wire twin of the
 /// `dds_core::messages` down types. Several may ride in one
@@ -403,14 +379,13 @@ pub enum CoordDown {
     },
 }
 
-/// Tag bytes for [`CoordDown`] entries inside a `Downs` payload.
-const DOWN_INFINITE: u8 = 0;
-const DOWN_WR: u8 = 1;
-const DOWN_SLIDING: u8 = 2;
-const DOWN_SLIDING_MULTI: u8 = 3;
-
-/// Smallest encoded [`CoordDown`] entry (tag + threshold).
-const DOWN_MIN_BYTES: usize = 9;
+// Each entry of a `Downs` payload: a tag byte, then the fields.
+wire_enum! { CoordDown {
+    0 => Infinite { u: u64 },
+    1 => Wr { copy: u32, u: u64 },
+    2 => Sliding { element: Element, expiry: Slot },
+    3 => SlidingMulti { copy: u32, element: Element, expiry: Slot },
+} }
 
 impl CoordDown {
     /// Protocol-accounted size; see [`SiteUp::protocol_bytes`].
@@ -422,55 +397,6 @@ impl CoordDown {
             CoordDown::Sliding { .. } => 16,
             CoordDown::SlidingMulti { .. } => 20,
         }
-    }
-
-    fn put(&self, w: &mut StateWriter) {
-        match *self {
-            CoordDown::Infinite { u } => {
-                w.put_u8(DOWN_INFINITE);
-                w.put_u64(u);
-            }
-            CoordDown::Wr { copy, u } => {
-                w.put_u8(DOWN_WR);
-                w.put_u32(copy);
-                w.put_u64(u);
-            }
-            CoordDown::Sliding { element, expiry } => {
-                w.put_u8(DOWN_SLIDING);
-                w.put_element(element);
-                w.put_slot(expiry);
-            }
-            CoordDown::SlidingMulti {
-                copy,
-                element,
-                expiry,
-            } => {
-                w.put_u8(DOWN_SLIDING_MULTI);
-                w.put_u32(copy);
-                w.put_element(element);
-                w.put_slot(expiry);
-            }
-        }
-    }
-
-    fn get(r: &mut StateReader<'_>) -> Result<CoordDown, CheckpointError> {
-        Ok(match r.get_u8()? {
-            DOWN_INFINITE => CoordDown::Infinite { u: r.get_u64()? },
-            DOWN_WR => CoordDown::Wr {
-                copy: r.get_u32()?,
-                u: r.get_u64()?,
-            },
-            DOWN_SLIDING => CoordDown::Sliding {
-                element: r.get_element()?,
-                expiry: r.get_slot()?,
-            },
-            DOWN_SLIDING_MULTI => CoordDown::SlidingMulti {
-                copy: r.get_u32()?,
-                element: r.get_element()?,
-                expiry: r.get_slot()?,
-            },
-            other => return Err(CheckpointError::UnknownKind(other)),
-        })
     }
 }
 
@@ -526,154 +452,15 @@ pub struct SiteDaemonStats {
     pub down_bytes: u64,
 }
 
-fn put_site(w: &mut StateWriter, site: SiteId) {
-    w.put_u32(u32::try_from(site.0).expect("site id fits u32"));
-}
+wire_record! { ClusterStats {
+    k: usize, now: Slot, joined: usize, departed: usize, failed: Vec<SiteId>,
+    counters: MessageCounters, memory_tuples: usize, threshold: Option<u64> as Padded<u64>,
+} }
 
-fn get_site(r: &mut StateReader<'_>) -> Result<SiteId, CheckpointError> {
-    Ok(SiteId(r.get_u32()? as usize))
-}
-
-fn put_usize(w: &mut StateWriter, n: usize) {
-    w.put_u64(n as u64);
-}
-
-fn get_usize(r: &mut StateReader<'_>) -> Result<usize, CheckpointError> {
-    usize::try_from(r.get_u64()?).map_err(|_| CheckpointError::Corrupt("count exceeds usize"))
-}
-
-fn put_string(w: &mut StateWriter, s: &str) {
-    w.put_len(s.len());
-    w.put_bytes(s.as_bytes());
-}
-
-fn get_string(r: &mut StateReader<'_>) -> Result<String, CheckpointError> {
-    let n = r.get_len(1)?;
-    String::from_utf8(r.get_bytes(n)?.to_vec())
-        .map_err(|_| CheckpointError::Corrupt("string is not valid utf-8"))
-}
-
-fn put_opt_u64(w: &mut StateWriter, v: Option<u64>) {
-    w.put_bool(v.is_some());
-    w.put_u64(v.unwrap_or(0));
-}
-
-fn get_opt_u64(r: &mut StateReader<'_>) -> Result<Option<u64>, CheckpointError> {
-    let present = r.get_bool()?;
-    let v = r.get_u64()?;
-    Ok(present.then_some(v))
-}
-
-fn put_seq_slot(w: &mut StateWriter, v: Option<(u64, Slot)>) {
-    w.put_bool(v.is_some());
-    if let Some((seq, slot)) = v {
-        w.put_u64(seq);
-        w.put_slot(slot);
-    }
-}
-
-fn get_seq_slot(r: &mut StateReader<'_>) -> Result<Option<(u64, Slot)>, CheckpointError> {
-    if r.get_bool()? {
-        Ok(Some((r.get_u64()?, r.get_slot()?)))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Encoded size of one `(sequence number, element)` pair in a
-/// [`ClusterRequest::SiteBatch`].
-const SEQ_ELEMENT_BYTES: usize = 16;
-
-fn put_counters(w: &mut StateWriter, c: &MessageCounters) {
-    w.put_len(c.sites());
-    for i in 0..c.sites() {
-        let site = SiteId(i);
-        w.put_u64(c.up_messages_for(site));
-        w.put_u64(c.down_messages_for(site));
-        w.put_u64(c.up_bytes_for(site));
-        w.put_u64(c.down_bytes_for(site));
-    }
-}
-
-fn get_counters(r: &mut StateReader<'_>) -> Result<MessageCounters, CheckpointError> {
-    let k = r.get_len(32)?;
-    let (mut um, mut dm, mut ub, mut db) = (
-        Vec::with_capacity(k),
-        Vec::with_capacity(k),
-        Vec::with_capacity(k),
-        Vec::with_capacity(k),
-    );
-    for _ in 0..k {
-        um.push(r.get_u64()?);
-        dm.push(r.get_u64()?);
-        ub.push(r.get_u64()?);
-        db.push(r.get_u64()?);
-    }
-    Ok(MessageCounters::from_parts(um, dm, ub, db))
-}
-
-fn put_cluster_stats(w: &mut StateWriter, s: &ClusterStats) {
-    put_usize(w, s.k);
-    w.put_slot(s.now);
-    put_usize(w, s.joined);
-    put_usize(w, s.departed);
-    w.put_len(s.failed.len());
-    for &site in &s.failed {
-        put_site(w, site);
-    }
-    put_counters(w, &s.counters);
-    put_usize(w, s.memory_tuples);
-    put_opt_u64(w, s.threshold);
-}
-
-fn get_cluster_stats(r: &mut StateReader<'_>) -> Result<ClusterStats, CheckpointError> {
-    let k = get_usize(r)?;
-    let now = r.get_slot()?;
-    let joined = get_usize(r)?;
-    let departed = get_usize(r)?;
-    let n_failed = r.get_len(4)?;
-    let mut failed = Vec::with_capacity(n_failed);
-    for _ in 0..n_failed {
-        failed.push(get_site(r)?);
-    }
-    let counters = get_counters(r)?;
-    let memory_tuples = get_usize(r)?;
-    let threshold = get_opt_u64(r)?;
-    Ok(ClusterStats {
-        k,
-        now,
-        joined,
-        departed,
-        failed,
-        counters,
-        memory_tuples,
-        threshold,
-    })
-}
-
-fn put_site_stats(w: &mut StateWriter, s: &SiteDaemonStats) {
-    put_site(w, s.site);
-    w.put_slot(s.now);
-    w.put_u64(s.observations);
-    put_usize(w, s.memory_tuples);
-    w.put_u64(s.up_msgs);
-    w.put_u64(s.down_msgs);
-    w.put_u64(s.up_bytes);
-    w.put_u64(s.down_bytes);
-}
-
-fn get_site_stats(r: &mut StateReader<'_>) -> Result<SiteDaemonStats, CheckpointError> {
-    Ok(SiteDaemonStats {
-        site: get_site(r)?,
-        now: r.get_slot()?,
-        observations: r.get_u64()?,
-        memory_tuples: get_usize(r)?,
-        up_msgs: r.get_u64()?,
-        down_msgs: r.get_u64()?,
-        up_bytes: r.get_u64()?,
-        down_bytes: r.get_u64()?,
-    })
-}
+wire_record! { SiteDaemonStats {
+    site: SiteId, now: Slot, observations: u64, memory_tuples: usize,
+    up_msgs: u64, down_msgs: u64, up_bytes: u64, down_bytes: u64,
+} }
 
 // ---------------------------------------------------------------------
 // Requests.
@@ -773,160 +560,29 @@ pub enum ClusterRequest {
     SiteTelemetry,
 }
 
-impl ClusterRequest {
-    /// This request's frame opcode.
-    #[must_use]
-    pub fn opcode(&self) -> u8 {
-        match self {
-            ClusterRequest::Join { .. } => opcode::JOIN,
-            ClusterRequest::Control { .. } => opcode::CONTROL,
-            ClusterRequest::Leave => opcode::LEAVE,
-            ClusterRequest::Up(up) => up.opcode(),
-            ClusterRequest::SeqUp { .. } => opcode::SEQ_UP,
-            ClusterRequest::Done { .. } => opcode::DONE,
-            ClusterRequest::Sync { .. } => opcode::SYNC,
-            ClusterRequest::Sample => opcode::SAMPLE,
-            ClusterRequest::Stats => opcode::STATS,
-            ClusterRequest::Shutdown => opcode::SHUTDOWN,
-            ClusterRequest::Telemetry => opcode::TELEMETRY,
-            ClusterRequest::SiteObserve { .. } => opcode::SITE_OBSERVE,
-            ClusterRequest::SiteBatch { .. } => opcode::SITE_BATCH,
-            ClusterRequest::SiteStats => opcode::SITE_STATS,
-            ClusterRequest::SiteShutdown => opcode::SITE_SHUTDOWN,
-            ClusterRequest::SiteCrash => opcode::SITE_CRASH,
-            ClusterRequest::SiteTelemetry => opcode::SITE_TELEMETRY,
-        }
-    }
-
-    /// This request's payload bytes.
-    #[must_use]
-    pub fn payload(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        match self {
-            ClusterRequest::Join { site, digest } => {
-                put_site(&mut w, *site);
-                w.put_u64(*digest);
-            }
-            ClusterRequest::Control { digest } => w.put_u64(*digest),
-            ClusterRequest::Up(up) => up.put(&mut w),
-            ClusterRequest::SeqUp { seq, up } => {
-                w.put_u64(*seq);
-                w.put_u8(up.opcode());
-                up.put(&mut w);
-            }
-            ClusterRequest::Done { through } => w.put_u64(*through),
-            ClusterRequest::Sync { through, advance } => {
-                w.put_u64(*through);
-                put_seq_slot(&mut w, *advance);
-            }
-            ClusterRequest::SiteObserve { element } => w.put_element(*element),
-            ClusterRequest::SiteBatch {
-                elements,
-                then_slot,
-                through,
-            } => {
-                w.reserve(SEQ_ELEMENT_BYTES * elements.len());
-                w.put_u64(*through);
-                put_seq_slot(&mut w, *then_slot);
-                w.put_len(elements.len());
-                for &(seq, element) in elements {
-                    w.put_u64(seq);
-                    w.put_element(element);
-                }
-            }
-            ClusterRequest::Leave
-            | ClusterRequest::Sample
-            | ClusterRequest::Stats
-            | ClusterRequest::Shutdown
-            | ClusterRequest::Telemetry
-            | ClusterRequest::SiteStats
-            | ClusterRequest::SiteShutdown
-            | ClusterRequest::SiteCrash
-            | ClusterRequest::SiteTelemetry => {}
-        }
-        w.into_bytes()
-    }
-
-    /// Encode into one `DDSP` frame.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        frame::frame_bytes(self.opcode(), &self.payload())
-    }
-
-    /// Decode from an opcode + payload.
-    ///
-    /// # Errors
-    /// [`CheckpointError`] on unknown opcodes or malformed payloads.
-    pub fn decode(op: u8, payload: &[u8]) -> Result<ClusterRequest, CheckpointError> {
-        let mut r = StateReader::new(payload);
-        let request = match op {
-            opcode::UP_INFINITE | opcode::UP_WR | opcode::UP_SLIDING | opcode::UP_SLIDING_MULTI => {
-                ClusterRequest::Up(SiteUp::get(op, &mut r)?)
-            }
-            opcode::SEQ_UP => {
-                let seq = r.get_u64()?;
-                let kind = r.get_u8()?;
-                ClusterRequest::SeqUp {
-                    seq,
-                    up: SiteUp::get(kind, &mut r)?,
-                }
-            }
-            opcode::DONE => ClusterRequest::Done {
-                through: r.get_u64()?,
-            },
-            opcode::SYNC => ClusterRequest::Sync {
-                through: r.get_u64()?,
-                advance: get_seq_slot(&mut r)?,
-            },
-            opcode::JOIN => ClusterRequest::Join {
-                site: get_site(&mut r)?,
-                digest: r.get_u64()?,
-            },
-            opcode::CONTROL => ClusterRequest::Control {
-                digest: r.get_u64()?,
-            },
-            opcode::LEAVE => ClusterRequest::Leave,
-            opcode::SAMPLE => ClusterRequest::Sample,
-            opcode::STATS => ClusterRequest::Stats,
-            opcode::SHUTDOWN => ClusterRequest::Shutdown,
-            opcode::TELEMETRY => ClusterRequest::Telemetry,
-            opcode::SITE_OBSERVE => ClusterRequest::SiteObserve {
-                element: r.get_element()?,
-            },
-            opcode::SITE_BATCH => {
-                let through = r.get_u64()?;
-                let then_slot = get_seq_slot(&mut r)?;
-                let n = r.get_len(SEQ_ELEMENT_BYTES)?;
-                // No capacity from the count: it is the peer's claim.
-                let mut elements = Vec::new();
-                for _ in 0..n {
-                    elements.push((r.get_u64()?, r.get_element()?));
-                }
-                ClusterRequest::SiteBatch {
-                    elements,
-                    then_slot,
-                    through,
-                }
-            }
-            opcode::SITE_STATS => ClusterRequest::SiteStats,
-            opcode::SITE_SHUTDOWN => ClusterRequest::SiteShutdown,
-            opcode::SITE_CRASH => ClusterRequest::SiteCrash,
-            opcode::SITE_TELEMETRY => ClusterRequest::SiteTelemetry,
-            other => return Err(CheckpointError::UnknownKind(other)),
-        };
-        r.expect_end()?;
-        Ok(request)
-    }
-
-    /// Decode from a whole frame.
-    ///
-    /// # Errors
-    /// [`CheckpointError`] on any framing or payload defect.
-    pub fn decode_frame(bytes: &[u8]) -> Result<ClusterRequest, CheckpointError> {
-        let (op, payload) = frame::decode_frame(bytes)?;
-        ClusterRequest::decode(op, payload)
-    }
-}
+message! { ClusterRequest {
+    opcode::JOIN => Join { site: SiteId, digest: u64 },
+    opcode::CONTROL => Control { digest: u64 },
+    opcode::LEAVE => Leave,
+    opcode::SEQ_UP => SeqUp { seq: u64, up: SiteUp },
+    opcode::DONE => Done { through: u64 },
+    opcode::SYNC => Sync { through: u64, advance: Option<(u64, Slot)> },
+    opcode::SAMPLE => Sample,
+    opcode::STATS => Stats,
+    opcode::SHUTDOWN => Shutdown,
+    opcode::TELEMETRY => Telemetry,
+    opcode::SITE_OBSERVE => SiteObserve { element: Element },
+    opcode::SITE_BATCH => SiteBatch {
+        through: u64,
+        then_slot: Option<(u64, Slot)>,
+        elements: Vec<(u64, Element)>
+    },
+    opcode::SITE_STATS => SiteStats,
+    opcode::SITE_SHUTDOWN => SiteShutdown,
+    opcode::SITE_CRASH => SiteCrash,
+    opcode::SITE_TELEMETRY => SiteTelemetry,
+    else Up(SiteUp),
+} }
 
 // ---------------------------------------------------------------------
 // Responses and errors.
@@ -975,99 +631,16 @@ pub enum ClusterResponse {
     Goodbye,
 }
 
-impl ClusterResponse {
-    /// This response's frame opcode.
-    #[must_use]
-    pub fn opcode(&self) -> u8 {
-        match self {
-            ClusterResponse::Welcome { .. } => opcode::WELCOME,
-            ClusterResponse::Downs { .. } => opcode::DOWNS,
-            ClusterResponse::Ack => opcode::ACK,
-            ClusterResponse::Sample { .. } => opcode::SAMPLE_REPLY,
-            ClusterResponse::Stats { .. } => opcode::STATS_REPLY,
-            ClusterResponse::SiteStats { .. } => opcode::SITE_STATS_REPLY,
-            ClusterResponse::Telemetry { .. } => opcode::TELEMETRY_REPLY,
-            ClusterResponse::Goodbye => opcode::GOODBYE,
-        }
-    }
-
-    /// This response's payload bytes.
-    #[must_use]
-    pub fn payload(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        match self {
-            ClusterResponse::Welcome { k } => put_usize(&mut w, *k),
-            ClusterResponse::Downs { downs } => {
-                w.put_len(downs.len());
-                for down in downs {
-                    down.put(&mut w);
-                }
-            }
-            ClusterResponse::Sample { sample } => {
-                w.put_len(sample.len());
-                for &e in sample {
-                    w.put_element(e);
-                }
-            }
-            ClusterResponse::Stats { stats } => put_cluster_stats(&mut w, stats),
-            ClusterResponse::SiteStats { stats } => put_site_stats(&mut w, stats),
-            ClusterResponse::Telemetry { snapshot } => {
-                crate::telemetry::put_telemetry(&mut w, snapshot);
-            }
-            ClusterResponse::Ack | ClusterResponse::Goodbye => {}
-        }
-        w.into_bytes()
-    }
-
-    /// Encode into one `DDSP` frame.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        frame::frame_bytes(self.opcode(), &self.payload())
-    }
-
-    /// Decode from an opcode + payload.
-    ///
-    /// # Errors
-    /// [`CheckpointError`] on unknown opcodes or malformed payloads.
-    pub fn decode(op: u8, payload: &[u8]) -> Result<ClusterResponse, CheckpointError> {
-        let mut r = StateReader::new(payload);
-        let response = match op {
-            opcode::WELCOME => ClusterResponse::Welcome {
-                k: get_usize(&mut r)?,
-            },
-            opcode::DOWNS => {
-                let n = r.get_len(DOWN_MIN_BYTES)?;
-                let mut downs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    downs.push(CoordDown::get(&mut r)?);
-                }
-                ClusterResponse::Downs { downs }
-            }
-            opcode::ACK => ClusterResponse::Ack,
-            opcode::SAMPLE_REPLY => {
-                let n = r.get_len(8)?;
-                let mut sample = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sample.push(r.get_element()?);
-                }
-                ClusterResponse::Sample { sample }
-            }
-            opcode::STATS_REPLY => ClusterResponse::Stats {
-                stats: get_cluster_stats(&mut r)?,
-            },
-            opcode::SITE_STATS_REPLY => ClusterResponse::SiteStats {
-                stats: get_site_stats(&mut r)?,
-            },
-            opcode::TELEMETRY_REPLY => ClusterResponse::Telemetry {
-                snapshot: crate::telemetry::get_telemetry(&mut r)?,
-            },
-            opcode::GOODBYE => ClusterResponse::Goodbye,
-            other => return Err(CheckpointError::UnknownKind(other)),
-        };
-        r.expect_end()?;
-        Ok(response)
-    }
-}
+message! { ClusterResponse {
+    opcode::WELCOME => Welcome { k: usize },
+    opcode::DOWNS => Downs { downs: Vec<CoordDown> },
+    opcode::ACK => Ack,
+    opcode::SAMPLE_REPLY => Sample { sample: Vec<Element> },
+    opcode::STATS_REPLY => Stats { stats: ClusterStats },
+    opcode::SITE_STATS_REPLY => SiteStats { stats: SiteDaemonStats },
+    opcode::TELEMETRY_REPLY => Telemetry { snapshot: TelemetrySnapshot },
+    opcode::GOODBYE => Goodbye,
+} }
 
 /// A typed cluster failure — every way a deployment can refuse or
 /// degrade, round-tripped structurally so remote callers see exactly
@@ -1141,111 +714,30 @@ impl From<frame::FrameError> for ClusterError {
     }
 }
 
-/// Encode a [`ClusterError`] into `w` (tag byte + variant fields).
-pub fn put_cluster_error(w: &mut StateWriter, error: &ClusterError) {
-    match error {
-        ClusterError::SiteDown(site) => {
-            w.put_u8(0);
-            put_site(w, *site);
-        }
-        ClusterError::ConfigMismatch { expected, got } => {
-            w.put_u8(1);
-            w.put_u64(*expected);
-            w.put_u64(*got);
-        }
-        ClusterError::DuplicateSite(site) => {
-            w.put_u8(2);
-            put_site(w, *site);
-        }
-        ClusterError::UnknownSite(site) => {
-            w.put_u8(3);
-            put_site(w, *site);
-        }
-        ClusterError::Protocol(msg) => {
-            w.put_u8(4);
-            put_string(w, msg);
-        }
-        ClusterError::Format(msg) => {
-            w.put_u8(5);
-            put_string(w, msg);
-        }
-        ClusterError::Transport(msg) => {
-            w.put_u8(6);
-            put_string(w, msg);
-        }
-        ClusterError::Unsupported(msg) => {
-            w.put_u8(7);
-            put_string(w, msg);
-        }
+// The payload of an error frame: a tag byte, then the variant's fields.
+wire_enum! { ClusterError {
+    0 => SiteDown(site: SiteId),
+    1 => ConfigMismatch { expected: u64, got: u64 },
+    2 => DuplicateSite(site: SiteId),
+    3 => UnknownSite(site: SiteId),
+    4 => Protocol(msg: String),
+    5 => Format(msg: String),
+    6 => Transport(msg: String),
+    7 => Unsupported(msg: String),
+} }
+
+impl Refusal for ClusterError {
+    const OPCODE: u8 = opcode::CLUSTER_ERROR;
+
+    fn unsupported(reason: String) -> Self {
+        ClusterError::Unsupported(reason)
     }
-}
-
-/// Decode a [`ClusterError`] from `r`.
-///
-/// # Errors
-/// [`CheckpointError`] on unknown tags or malformed fields.
-pub fn get_cluster_error(r: &mut StateReader<'_>) -> Result<ClusterError, CheckpointError> {
-    Ok(match r.get_u8()? {
-        0 => ClusterError::SiteDown(get_site(r)?),
-        1 => ClusterError::ConfigMismatch {
-            expected: r.get_u64()?,
-            got: r.get_u64()?,
-        },
-        2 => ClusterError::DuplicateSite(get_site(r)?),
-        3 => ClusterError::UnknownSite(get_site(r)?),
-        4 => ClusterError::Protocol(get_string(r)?),
-        5 => ClusterError::Format(get_string(r)?),
-        6 => ClusterError::Transport(get_string(r)?),
-        7 => ClusterError::Unsupported(get_string(r)?),
-        other => return Err(CheckpointError::UnknownKind(other)),
-    })
-}
-
-/// Encode a full cluster outcome as one frame: the response's own
-/// opcode on success, [`opcode::CLUSTER_ERROR`] on failure.
-#[must_use]
-pub fn encode_cluster_outcome(outcome: &Result<ClusterResponse, ClusterError>) -> Vec<u8> {
-    match outcome {
-        Ok(response) => response.encode(),
-        Err(error) => {
-            let mut w = StateWriter::new();
-            put_cluster_error(&mut w, error);
-            frame::frame_bytes(opcode::CLUSTER_ERROR, &w.into_bytes())
-        }
-    }
-}
-
-/// Decode a cluster outcome from an opcode + payload.
-///
-/// # Errors
-/// [`CheckpointError`] on unknown opcodes or malformed payloads.
-pub fn decode_cluster_outcome(
-    op: u8,
-    payload: &[u8],
-) -> Result<Result<ClusterResponse, ClusterError>, CheckpointError> {
-    if op == opcode::CLUSTER_ERROR {
-        let mut r = StateReader::new(payload);
-        let error = get_cluster_error(&mut r)?;
-        r.expect_end()?;
-        return Ok(Err(error));
-    }
-    Ok(Ok(ClusterResponse::decode(op, payload)?))
-}
-
-/// Decode a cluster outcome from a whole frame.
-///
-/// # Errors
-/// [`CheckpointError`] on any framing or payload defect.
-pub fn decode_cluster_outcome_frame(
-    bytes: &[u8],
-) -> Result<Result<ClusterResponse, ClusterError>, CheckpointError> {
-    let (op, payload) = frame::decode_frame(bytes)?;
-    decode_cluster_outcome(op, payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_outcome_frame, encode_outcome};
 
     fn spec() -> ClusterSpec {
         ClusterSpec::new(SamplerSpec::new(SamplerKind::Infinite, 8, 42), 4)
@@ -1360,14 +852,8 @@ mod tests {
                 },
             ],
         });
-        assert_eq!(
-            decode_cluster_outcome_frame(&encode_cluster_outcome(&ok)),
-            Ok(ok.clone())
-        );
+        assert_eq!(decode_outcome_frame(&encode_outcome(&ok)), Ok(ok.clone()));
         let err: Result<ClusterResponse, ClusterError> = Err(ClusterError::SiteDown(SiteId(1)));
-        assert_eq!(
-            decode_cluster_outcome_frame(&encode_cluster_outcome(&err)),
-            Ok(err)
-        );
+        assert_eq!(decode_outcome_frame(&encode_outcome(&err)), Ok(err));
     }
 }

@@ -15,9 +15,11 @@
 //! | layer | module | contents |
 //! |---|---|---|
 //! | frames | [`frame`] | `DDSP` magic, version, opcode, `u32` length, MurmurHash64A checksum seeded with the opcode — 19 bytes of overhead per message, bounded before allocation |
-//! | messages | [`message`] | [`Request`] / [`Response`] payload codecs over `dds_core::checkpoint`'s `StateWriter` / `StateReader` primitives; a structural [`EngineError`](dds_engine::EngineError) codec so failures round-trip losslessly |
+//! | codec | [`codec`] | the frame codec both dialects share: `encode`, `decode_frame`, and the outcome pair [`encode_outcome`] (which answers an oversized reply with a typed refusal instead of panicking) / [`decode_outcome`] over `Result<Response, Error>` |
+//! | messages | [`message`] | [`Request`] / [`Response`], one line per variant on `dds_core::checkpoint`'s `Wire` codec; [`EngineError`](dds_engine::EngineError) is laid out beside its type, so failures round-trip losslessly |
 //! | service | [`service`] | [`EngineService`] (request in → response out), implemented by `Engine` directly and by [`EngineHost`] (a replaceable engine slot that also serves `Restore` and `Shutdown`) |
 //! | cluster | [`cluster`] | the site→coordinator dialect `dds-cluster` speaks: protocol ups/downs byte-equivalent to `dds_core::messages`, join/control handshakes keyed by a [`ClusterSpec`] digest, driver commands, typed [`ClusterError`]s |
+//! | telemetry | [`telemetry`] | the telemetry payload both dialects carry (laid out in `dds-obs`, beside the snapshot type) |
 //!
 //! ## Versioning
 //!
@@ -33,12 +35,19 @@
 //! messages, and the evaluation (and `ext_engine_wire`) measures bytes
 //! per observation. A hand-laid little-endian codec with an explicit
 //! overhead constant keeps the wire cost a checkable *number* rather
-//! than an implementation detail — and reuses the exact primitives the
-//! checkpoint envelope already trusts.
+//! than an implementation detail. The layout is still laid by hand, but
+//! declared once: every message, error and record is a `Wire` impl of
+//! `dds_core::checkpoint` (the codec the checkpoint envelope already
+//! trusts), one line per variant or field, read and written by the same
+//! declaration. `tests/wire_pins.rs` pins the bytes of every format,
+//! and `tests/wire_mutations.rs` feeds every decoder mutated bytes
+//! below the checksum.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[macro_use]
+pub mod codec;
 pub mod cluster;
 pub mod frame;
 pub mod message;
@@ -49,12 +58,10 @@ pub use cluster::{
     ClusterError, ClusterRequest, ClusterResponse, ClusterSpec, ClusterStats, CoordDown,
     SiteDaemonStats, SiteUp,
 };
+pub use codec::{decode_outcome, decode_outcome_frame, encode_outcome, Refusal};
 pub use frame::{FrameError, MAX_PAYLOAD, OVERHEAD_BYTES};
-pub use message::{
-    decode_outcome, decode_outcome_frame, encode_outcome, opcode, Request, Response,
-};
+pub use message::{opcode, Request, Response};
 pub use service::{EngineHost, EngineService};
-pub use telemetry::{get_telemetry, put_telemetry};
 
 #[cfg(test)]
 mod tests {

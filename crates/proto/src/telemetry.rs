@@ -1,191 +1,27 @@
-//! Wire codec for [`TelemetrySnapshot`] — the payload behind the
-//! engine's `Request::Telemetry` and the cluster's
-//! `ClusterRequest::Telemetry`.
+//! The telemetry payload — a [`TelemetrySnapshot`] behind the engine's
+//! `Request::Telemetry` and the cluster's `ClusterRequest::Telemetry`.
 //!
-//! The snapshot type itself lives in `dds-obs` (it is a plain value a
-//! registry exports); this module gives it the same hand-laid
-//! little-endian treatment as every other payload: `u32` collection
-//! lengths bounds-checked against the remaining input, utf-8-validated
-//! strings, and a leading version word so a future layout change is a
-//! clean [`CheckpointError::UnsupportedVersion`] instead of a
-//! mis-parse. Histogram buckets additionally re-validate the invariants
-//! the sender's sparse encoding guarantees (indices in range, strictly
-//! increasing), so a decoded snapshot is safe to quantile-query without
-//! further checks.
+//! The snapshot type lives in `dds-obs` (it is a plain value a registry
+//! exports), and so does its `Wire` layout, beside the type: a leading
+//! version word, so a future layout change is a clean
+//! [`CheckpointError::UnsupportedVersion`] instead of a mis-parse
+//! (a foreign version is reported saturated at `u16::MAX`, never
+//! wrapped), then counters, gauges, histograms and events as `u32`
+//! counted sequences of utf-8 strings and fixed-width words. Histogram
+//! buckets additionally re-validate the invariants the sender's sparse
+//! encoding guarantees (indices in range, strictly increasing), so a
+//! decoded snapshot is safe to quantile-query without further checks.
+//! This module pins that layout from the wire's side.
 
-use dds_core::checkpoint::{CheckpointError, StateReader, StateWriter};
-use dds_obs::{
-    Event, HistogramSnapshot, HistogramValue, MetricValue, TelemetrySnapshot, BUCKET_COUNT,
-    TELEMETRY_VERSION,
-};
-
-fn put_string(w: &mut StateWriter, s: &str) {
-    w.put_len(s.len());
-    w.put_bytes(s.as_bytes());
-}
-
-fn get_string(r: &mut StateReader<'_>) -> Result<String, CheckpointError> {
-    let n = r.get_len(1)?;
-    String::from_utf8(r.get_bytes(n)?.to_vec())
-        .map_err(|_| CheckpointError::Corrupt("string is not valid utf-8"))
-}
-
-fn put_labels(w: &mut StateWriter, labels: &[(String, String)]) {
-    w.put_len(labels.len());
-    for (k, v) in labels {
-        put_string(w, k);
-        put_string(w, v);
-    }
-}
-
-fn get_labels(r: &mut StateReader<'_>) -> Result<Vec<(String, String)>, CheckpointError> {
-    // A label pair is at least two length words.
-    let n = r.get_len(8)?;
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = get_string(r)?;
-        let v = get_string(r)?;
-        labels.push((k, v));
-    }
-    Ok(labels)
-}
-
-fn put_metric(w: &mut StateWriter, m: &MetricValue) {
-    put_string(w, &m.name);
-    put_labels(w, &m.labels);
-    w.put_u64(m.value);
-}
-
-fn get_metric(r: &mut StateReader<'_>) -> Result<MetricValue, CheckpointError> {
-    Ok(MetricValue {
-        name: get_string(r)?,
-        labels: get_labels(r)?,
-        value: r.get_u64()?,
-    })
-}
-
-fn put_hist(w: &mut StateWriter, h: &HistogramSnapshot) {
-    w.put_u64(h.count);
-    w.put_u64(h.sum);
-    w.put_u64(h.max);
-    w.put_len(h.buckets.len());
-    for &(i, n) in &h.buckets {
-        w.put_u32(i);
-        w.put_u64(n);
-    }
-}
-
-fn get_hist(r: &mut StateReader<'_>) -> Result<HistogramSnapshot, CheckpointError> {
-    let count = r.get_u64()?;
-    let sum = r.get_u64()?;
-    let max = r.get_u64()?;
-    let n = r.get_len(12)?;
-    let mut buckets = Vec::with_capacity(n);
-    let mut prev: Option<u32> = None;
-    for _ in 0..n {
-        let i = r.get_u32()?;
-        if i as usize >= BUCKET_COUNT {
-            return Err(CheckpointError::Corrupt("histogram bucket out of range"));
-        }
-        if prev.is_some_and(|p| p >= i) {
-            return Err(CheckpointError::Corrupt("histogram buckets not ascending"));
-        }
-        prev = Some(i);
-        let c = r.get_u64()?;
-        if c == 0 {
-            return Err(CheckpointError::Corrupt("histogram bucket count is zero"));
-        }
-        buckets.push((i, c));
-    }
-    Ok(HistogramSnapshot {
-        count,
-        sum,
-        max,
-        buckets,
-    })
-}
-
-/// Encode a telemetry snapshot into `w`.
-pub fn put_telemetry(w: &mut StateWriter, snap: &TelemetrySnapshot) {
-    w.put_u32(snap.version);
-    w.put_len(snap.counters.len());
-    for m in &snap.counters {
-        put_metric(w, m);
-    }
-    w.put_len(snap.gauges.len());
-    for m in &snap.gauges {
-        put_metric(w, m);
-    }
-    w.put_len(snap.histograms.len());
-    for h in &snap.histograms {
-        put_string(w, &h.name);
-        put_labels(w, &h.labels);
-        put_hist(w, &h.hist);
-    }
-    w.put_len(snap.events.len());
-    for e in &snap.events {
-        w.put_u64(e.seq);
-        put_string(w, &e.kind);
-        put_string(w, &e.detail);
-        w.put_u64(e.nanos);
-    }
-}
-
-/// Decode a telemetry snapshot from `r`.
-///
-/// # Errors
-/// A clean [`CheckpointError`] on an unsupported version, malformed
-/// bytes, or histogram buckets that violate the sparse-encoding
-/// invariants.
-pub fn get_telemetry(r: &mut StateReader<'_>) -> Result<TelemetrySnapshot, CheckpointError> {
-    let version = r.get_u32()?;
-    if version != TELEMETRY_VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version as u16));
-    }
-    // Minimum element sizes keep a lying length word from allocating:
-    // a metric is name-len + labels-len + value.
-    let n = r.get_len(16)?;
-    let mut counters = Vec::with_capacity(n);
-    for _ in 0..n {
-        counters.push(get_metric(r)?);
-    }
-    let n = r.get_len(16)?;
-    let mut gauges = Vec::with_capacity(n);
-    for _ in 0..n {
-        gauges.push(get_metric(r)?);
-    }
-    let n = r.get_len(36)?;
-    let mut histograms = Vec::with_capacity(n);
-    for _ in 0..n {
-        histograms.push(HistogramValue {
-            name: get_string(r)?,
-            labels: get_labels(r)?,
-            hist: get_hist(r)?,
-        });
-    }
-    let n = r.get_len(24)?;
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        events.push(Event {
-            seq: r.get_u64()?,
-            kind: get_string(r)?,
-            detail: get_string(r)?,
-            nanos: r.get_u64()?,
-        });
-    }
-    Ok(TelemetrySnapshot {
-        version,
-        counters,
-        gauges,
-        histograms,
-        events,
-    })
-}
+#[cfg(doc)]
+use dds_core::checkpoint::CheckpointError;
+#[cfg(doc)]
+use dds_obs::TelemetrySnapshot;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dds_obs::Histogram;
+    use dds_core::checkpoint::{CheckpointError, StateReader, StateWriter};
+    use dds_obs::{Event, Histogram, TelemetrySnapshot, BUCKET_COUNT};
 
     fn sample() -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot::new();
@@ -206,12 +42,20 @@ mod tests {
         snap
     }
 
-    fn roundtrip(snap: &TelemetrySnapshot) -> Result<TelemetrySnapshot, CheckpointError> {
+    fn encode(snap: &TelemetrySnapshot) -> Vec<u8> {
         let mut w = StateWriter::new();
-        put_telemetry(&mut w, snap);
-        let bytes = w.into_bytes();
+        w.put(snap);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<TelemetrySnapshot, CheckpointError> {
+        StateReader::new(bytes).get()
+    }
+
+    fn roundtrip(snap: &TelemetrySnapshot) -> Result<TelemetrySnapshot, CheckpointError> {
+        let bytes = encode(snap);
         let mut r = StateReader::new(&bytes);
-        let out = get_telemetry(&mut r)?;
+        let out = r.get()?;
         r.expect_end()?;
         Ok(out)
     }
@@ -232,13 +76,16 @@ mod tests {
     fn wrong_version_is_rejected_before_the_body() {
         let mut snap = sample();
         snap.version = 2;
-        let mut w = StateWriter::new();
-        put_telemetry(&mut w, &snap);
-        let bytes = w.into_bytes();
-        let mut r = StateReader::new(&bytes);
         assert_eq!(
-            get_telemetry(&mut r),
+            decode(&encode(&snap)),
             Err(CheckpointError::UnsupportedVersion(2))
+        );
+        // A version past `u16::MAX` is reported saturated: wrapped, 65 537
+        // would read as version 1, the one this build speaks.
+        snap.version = 65_537;
+        assert_eq!(
+            decode(&encode(&snap)),
+            Err(CheckpointError::UnsupportedVersion(u16::MAX))
         );
     }
 
@@ -246,27 +93,19 @@ mod tests {
     fn malformed_buckets_are_rejected() {
         let mut bad = sample();
         bad.histograms[0].hist.buckets = vec![(5, 1), (5, 1)];
-        let mut w = StateWriter::new();
-        put_telemetry(&mut w, &bad);
-        let bytes = w.into_bytes();
-        assert!(get_telemetry(&mut StateReader::new(&bytes)).is_err());
+        assert!(decode(&encode(&bad)).is_err());
 
         let mut bad = sample();
         bad.histograms[0].hist.buckets = vec![(BUCKET_COUNT as u32, 1)];
-        let mut w = StateWriter::new();
-        put_telemetry(&mut w, &bad);
-        let bytes = w.into_bytes();
-        assert!(get_telemetry(&mut StateReader::new(&bytes)).is_err());
+        assert!(decode(&encode(&bad)).is_err());
     }
 
     #[test]
     fn truncations_fail_cleanly() {
-        let mut w = StateWriter::new();
-        put_telemetry(&mut w, &sample());
-        let bytes = w.into_bytes();
+        let bytes = encode(&sample());
         for cut in 0..bytes.len() {
             let mut r = StateReader::new(&bytes[..cut]);
-            let verdict = get_telemetry(&mut r).and_then(|s| {
+            let verdict = r.get::<TelemetrySnapshot>().and_then(|s| {
                 r.expect_end()?;
                 Ok(s)
             });

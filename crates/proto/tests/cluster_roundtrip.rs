@@ -10,10 +10,11 @@ use dds_core::checkpoint::{CheckpointError, StateWriter};
 use dds_core::sampler::{SamplerKind, SamplerSpec};
 use dds_obs::{HistogramSnapshot, TelemetrySnapshot, BUCKET_COUNT};
 use dds_proto::cluster::{
-    decode_cluster_outcome_frame, encode_cluster_outcome, opcode, ClusterError, ClusterRequest,
-    ClusterResponse, ClusterSpec, ClusterStats, CoordDown, SiteDaemonStats, SiteUp,
+    opcode, ClusterError, ClusterRequest, ClusterResponse, ClusterSpec, ClusterStats, CoordDown,
+    SiteDaemonStats, SiteUp,
 };
 use dds_proto::frame;
+use dds_proto::{decode_outcome_frame, encode_outcome};
 use dds_sim::{Element, MessageCounters, SiteId, Slot};
 use proptest::prelude::*;
 
@@ -325,8 +326,8 @@ proptest! {
         } else {
             Err(error_from(eidx, site, words[0], words[1], &text))
         };
-        let frame = encode_cluster_outcome(&outcome);
-        prop_assert_eq!(decode_cluster_outcome_frame(&frame), Ok(outcome));
+        let frame = encode_outcome(&outcome);
+        prop_assert_eq!(decode_outcome_frame(&frame), Ok(outcome));
     }
 
     /// Any single-bit corruption of any request frame is detected.
@@ -366,10 +367,10 @@ fn every_variant_fails_cleanly_on_truncation_and_bitflips() {
         }
     }
     for outcome in &outcomes {
-        let frame = encode_cluster_outcome(outcome);
+        let frame = encode_outcome(outcome);
         for cut in 0..frame.len() {
             assert!(
-                decode_cluster_outcome_frame(&frame[..cut]).is_err(),
+                decode_outcome_frame::<ClusterResponse, ClusterError>(&frame[..cut]).is_err(),
                 "{outcome:?}: prefix {cut} accepted"
             );
         }
@@ -377,7 +378,7 @@ fn every_variant_fails_cleanly_on_truncation_and_bitflips() {
             let mut bad = frame.clone();
             bad[i] ^= 0x20;
             assert!(
-                decode_cluster_outcome_frame(&bad).is_err(),
+                decode_outcome_frame::<ClusterResponse, ClusterError>(&bad).is_err(),
                 "{outcome:?}: flip at byte {i} accepted"
             );
         }
@@ -494,7 +495,7 @@ fn pre_batching_frames() -> Vec<u8> {
     ];
     let mut bytes: Vec<u8> = requests.iter().flat_map(ClusterRequest::encode).collect();
     for i in 0..8 {
-        let ok = Ok(response_from(
+        let ok: Result<_, ClusterError> = Ok(response_from(
             i,
             3,
             &[5, 6, 7],
@@ -504,8 +505,8 @@ fn pre_batching_frames() -> Vec<u8> {
             2,
             Some(99),
         ));
-        bytes.extend(encode_cluster_outcome(&ok));
-        bytes.extend(encode_cluster_outcome(&Err(error_from(
+        bytes.extend(encode_outcome(&ok));
+        bytes.extend(encode_outcome(&Err::<ClusterResponse, _>(error_from(
             i, 1, 11, 22, b"boom",
         ))));
     }

@@ -9,7 +9,7 @@ use dds_engine::{
 };
 use dds_obs::{HistogramSnapshot, TelemetrySnapshot, BUCKET_COUNT};
 use dds_proto::frame::{self, OVERHEAD_BYTES};
-use dds_proto::message::{decode_outcome_frame, encode_outcome};
+use dds_proto::{decode_outcome_frame, encode_outcome};
 use dds_proto::{Request, Response};
 use dds_sim::{Element, Slot};
 use proptest::prelude::*;
@@ -310,7 +310,7 @@ fn every_variant_fails_cleanly_on_truncation_and_bitflips() {
         let frame = encode_outcome(outcome);
         for cut in 0..frame.len() {
             assert!(
-                decode_outcome_frame(&frame[..cut]).is_err(),
+                decode_outcome_frame::<Response, EngineError>(&frame[..cut]).is_err(),
                 "{outcome:?}: prefix {cut} accepted"
             );
         }
@@ -318,7 +318,7 @@ fn every_variant_fails_cleanly_on_truncation_and_bitflips() {
             let mut bad = frame.clone();
             bad[i] ^= 0x20;
             assert!(
-                decode_outcome_frame(&bad).is_err(),
+                decode_outcome_frame::<Response, EngineError>(&bad).is_err(),
                 "{outcome:?}: flip at byte {i} accepted"
             );
         }

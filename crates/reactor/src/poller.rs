@@ -103,15 +103,22 @@ pub struct Event {
 pub struct Events {
     events: Vec<Event>,
     capacity: usize,
+    /// The kernel's records, filled by `epoll_wait`: allocated once
+    /// here, so a wait costs no allocation however large the capacity.
+    #[cfg(target_os = "linux")]
+    raw: Vec<sys::EpollEvent>,
 }
 
 impl Events {
     /// A buffer receiving at most `capacity` events per wait.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Events {
+        let capacity = capacity.max(1);
         Events {
             events: Vec::with_capacity(capacity),
-            capacity: capacity.max(1),
+            capacity,
+            #[cfg(target_os = "linux")]
+            raw: vec![sys::EpollEvent { events: 0, data: 0 }; capacity],
         }
     }
 
@@ -392,9 +399,8 @@ impl EpollBackend {
     }
 
     fn wait(&self, events: &mut Events, timeout_ms: i32) -> io::Result<usize> {
-        let mut buf = vec![sys::EpollEvent { events: 0, data: 0 }; events.capacity];
-        let n = sys::epoll_wait_events(self.epfd, &mut buf, timeout_ms)?;
-        for raw in &buf[..n] {
+        let n = sys::epoll_wait_events(self.epfd, &mut events.raw, timeout_ms)?;
+        for raw in &events.raw[..n] {
             let bits = raw.events;
             events.events.push(Event {
                 token: Token(raw.data as usize),

@@ -40,8 +40,9 @@ use std::time::Duration;
 
 use dds_engine::{EngineError, EngineMetrics, EngineReport, TenantId, TenantView};
 use dds_obs::TelemetrySnapshot;
+use dds_proto::decode_outcome;
 use dds_proto::frame::{frame_bytes, read_frame_into, write_frame_to, OVERHEAD_BYTES};
-use dds_proto::message::{decode_outcome, Request, Response};
+use dds_proto::message::{Request, Response};
 use dds_proto::EngineService;
 use dds_sim::{Element, Slot};
 

@@ -46,8 +46,9 @@ use std::thread::JoinHandle;
 use dds_core::checkpoint::CheckpointError;
 use dds_engine::{EngineError, TenantId};
 use dds_obs::{Counter, Histogram, Registry, TelemetrySnapshot};
+use dds_proto::encode_outcome;
 use dds_proto::frame::OVERHEAD_BYTES;
-use dds_proto::message::{decode_batch_request, encode_outcome_checked, Request, Response};
+use dds_proto::message::{decode_batch_request, Request, Response};
 use dds_proto::{opcode, EngineService};
 use dds_reactor::Waker;
 use dds_sim::Element;
@@ -438,7 +439,7 @@ impl Handler for Serve {
     }
 
     fn malformed(&mut self, error: CheckpointError) -> Vec<u8> {
-        let frame = encode_outcome_checked(&Err(EngineError::Format(error.to_string())));
+        let frame = encode_outcome(&Err::<Response, _>(EngineError::Format(error.to_string())));
         self.shared
             .counters
             .bytes_sent
@@ -507,7 +508,7 @@ fn respond(
             "{name} request panicked in the service: {what}"
         )))
     });
-    encode_outcome_checked(&outcome)
+    encode_outcome(&outcome)
 }
 
 /// Execute one well-formed frame: decode its payload, dispatch into

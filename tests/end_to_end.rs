@@ -6,7 +6,8 @@ use std::io::Write;
 use std::net::TcpStream;
 
 use dds_cluster::ClusterCoordinator;
-use dds_proto::cluster::{decode_cluster_outcome, ClusterRequest, ClusterResponse};
+use dds_proto::cluster::{ClusterRequest, ClusterResponse};
+use dds_proto::decode_outcome;
 use dds_proto::frame::read_frame;
 use dds_sim::fault::DuplicateAndReorder;
 use distinct_stream_sampling::prelude::*;
@@ -232,7 +233,7 @@ fn threaded_and_simulated_agree() {
     let mut call = |request: ClusterRequest| {
         control.write_all(&request.encode()).expect("send frame");
         let (op, payload) = read_frame(&mut control).expect("read").expect("a reply");
-        decode_cluster_outcome(op, &payload)
+        decode_outcome::<ClusterResponse, ClusterError>(op, &payload)
             .expect("decode")
             .expect("accepted")
     };
