@@ -15,53 +15,33 @@
 //! arrive ahead of the barrier that announces them, and `Done`s in any
 //! order. At every answered `Sync` the sequencer's sample and message
 //! counters must equal the in-process `dds_sim::Cluster` fed the same
-//! stream up to that barrier.
+//! stream up to that barrier. Every protocol kind runs, each through
+//! the same generic world.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use dds_core::infinite::{InfiniteConfig, LazyCoordinator, LazySite};
+use dds_core::infinite::InfiniteConfig;
 use dds_core::sampler::{SamplerKind, SamplerSpec};
-use dds_core::sliding::{SlidingConfig, SwCoordinator, SwSite};
+use dds_core::sliding::SlidingConfig;
+use dds_core::sliding_multi::MultiSlidingConfig;
+use dds_core::with_replacement::WrConfig;
 use dds_hash::splitmix::SplitMix64;
 use dds_obs::Registry;
 use dds_proto::cluster::{ClusterResponse, ClusterSpec, CoordDown, SiteUp};
-use dds_sim::{Cluster, Element, MessageCounters, SiteId, Slot};
+use dds_sim::{
+    Cluster, CoordinatorNode, Element, MessageCounters, SiteId, SiteNode, Slot, WireMessage,
+};
 
-use crate::machine::SiteMachine;
+use crate::machine::{site_machine, SiteMachine};
 use crate::sequencer::{Action, Sequencer};
 
 /// Schedules per protocol kind.
 const SCHEDULES: u64 = 1_500;
 
-/// The in-process reference deployment.
-enum Twin {
-    Infinite(Cluster<LazySite, LazyCoordinator>),
-    Sliding(Cluster<SwSite, SwCoordinator>),
-}
-
-impl Twin {
-    fn observe(&mut self, site: SiteId, e: Element) {
-        match self {
-            Twin::Infinite(c) => c.observe(site, e),
-            Twin::Sliding(c) => c.observe(site, e),
-        }
-    }
-
-    fn advance_slot(&mut self) {
-        match self {
-            Twin::Infinite(c) => c.advance_slot(),
-            Twin::Sliding(c) => c.advance_slot(),
-        }
-    }
-
-    fn state(&self) -> (Vec<Element>, MessageCounters) {
-        match self {
-            Twin::Infinite(c) => (c.sample(), c.counters().clone()),
-            Twin::Sliding(c) => (c.sample(), c.counters().clone()),
-        }
-    }
-}
+/// How a kind's deployment is drawn: from the scheduler's coin, the
+/// seed and `k`, its sampler spec and its in-process twin.
+type Deploy<S, C> = fn(&mut SplitMix64, u64, usize) -> (SamplerSpec, Cluster<S, C>);
 
 /// A frame on its way from a site to the coordinator.
 enum Uplink {
@@ -79,7 +59,7 @@ enum Event {
 /// A site daemon: its protocol half, the batches shipped to it, and
 /// the settle loop it runs one up at a time.
 struct Site {
-    machine: SiteMachine,
+    machine: Box<dyn SiteMachine>,
     now: Slot,
     batches: VecDeque<(Vec<Event>, u64)>,
     /// The batch it runs, and the barrier its `Done` names.
@@ -157,12 +137,16 @@ enum Op {
 
 /// One seeded schedule: every party, the scheduler's coin, and the
 /// twin's state at each barrier still owed an answer.
-struct World {
+struct World<S, C>
+where
+    S: SiteNode,
+    C: CoordinatorNode<Up = S::Up, Down = S::Down>,
+{
     rng: SplitMix64,
     k: usize,
     seq: Sequencer<u64>,
     sites: Vec<Site>,
-    twin: Twin,
+    twin: Cluster<S, C>,
     script: VecDeque<Op>,
     /// Ship a barrier once a site buffers this many elements.
     cap: usize,
@@ -180,22 +164,17 @@ struct World {
     answered: usize,
 }
 
-impl World {
-    fn new(sliding: bool, seed: u64) -> World {
+impl<S, C> World<S, C>
+where
+    S: SiteNode,
+    C: CoordinatorNode<Up = S::Up, Down = S::Down>,
+    S::Up: WireMessage + Clone,
+    S::Down: WireMessage + Clone,
+{
+    fn new(deploy: Deploy<S, C>, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
         let k = 2 + rng.next_below(2) as usize;
-        let (sampler, twin) = if sliding {
-            let window = 2 + rng.next_below(3);
-            let twin = Twin::Sliding(SlidingConfig::with_seed(window, seed).cluster(k));
-            (
-                SamplerSpec::new(SamplerKind::Sliding { window }, 1, seed),
-                twin,
-            )
-        } else {
-            let s = 1 + rng.next_below(3) as usize;
-            let twin = Twin::Infinite(InfiniteConfig::with_seed(s, seed).cluster(k));
-            (SamplerSpec::new(SamplerKind::Infinite, s, seed), twin)
-        };
+        let (sampler, twin) = deploy(&mut rng, seed, k);
         let spec = ClusterSpec::new(sampler, k);
         let distinct = 4 + rng.next_below(24);
         let script = (0..10 + rng.next_below(40))
@@ -210,7 +189,7 @@ impl World {
             .collect();
         let sites = (0..k)
             .map(|_| Site {
-                machine: SiteMachine::new(&spec),
+                machine: site_machine(&spec),
                 now: Slot(0),
                 batches: VecDeque::new(),
                 events: VecDeque::new(),
@@ -265,7 +244,7 @@ impl World {
             }
             site.batches.push_back((events, through));
         }
-        let (sample, counters) = self.twin.state();
+        let (sample, counters) = (self.twin.sample(), self.twin.counters().clone());
         self.owed.push_back((through, sample, counters));
     }
 
@@ -403,21 +382,62 @@ enum Move {
     Deliver(usize),
 }
 
-/// Run [`SCHEDULES`] seeded schedules; returns the barriers checked.
-fn explore(sliding: bool, salt: u64) -> usize {
-    (0..SCHEDULES)
-        .map(|seed| World::new(sliding, seed ^ salt).run(seed ^ salt))
-        .sum()
+/// Run [`SCHEDULES`] seeded schedules of one kind; panics unless
+/// every schedule checked barriers.
+fn explore<S, C>(salt: u64, deploy: Deploy<S, C>)
+where
+    S: SiteNode,
+    C: CoordinatorNode<Up = S::Up, Down = S::Down>,
+    S::Up: WireMessage + Clone,
+    S::Down: WireMessage + Clone,
+{
+    let checked: usize = (0..SCHEDULES)
+        .map(|seed| World::new(deploy, seed ^ salt).run(seed ^ salt))
+        .sum();
+    assert!(checked as u64 > 2 * SCHEDULES, "{checked} barriers checked");
 }
 
 #[test]
 fn seeded_schedules_of_the_infinite_protocol_match_the_twin_at_every_barrier() {
-    let checked = explore(false, 0x1f1f_0000);
-    assert!(checked as u64 > 2 * SCHEDULES, "{checked} barriers checked");
+    explore(0x1f1f_0000, |rng, seed, k| {
+        let s = 1 + rng.next_below(3) as usize;
+        (
+            SamplerSpec::new(SamplerKind::Infinite, s, seed),
+            InfiniteConfig::with_seed(s, seed).cluster(k),
+        )
+    });
+}
+
+#[test]
+fn seeded_schedules_of_the_with_replacement_protocol_match_the_twin_at_every_barrier() {
+    explore(0x3a3a_0000, |rng, seed, k| {
+        let s = 1 + rng.next_below(3) as usize;
+        (
+            SamplerSpec::new(SamplerKind::WithReplacement, s, seed),
+            WrConfig::with_seed(s, seed).cluster(k),
+        )
+    });
 }
 
 #[test]
 fn seeded_schedules_of_the_sliding_protocol_match_the_twin_at_every_barrier() {
-    let checked = explore(true, 0x5151_0000);
-    assert!(checked as u64 > 2 * SCHEDULES, "{checked} barriers checked");
+    explore(0x5151_0000, |rng, seed, k| {
+        let window = 2 + rng.next_below(3);
+        (
+            SamplerSpec::new(SamplerKind::Sliding { window }, 1, seed),
+            SlidingConfig::with_seed(window, seed).cluster(k),
+        )
+    });
+}
+
+#[test]
+fn seeded_schedules_of_the_sliding_multi_protocol_match_the_twin_at_every_barrier() {
+    explore(0x7c7c_0000, |rng, seed, k| {
+        let s = 1 + rng.next_below(3) as usize;
+        let window = 2 + rng.next_below(3);
+        (
+            SamplerSpec::new(SamplerKind::SlidingMulti { window }, s, seed),
+            MultiSlidingConfig::with_seed(s, window, seed).cluster(k),
+        )
+    });
 }

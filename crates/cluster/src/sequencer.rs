@@ -43,7 +43,7 @@ use dds_obs::{Counter, Histogram, Registry};
 use dds_proto::cluster::{ClusterError, ClusterResponse, ClusterSpec, ClusterStats, SiteUp};
 use dds_sim::{Direction, Element, MessageCounters, SiteId, Slot};
 
-use crate::machine::CoordMachine;
+use crate::machine::{coord_machine, CoordMachine};
 
 /// What the coordinator must send after an event.
 pub(crate) enum Action<W> {
@@ -138,7 +138,7 @@ fn is_late(up: &SiteUp, now: Slot) -> bool {
 pub(crate) struct Sequencer<W> {
     registry: Arc<Registry>,
     obs: CoordObs,
-    machine: CoordMachine,
+    machine: Box<dyn CoordMachine>,
     now: Slot,
     /// The paper's exact message accounting (`Y` / `Yᵢ`).
     counters: MessageCounters,
@@ -159,7 +159,7 @@ impl<W: Copy> Sequencer<W> {
         Sequencer {
             obs: CoordObs::register(&registry, spec.k),
             registry,
-            machine: CoordMachine::new(spec),
+            machine: coord_machine(spec),
             now: Slot(0),
             counters: MessageCounters::new(spec.k),
             seats: vec![Seat::VACANT; spec.k],

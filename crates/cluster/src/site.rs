@@ -49,7 +49,7 @@ use dds_server::net::{Endpoint, Listener, Stream};
 use dds_sim::{Element, SiteId, Slot};
 
 use crate::conn::Framed;
-use crate::machine::SiteMachine;
+use crate::machine::{site_machine, SiteMachine};
 
 /// The site daemon's accounting: plain tallies of the wire, which
 /// [`SiteDaemon::stats`] reports and [`SiteDaemon::telemetry`] pushes
@@ -68,7 +68,7 @@ struct SiteTally {
 /// coordinator uplink.
 pub struct SiteDaemon {
     id: SiteId,
-    machine: SiteMachine,
+    machine: Box<dyn SiteMachine>,
     now: Slot,
     registry: Arc<Registry>,
     tally: SiteTally,
@@ -133,7 +133,7 @@ impl SiteDaemon {
                     registry.histogram_with("site_settle_nanos", &[("site", site.as_str())]);
                 Ok(SiteDaemon {
                     id,
-                    machine: SiteMachine::new(spec),
+                    machine: site_machine(spec),
                     now: Slot(0),
                     registry,
                     tally: SiteTally::default(),

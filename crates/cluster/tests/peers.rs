@@ -2,10 +2,11 @@
 //! engine server's: a control peer that pipelines requests and never
 //! reads its replies is throttled by backpressure instead of growing
 //! the coordinator's memory; shutting the coordinator down never waits
-//! on such a peer; a malformed frame is answered with one typed error
-//! before the connection closes; and the scrape carries the loop's
-//! series under `cluster_`. Every assertion is made from the peer's side
-//! of the socket or on series names, never on a value, so the suite
+//! on such a peer; a malformed frame, or a site's up of another protocol
+//! kind, is answered with one typed error before the connection closes;
+//! and the scrape carries the loop's series under `cluster_`. Every
+//! assertion is made from the peer's side of the socket, on series
+//! names or on membership, never on a telemetry value, so the suite
 //! holds with telemetry compiled out.
 
 use std::io::{ErrorKind, Read, Write};
@@ -15,10 +16,10 @@ use std::time::{Duration, Instant};
 
 use dds_cluster::ClusterCoordinator;
 use dds_core::sampler::{SamplerKind, SamplerSpec};
-use dds_proto::cluster::{ClusterError, ClusterRequest, ClusterResponse, ClusterSpec};
+use dds_proto::cluster::{ClusterError, ClusterRequest, ClusterResponse, ClusterSpec, SiteUp};
 use dds_proto::decode_outcome;
 use dds_proto::frame::read_frame;
-use dds_sim::SiteId;
+use dds_sim::{Element, SiteId, Slot};
 
 /// Bytes of pipelined requests a throttled peer must not get past.
 const STALL_BEFORE: usize = 4 << 20;
@@ -199,4 +200,40 @@ fn a_malformed_frame_gets_a_typed_error_then_close() {
         decode_outcome::<ClusterResponse, ClusterError>(op, &payload),
         Ok(Ok(ClusterResponse::Stats { .. }))
     ));
+}
+
+#[test]
+fn an_up_of_another_kind_fails_its_site_with_a_typed_error() {
+    let coordinator = coordinator("wrong-kind");
+    let mut peer = control(&coordinator);
+    let mut site = dial(
+        &coordinator,
+        &ClusterRequest::Join {
+            site: SiteId(0),
+            digest: spec().digest(),
+        },
+    );
+    // The deployment runs the infinite-window protocol, but a joined
+    // peer can send any up the codec knows.
+    let up = SiteUp::Sliding {
+        element: Element(5),
+        expiry: Slot(9),
+    };
+    site.write_all(&ClusterRequest::Up(up).encode())
+        .expect("up");
+    let frames = read_until_eof(&mut site);
+    assert!(
+        matches!(frames[..], [Err(ClusterError::Protocol(_))]),
+        "{frames:?}"
+    );
+    assert_eq!(coordinator.stats().failed, vec![SiteId(0)]);
+
+    // The control connection keeps answering.
+    peer.write_all(&ClusterRequest::Stats.encode())
+        .expect("stats");
+    let (op, payload) = read_frame(&mut peer).expect("reply").expect("open");
+    match decode_outcome::<ClusterResponse, ClusterError>(op, &payload) {
+        Ok(Ok(ClusterResponse::Stats { stats })) => assert_eq!(stats.failed, vec![SiteId(0)]),
+        other => panic!("expected Stats, got {other:?}"),
+    }
 }

@@ -880,22 +880,35 @@ macro_rules! __wire_get {
 /// Wrap a kind tag + payload in the versioned envelope and append it to
 /// `out` (the writing half of [`restore_sampler`]).
 pub fn write_envelope(kind_tag: u8, payload: &[u8], out: &mut Vec<u8>) {
-    let mut w = StateWriter::new();
-    w.put_u32(MAGIC);
-    w.put_u16(VERSION);
-    w.put_u8(kind_tag);
-    w.put_len(payload.len());
-    w.put_bytes(payload);
-    w.put_u64(checksum(kind_tag, payload));
-    out.extend_from_slice(&w.into_bytes());
+    seal(kind_tag, out, |w| w.put_bytes(payload));
 }
 
 /// Encode `state` and wrap it in the envelope under `kind_tag` (the
 /// body of every [`DistinctSampler::checkpoint`]).
 pub(crate) fn seal_state<T: Wire>(kind_tag: u8, state: &T, out: &mut Vec<u8>) {
-    let mut w = StateWriter::new();
-    w.put(state);
-    write_envelope(kind_tag, &w.into_bytes(), out);
+    seal(kind_tag, out, |w| w.put(state));
+}
+
+/// Append an envelope to `out` with `payload` writing its payload in
+/// place: the length word is patched once the payload is written, and
+/// the trailer checksums the payload where it lies, so no byte is
+/// copied twice.
+fn seal(kind_tag: u8, out: &mut Vec<u8>, payload: impl FnOnce(&mut StateWriter)) {
+    let mut w = StateWriter {
+        buf: std::mem::take(out),
+    };
+    w.put_u32(MAGIC);
+    w.put_u16(VERSION);
+    w.put_u8(kind_tag);
+    let len_at = w.len();
+    w.put_len(0);
+    let start = w.len();
+    payload(&mut w);
+    let len = u32::try_from(w.len() - start).expect("checkpoint payload exceeds u32 length");
+    w.buf[len_at..start].copy_from_slice(&len.to_le_bytes());
+    let check = checksum(kind_tag, &w.buf[start..]);
+    w.put_u64(check);
+    *out = w.buf;
 }
 
 /// MurmurHash64A of the payload seeded with the kind tag — this runs

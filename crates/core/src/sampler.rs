@@ -527,12 +527,7 @@ impl DistinctSampler for FusedSliding {
     }
 
     fn threshold(&self) -> Option<UnitValue> {
-        // s = 1: the threshold is the live sample's hash (1 when empty).
-        Some(
-            self.coordinator
-                .current()
-                .map_or(UnitValue::ONE, |t| t.hash),
-        )
+        Some(self.coordinator.threshold())
     }
 
     fn memory_tuples(&self) -> usize {
@@ -866,26 +861,44 @@ pub struct SamplerSpec {
 }
 
 impl SamplerSpec {
+    /// The largest sample size a spec accepts. Building an instance
+    /// allocates per copy or per tuple of `s`, so a spec decoded from
+    /// outside the program must not name more.
+    pub const MAX_S: usize = 1 << 20;
+
     /// A spec for the given protocol.
     ///
     /// # Panics
-    /// Panics if `s == 0`, if a window-bounded kind has `window == 0`,
-    /// or if `kind` is [`SamplerKind::Sliding`] with `s != 1` (the
-    /// single-sample protocol; use [`SamplerKind::SlidingMulti`] for
-    /// larger window samples).
+    /// Where [`SamplerSpec::try_new`] refuses.
     #[must_use]
     pub fn new(kind: SamplerKind, s: usize, seed: u64) -> Self {
-        assert!(s > 0, "sample size must be at least 1");
-        if let Some(window) = kind.window() {
-            assert!(window >= 1, "window must be at least one slot");
+        Self::try_new(kind, s, seed).unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// A spec for the given protocol, or the rule it breaks: every
+    /// decoder of a spec builds it here.
+    ///
+    /// # Errors
+    /// If `s == 0` or `s >` [`SamplerSpec::MAX_S`], if a window-bounded
+    /// kind has `window == 0`, or if `kind` is [`SamplerKind::Sliding`]
+    /// with `s != 1` (the single-sample protocol; use
+    /// [`SamplerKind::SlidingMulti`] for larger window samples).
+    pub fn try_new(kind: SamplerKind, s: usize, seed: u64) -> Result<Self, &'static str> {
+        if s == 0 {
+            return Err("sample size must be at least 1");
         }
-        if matches!(kind, SamplerKind::Sliding { .. }) {
-            assert!(
-                s == 1,
-                "Sliding is the single-sample protocol (s = 1); use SlidingMulti for s > 1"
+        if s > Self::MAX_S {
+            return Err("sample size above SamplerSpec::MAX_S");
+        }
+        if kind.window() == Some(0) {
+            return Err("window must be at least one slot");
+        }
+        if matches!(kind, SamplerKind::Sliding { .. }) && s != 1 {
+            return Err(
+                "Sliding is the single-sample protocol (s = 1); use SlidingMulti for s > 1",
             );
         }
-        Self { kind, s, seed }
+        Ok(Self { kind, s, seed })
     }
 
     /// The window length in slots, for window-bounded specs.

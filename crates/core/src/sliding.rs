@@ -347,6 +347,13 @@ impl SwCoordinator {
         self.sample.filter(|t| !is_expired(t.expiry, self.now))
     }
 
+    /// The global threshold of the single-sample protocol: the live
+    /// sample's hash, or 1 when the window holds no sample.
+    #[must_use]
+    pub fn threshold(&self) -> UnitValue {
+        self.current().map_or(UnitValue::ONE, |t| t.hash)
+    }
+
     /// Re-derive the sample from the live registry minimum.
     fn registry_fallback(&mut self) {
         self.sample = self

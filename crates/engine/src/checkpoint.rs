@@ -233,12 +233,6 @@ struct Document<S> {
     shards: Vec<S>,
 }
 
-/// Upper bound on the spec sample size accepted from a checkpoint: `s`
-/// drives per-tenant allocations when new tenants are built, so a
-/// crafted (but correctly checksummed) document must not be able to
-/// request an absurd one.
-const MAX_SPEC_S: usize = 1 << 20;
-
 impl<S: Wire> Document<S> {
     /// What a delta must share with its base: shard count, queue
     /// capacity, spec and lateness.
@@ -299,14 +293,6 @@ impl<S: Wire> Document<S> {
         // checked against the remaining document bytes.
         let s = r.get_u32()? as usize;
         let seed = r.get()?;
-        if s == 0 {
-            return Err(CheckpointError::Corrupt("spec sample size is zero"));
-        }
-        if s > MAX_SPEC_S {
-            return Err(CheckpointError::Corrupt(
-                "spec sample size implausibly large",
-            ));
-        }
         let kind_of = match tag {
             kind::CENTRALIZED => SamplerKind::Centralized,
             kind::INFINITE => SamplerKind::Infinite,
@@ -315,12 +301,7 @@ impl<S: Wire> Document<S> {
             kind::SLIDING_MULTI => SamplerKind::SlidingMulti { window },
             other => return Err(CheckpointError::UnknownKind(other)),
         };
-        if kind_of.window() == Some(0) {
-            return Err(CheckpointError::Corrupt("spec window is zero"));
-        }
-        if matches!(kind_of, SamplerKind::Sliding { .. }) && s != 1 {
-            return Err(CheckpointError::Corrupt("sliding spec with s above one"));
-        }
+        let spec = SamplerSpec::try_new(kind_of, s, seed).map_err(CheckpointError::Corrupt)?;
         let lateness = r.get::<Padded<u64>>()?.0;
         let mut sections = Vec::with_capacity(shards);
         for _ in 0..shards {
@@ -329,7 +310,7 @@ impl<S: Wire> Document<S> {
         r.expect_end()?;
         Ok(Document {
             queue_capacity,
-            spec: SamplerSpec::new(kind_of, s, seed),
+            spec,
             lateness,
             shards: sections,
         })

@@ -382,8 +382,8 @@ impl Engine {
     /// the worker's, so a refusal here is something the worker would
     /// also have dropped; anything that races past lands in the
     /// worker-side counted drop instead of an error.
-    fn late_gate(&self, idx: usize, now: Slot, elements: u64) -> Result<(), EngineError> {
-        let Some(l) = self.lateness else {
+    fn late_gate(&self, idx: usize, at: Option<Slot>, elements: u64) -> Result<(), EngineError> {
+        let (Some(now), Some(l)) = (at, self.lateness) else {
             return Ok(());
         };
         let w = self.shards[idx].watermark_pub.load(Ordering::Relaxed);
@@ -466,7 +466,7 @@ impl Engine {
     /// [`EngineError::ShardDown`] if the owning worker is gone.
     pub fn try_observe(&self, tenant: TenantId, e: Element) -> Result<(), EngineError> {
         self.guard()?;
-        self.send_with_backpressure(self.shard_of(tenant), ShardCmd::One(tenant, e))
+        self.send_with_backpressure(self.shard_of(tenant), ShardCmd::One(tenant, e, None))
     }
 
     /// Ingest one observation stamped at slot `now`, raising the owning
@@ -485,8 +485,8 @@ impl Engine {
     ) -> Result<(), EngineError> {
         self.guard()?;
         let idx = self.shard_of(tenant);
-        self.late_gate(idx, now, 1)?;
-        self.send_with_backpressure(idx, ShardCmd::OneAt(tenant, e, now))
+        self.late_gate(idx, Some(now), 1)?;
+        self.send_with_backpressure(idx, ShardCmd::One(tenant, e, Some(now)))
     }
 
     /// Ingest a batch of observations, preserving per-tenant order.
@@ -502,13 +502,7 @@ impl Engine {
         &self,
         batch: impl IntoIterator<Item = (TenantId, Element)>,
     ) -> Result<(), EngineError> {
-        self.guard()?;
-        for (i, part) in self.partition_pooled(batch).into_iter().enumerate() {
-            if !part.is_empty() {
-                self.send_with_backpressure(i, ShardCmd::Batch(part))?;
-            }
-        }
-        Ok(())
+        self.ingest_batch(None, batch)
     }
 
     /// Partition a batch into per-shard parts, drawing the non-empty
@@ -554,12 +548,22 @@ impl Engine {
         now: Slot,
         batch: impl IntoIterator<Item = (TenantId, Element)>,
     ) -> Result<(), EngineError> {
+        self.ingest_batch(Some(now), batch)
+    }
+
+    /// Partition a batch, untimed or stamped at `at`; gate every
+    /// receiving shard before anything is sent; then send each part.
+    fn ingest_batch(
+        &self,
+        at: Option<Slot>,
+        batch: impl IntoIterator<Item = (TenantId, Element)>,
+    ) -> Result<(), EngineError> {
         self.guard()?;
         let parts = self.partition_pooled(batch);
         let mut late: Option<EngineError> = None;
         for (i, part) in parts.iter().enumerate() {
             if !part.is_empty() {
-                if let Err(e) = self.late_gate(i, now, part.len() as u64) {
+                if let Err(e) = self.late_gate(i, at, part.len() as u64) {
                     late.get_or_insert(e);
                 }
             }
@@ -574,7 +578,7 @@ impl Engine {
         }
         for (i, part) in parts.into_iter().enumerate() {
             if !part.is_empty() {
-                self.send_with_backpressure(i, ShardCmd::BatchAt(now, part))?;
+                self.send_with_backpressure(i, ShardCmd::Batch(at, part))?;
             }
         }
         Ok(())
@@ -814,12 +818,12 @@ impl Engine {
             if part.is_empty() {
                 continue;
             }
-            if self.late_gate(i, now, part.len() as u64).is_err() {
+            if self.late_gate(i, Some(now), part.len() as u64).is_err() {
                 // Counted and noted by the gate.
                 self.pool.put(part);
                 continue;
             }
-            self.send_with_backpressure(i, ShardCmd::BatchAt(now, part))
+            self.send_with_backpressure(i, ShardCmd::Batch(Some(now), part))
                 .unwrap_or_else(|e| panic!("engine accepts ingest: {e}"));
         }
     }

@@ -24,17 +24,17 @@ use crate::{BatchPool, TenantId, TenantView};
 /// Everything a shard worker can receive. Batches, clock advances, and
 /// queries share one FIFO queue — that ordering *is* the
 /// snapshot-consistency mechanism.
+///
+/// Ingest comes in two shapes, one element or a batch, and each is
+/// untimed (`None`: every tenant observes at its own clock) or stamped
+/// at one slot (`Some`: the shard watermark rises to it, under the
+/// lateness policy). Both run the worker's one ingest body.
 pub(crate) enum ShardCmd {
-    /// Observe a single element at the tenant's current clock (the
-    /// allocation-free fast path for unbatched ingest).
-    One(TenantId, Element),
-    /// Observe a single element at an explicit slot.
-    OneAt(TenantId, Element, Slot),
+    /// Observe one element: the allocation-free path for unbatched
+    /// ingest, applied as a one-element slice on the worker's stack.
+    One(TenantId, Element, Option<Slot>),
     /// Observe a batch of (tenant, element) pairs owned by this shard.
-    Batch(Vec<(TenantId, Element)>),
-    /// Observe a batch, all elements timestamped at one slot; raises the
-    /// shard watermark to that slot.
-    BatchAt(Slot, Vec<(TenantId, Element)>),
+    Batch(Option<Slot>, Vec<(TenantId, Element)>),
     /// Raise the shard watermark and advance every hosted tenant's clock
     /// to it, expiring window candidates of idle tenants.
     Advance(Slot),
@@ -248,6 +248,8 @@ impl TenantTable {
                 if sampler.memory_tuples() == 0 && sampler.sample().is_empty() {
                     let mut blob = Vec::new();
                     sampler.checkpoint(&mut blob);
+                    // Kept until the tenant wakes: no growth slack.
+                    blob.shrink_to_fit();
                     self.parked_bytes.add(blob.len() as u64);
                     slot.state = TenantState::Parked(blob);
                     parked += 1;
@@ -359,43 +361,34 @@ impl ShardWorker<'_> {
         }
     }
 
-    /// Apply one timestamped element at its own slot. An element whose
-    /// tenant clock has already passed the slot is counted and dropped
-    /// — never silently re-stamped. Returns the number dropped (0 | 1).
-    fn apply_one(&mut self, tenant: TenantId, e: Element, now: Slot) -> u64 {
-        let s = self.tenants.live(self.spec, now, tenant, self.seq);
-        if now < s.clock() {
-            self.metrics.late_dropped.inc();
-            1
-        } else {
-            s.observe_at(e, now);
-            0
-        }
-    }
-
-    /// Apply the contiguous same-tenant run `src[from..to]`, all
-    /// stamped at `now`, via the fused batch path. Returns drops.
-    fn apply_run(&mut self, now: Slot, src: &[(TenantId, Element)], from: usize, to: usize) -> u64 {
-        let s = self.tenants.live(self.spec, now, src[from].0, self.seq);
-        if now < s.clock() {
-            let n = (to - from) as u64;
+    /// Apply the same-tenant run `run` through the fused batch path:
+    /// at the tenant's own clock (`at = None`), or stamped at `at`. A
+    /// stamped run whose tenant clock has already passed its slot is
+    /// counted and dropped — never silently re-stamped. Returns drops.
+    fn apply_run(&mut self, at: Option<Slot>, run: &[(TenantId, Element)]) -> u64 {
+        let target = at.unwrap_or(self.watermark);
+        let s = self.tenants.live(self.spec, target, run[0].0, self.seq);
+        if at.is_some_and(|now| now < s.clock()) {
+            let n = run.len() as u64;
             self.metrics.late_dropped.add(n);
-            n
-        } else {
-            self.elem_scratch.clear();
-            self.elem_scratch
-                .extend(src[from..to].iter().map(|&(_, e)| e));
-            s.observe_batch_at(now, &self.elem_scratch);
-            0
+            return n;
         }
+        self.elem_scratch.clear();
+        self.elem_scratch.extend(run.iter().map(|&(_, e)| e));
+        match at {
+            Some(now) => s.observe_batch_at(now, &self.elem_scratch),
+            None => s.observe_batch(&self.elem_scratch),
+        }
+        0
     }
 
-    /// Apply every element of `batch` at slot `now`. Stable by tenant:
-    /// per-tenant order (the correctness contract) is preserved while
-    /// elements group into contiguous runs — one table lookup and one
-    /// fused observe call per run instead of per element. Cross-tenant
-    /// reordering is unobservable: tenants are independent samplers.
-    fn apply_batch(&mut self, now: Slot, batch: &mut [(TenantId, Element)]) -> u64 {
+    /// Apply every element of `batch`, as [`ShardWorker::apply_run`]
+    /// does. Stable by tenant: per-tenant order (the correctness
+    /// contract) is preserved while elements group into contiguous runs
+    /// — one table lookup and one fused observe call per run instead of
+    /// per element. Cross-tenant reordering is unobservable: tenants
+    /// are independent samplers.
+    fn apply(&mut self, at: Option<Slot>, batch: &mut [(TenantId, Element)]) -> u64 {
         batch.sort_by_key(|&(t, _)| t);
         let mut dropped = 0;
         let mut from = 0;
@@ -405,7 +398,7 @@ impl ShardWorker<'_> {
             while to < batch.len() && batch[to].0 == tenant {
                 to += 1;
             }
-            dropped += self.apply_run(now, batch, from, to);
+            dropped += self.apply_run(at, &batch[from..to]);
             from = to;
         }
         dropped
@@ -437,7 +430,7 @@ impl ShardWorker<'_> {
             }
             let mut entries = self.buffer.remove(&slot).expect("first key exists");
             self.buffered -= entries.len();
-            dropped += self.apply_batch(Slot(slot), &mut entries);
+            dropped += self.apply(Some(Slot(slot)), &mut entries);
         }
         self.metrics.reorder_buffered.set(self.buffered as u64);
         dropped
@@ -480,44 +473,19 @@ impl ShardWorker<'_> {
         self.set_tenant_gauge();
     }
 
-    /// The OneAt ingest body. Returns drops.
-    fn ingest_one_at(&mut self, tenant: TenantId, e: Element, now: Slot) -> u64 {
+    /// The one ingest body, for a single element and a batch alike:
+    /// apply `batch` at each tenant's clock (`at = None`), or stamped at
+    /// slot `at` under the lateness policy. Returns drops.
+    fn ingest(&mut self, at: Option<Slot>, batch: &mut [(TenantId, Element)]) -> u64 {
+        let Some(now) = at else {
+            return self.apply(None, batch);
+        };
         let Some(lateness) = self.lateness else {
             // Legacy: apply immediately at the event's own slot; the
-            // per-tenant clock check in `apply_one` is the bugfix for
+            // per-tenant clock check in `apply_run` is the bugfix for
             // the silent re-stamp.
             self.raise_watermark(now);
-            return self.apply_one(tenant, e, now);
-        };
-        self.metrics
-            .lateness_slots
-            .observe(self.watermark.0.saturating_sub(now.0));
-        if now < self.cut() {
-            self.metrics.late_dropped.inc();
-            return 1;
-        }
-        if lateness == 0 {
-            // In-order fast path: `now ≥ cut = watermark`, so the
-            // buffer is provably empty and the event applies directly.
-            self.raise_watermark(now);
-            let dropped = self.apply_one(tenant, e, now);
-            self.maybe_sweep();
-            return dropped;
-        }
-        self.buffer.entry(now.0).or_default().push((tenant, e));
-        self.buffered += 1;
-        self.raise_watermark(now);
-        let dropped = self.drain_through(self.cut());
-        self.maybe_sweep();
-        dropped
-    }
-
-    /// The BatchAt ingest body (all elements stamped `now`). Returns
-    /// drops.
-    fn ingest_batch_at(&mut self, now: Slot, batch: &mut Vec<(TenantId, Element)>) -> u64 {
-        let Some(lateness) = self.lateness else {
-            self.raise_watermark(now);
-            return self.apply_batch(now, batch);
+            return self.apply(at, batch);
         };
         self.metrics
             .lateness_slots
@@ -528,8 +496,10 @@ impl ShardWorker<'_> {
             return n;
         }
         if lateness == 0 {
+            // In-order fast path: `now ≥ cut = watermark`, so the
+            // buffer is provably empty and the events apply directly.
             self.raise_watermark(now);
-            let dropped = self.apply_batch(now, batch);
+            let dropped = self.apply(at, batch);
             self.maybe_sweep();
             return dropped;
         }
@@ -537,7 +507,7 @@ impl ShardWorker<'_> {
         self.buffer
             .entry(now.0)
             .or_default()
-            .extend(batch.iter().copied());
+            .extend_from_slice(batch);
         self.raise_watermark(now);
         let dropped = self.drain_through(self.cut());
         self.maybe_sweep();
@@ -592,67 +562,30 @@ pub(crate) fn shard_loop(
 
     while let Some(cmd) = rx.recv() {
         match cmd {
-            ShardCmd::One(tenant, e) => {
-                // The allocation-free fast path stays clock-free: two
+            ShardCmd::One(tenant, e, at) => {
+                // The allocation-free path stays clock-free: two
                 // counter bumps, no histogram, no Instant reads.
                 metrics.batches.inc();
                 metrics.elements.inc();
                 w.seq += 1;
-                w.tenants.live(spec, w.watermark, tenant, w.seq).observe(e);
-                w.set_tenant_gauge();
-            }
-            ShardCmd::OneAt(tenant, e, now) => {
-                metrics.batches.inc();
-                metrics.elements.inc();
-                w.seq += 1;
-                let dropped = w.ingest_one_at(tenant, e, now);
+                let dropped = w.ingest(at, &mut [(tenant, e)]);
                 w.note_dropped(dropped);
                 w.set_tenant_gauge();
             }
-            ShardCmd::Batch(mut batch) => {
+            ShardCmd::Batch(at, mut batch) => {
                 let start = dds_obs::maybe_now();
                 metrics.batches.inc();
                 metrics.elements.add(batch.len() as u64);
                 metrics.batch_elements.observe(batch.len() as u64);
                 w.seq += 1;
-                batch.sort_by_key(|&(t, _)| t);
-                let mut from = 0;
-                while from < batch.len() {
-                    let tenant = batch[from].0;
-                    let mut to = from + 1;
-                    while to < batch.len() && batch[to].0 == tenant {
-                        to += 1;
-                    }
-                    w.elem_scratch.clear();
-                    w.elem_scratch
-                        .extend(batch[from..to].iter().map(|&(_, e)| e));
-                    w.tenants
-                        .live(spec, w.watermark, tenant, w.seq)
-                        .observe_batch(&w.elem_scratch);
-                    from = to;
-                }
+                let dropped = w.ingest(at, &mut batch);
+                w.note_dropped(dropped);
                 pool.put(batch);
                 w.set_tenant_gauge();
                 let nanos = dds_obs::nanos_since(start);
                 metrics.batch_nanos.observe(nanos);
                 metrics.events.record_slow("slow_batch", nanos, || {
                     format!("ingest batch took {nanos} ns")
-                });
-            }
-            ShardCmd::BatchAt(now, mut batch) => {
-                let start = dds_obs::maybe_now();
-                metrics.batches.inc();
-                metrics.elements.add(batch.len() as u64);
-                metrics.batch_elements.observe(batch.len() as u64);
-                w.seq += 1;
-                let dropped = w.ingest_batch_at(now, &mut batch);
-                w.note_dropped(dropped);
-                pool.put(batch);
-                w.set_tenant_gauge();
-                let nanos = dds_obs::nanos_since(start);
-                metrics.batch_nanos.observe(nanos);
-                metrics.events.record_slow("slow_batch", nanos, || {
-                    format!("timestamped ingest batch took {nanos} ns")
                 });
             }
             ShardCmd::Advance(now) => {

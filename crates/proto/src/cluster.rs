@@ -11,7 +11,10 @@
 //!   one variant per sampler kind, each encoding byte-for-byte the
 //!   same payload size as its `dds_core::messages` twin
 //!   ([`SiteUp::protocol_bytes`]), so a socket deployment's
-//!   [`MessageCounters`] agree *exactly* with the simulator's.
+//!   [`MessageCounters`] agree *exactly* with the simulator's. Each
+//!   variant converts to and from its twin (`From` and `TryFrom`, one
+//!   `twin!` line per message), so a cluster node can host any
+//!   site/coordinator pair whose messages have twins here.
 //! * [`ClusterRequest`] / [`ClusterResponse`] — the envelope dialect:
 //!   join/leave handshakes, protocol ups and their batched down
 //!   replies, and the driver commands that let a test or benchmark
@@ -45,6 +48,7 @@
 //! (`crate::codec`), under [`opcode::CLUSTER_ERROR`].
 
 use dds_core::checkpoint::{CheckpointError, Padded, StateReader, StateWriter, Wire};
+use dds_core::messages::{CopyDown, CopyUp, DownThreshold, SwDown, SwUp, UpElem};
 use dds_core::sampler::{SamplerKind, SamplerSpec};
 use dds_core::{wire_enum, wire_record};
 use dds_hash::fnv::fnv1a_64;
@@ -147,20 +151,34 @@ const KIND_SLIDING: u8 = 2;
 const KIND_SLIDING_MULTI: u8 = 3;
 
 impl ClusterSpec {
+    /// The most sites a spec accepts: the coordinator allocates per
+    /// site, so a spec decoded from outside the program is bounded like
+    /// its sample size.
+    pub const MAX_K: usize = SamplerSpec::MAX_S;
+
     /// Name a deployment.
     ///
     /// # Panics
-    /// If `k == 0`, or the sampler kind is
-    /// [`SamplerKind::Centralized`] (it has no site/coordinator
+    /// If `k == 0` or `k >` [`ClusterSpec::MAX_K`], or the sampler kind
+    /// is [`SamplerKind::Centralized`] (it has no site/coordinator
     /// split to deploy).
     #[must_use]
     pub fn new(sampler: SamplerSpec, k: usize) -> Self {
-        assert!(k >= 1, "a cluster needs at least one site");
-        assert!(
-            !matches!(sampler.kind, SamplerKind::Centralized),
-            "the centralized sampler has no distributed protocol"
-        );
-        Self { sampler, k }
+        Self::checked(sampler, k).unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// The spec, or the rule it breaks.
+    fn checked(sampler: SamplerSpec, k: usize) -> Result<Self, &'static str> {
+        if k == 0 {
+            return Err("a cluster needs at least one site");
+        }
+        if k > Self::MAX_K {
+            return Err("site count above ClusterSpec::MAX_K");
+        }
+        if matches!(sampler.kind, SamplerKind::Centralized) {
+            return Err("the centralized sampler has no distributed protocol");
+        }
+        Ok(Self { sampler, k })
     }
 
     /// Fixed-layout encoding: kind tag, `s`, seed, window (0 when the
@@ -224,7 +242,8 @@ impl ClusterSpec {
 }
 
 /// Kind tag, `s`, seed, window (0 when the kind has none), `k`;
-/// decoding refuses what `ClusterSpec::new` would.
+/// decoding refuses what `SamplerSpec::new` or `ClusterSpec::new`
+/// would.
 impl Wire for ClusterSpec {
     const MIN_BYTES: usize = 1 + 4 * 8;
 
@@ -256,26 +275,8 @@ impl Wire for ClusterSpec {
             KIND_SLIDING_MULTI => SamplerKind::SlidingMulti { window },
             other => return Err(CheckpointError::UnknownKind(other)),
         };
-        if s == 0 {
-            return Err(CheckpointError::Corrupt("sample size must be >= 1"));
-        }
-        if matches!(tag, KIND_SLIDING | KIND_SLIDING_MULTI) && window == 0 {
-            return Err(CheckpointError::Corrupt("window must be >= 1"));
-        }
-        if tag == KIND_SLIDING && s != 1 {
-            return Err(CheckpointError::Corrupt(
-                "single-sample sliding needs s == 1",
-            ));
-        }
-        if k == 0 {
-            return Err(CheckpointError::Corrupt(
-                "a cluster needs at least one site",
-            ));
-        }
-        Ok(Self {
-            sampler: SamplerSpec::new(kind, s, seed),
-            k,
-        })
+        let sampler = SamplerSpec::try_new(kind, s, seed).map_err(CheckpointError::Corrupt)?;
+        Self::checked(sampler, k).map_err(CheckpointError::Corrupt)
     }
 }
 
@@ -284,7 +285,10 @@ impl Wire for ClusterSpec {
 // ---------------------------------------------------------------------
 
 /// One site→coordinator protocol message — the wire twin of the
-/// `dds_core::messages` up types, one variant per sampler kind.
+/// `dds_core::messages` up types, one variant per sampler kind, each
+/// naming its twin. The twin converts into the variant (`From`) and
+/// back (`TryFrom`, which hands an up of another kind back as its
+/// error).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteUp {
     /// Algorithm 1's send: an element whose hash beat the site
@@ -346,7 +350,8 @@ wire_enum! { SiteUp {
 /// One coordinator→site protocol message — the wire twin of the
 /// `dds_core::messages` down types. Several may ride in one
 /// [`ClusterResponse::Downs`] envelope, but each is *accounted* as its
-/// own protocol message of [`CoordDown::protocol_bytes`] size.
+/// own protocol message of [`CoordDown::protocol_bytes`] size. Each
+/// variant names its twin and converts as [`SiteUp`]'s do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoordDown {
     /// Algorithm 2's refreshed global threshold (`DownThreshold`).
@@ -398,6 +403,46 @@ impl CoordDown {
             CoordDown::SlidingMulti { .. } => 20,
         }
     }
+}
+
+/// Declare a wire variant the twin of a `dds_core::messages` type: `From`
+/// the message into the wire enum, and `TryFrom` the wire enum back,
+/// handing a message of another kind back as the error. One line per
+/// message; its `(pattern): Type` both destructures and rebuilds the
+/// message.
+macro_rules! twin {
+    ($($wire:ident::$variant:ident { $($field:ident),+ } <=> ($($pat:tt)+): $ty:ty;)+) => {$(
+        impl From<$ty> for $wire {
+            fn from(message: $ty) -> Self {
+                let $($pat)+ = message;
+                $wire::$variant { $($field),+ }
+            }
+        }
+
+        impl TryFrom<$wire> for $ty {
+            type Error = $wire;
+
+            fn try_from(message: $wire) -> Result<Self, $wire> {
+                match message {
+                    $wire::$variant { $($field),+ } => Ok($($pat)+),
+                    other => Err(other),
+                }
+            }
+        }
+    )+};
+}
+
+twin! {
+    SiteUp::Infinite { element } <=> (UpElem { element }): UpElem;
+    SiteUp::Wr { copy, element } <=> (CopyUp { copy, inner: UpElem { element } }): CopyUp<UpElem>;
+    SiteUp::Sliding { element, expiry } <=> (SwUp { element, expiry }): SwUp;
+    SiteUp::SlidingMulti { copy, element, expiry }
+        <=> (CopyUp { copy, inner: SwUp { element, expiry } }): CopyUp<SwUp>;
+    CoordDown::Infinite { u } <=> (DownThreshold { u }): DownThreshold;
+    CoordDown::Wr { copy, u } <=> (CopyDown { copy, inner: DownThreshold { u } }): CopyDown<DownThreshold>;
+    CoordDown::Sliding { element, expiry } <=> (SwDown { element, expiry }): SwDown;
+    CoordDown::SlidingMulti { copy, element, expiry }
+        <=> (CopyDown { copy, inner: SwDown { element, expiry } }): CopyDown<SwDown>;
 }
 
 // ---------------------------------------------------------------------
@@ -757,15 +802,23 @@ mod tests {
     fn spec_decode_validates() {
         assert!(ClusterSpec::from_hex("zz").is_err());
         assert!(ClusterSpec::from_hex("0102").is_err());
-        // Sliding with s != 1 must be rejected structurally, not by a
-        // downstream panic.
-        let mut w = StateWriter::new();
-        w.put_u8(super::KIND_SLIDING);
-        w.put_u64(2);
-        w.put_u64(7);
-        w.put_u64(16);
-        w.put_u64(3);
-        assert!(ClusterSpec::decode(&w.into_bytes()).is_err());
+        let decode = |tag: u8, s: u64, window: u64, k: u64| {
+            let mut w = StateWriter::new();
+            w.put_u8(tag);
+            w.put_u64(s);
+            w.put_u64(7);
+            w.put_u64(window);
+            w.put_u64(k);
+            ClusterSpec::decode(&w.into_bytes())
+        };
+        // Each is refused structurally, not by a downstream panic or
+        // abort: sliding with s != 1, a with-replacement spec whose
+        // sites would allocate 64 GiB of copies, and 2^40 sites.
+        assert!(decode(KIND_SLIDING, 2, 16, 3).is_err());
+        assert!(decode(KIND_WR, u64::from(u32::MAX), 0, 2).is_err());
+        assert!(decode(KIND_INFINITE, 4, 0, 1 << 40).is_err());
+        let (s, k) = (SamplerSpec::MAX_S as u64, ClusterSpec::MAX_K as u64);
+        assert!(decode(KIND_WR, s, 0, k).is_ok());
     }
 
     #[test]

@@ -150,7 +150,7 @@ pub(crate) fn epoll_control(
     let mut event = event;
     let ptr = event
         .as_mut()
-        .map_or(std::ptr::null_mut(), std::ptr::from_mut);
+        .map_or(std::ptr::null_mut(), |e| e as *mut EpollEvent);
     // SAFETY: `ptr` is either null (DEL, where the kernel ignores it) or
     // points at a live, properly laid out `EpollEvent` on our stack for
     // the duration of the call.
