@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--quick|--medium|--full] [table51 fig51 ... | all]
+//! experiments [--quick|--medium|--full] [--noop-bin <path>] [table51 fig51 ... | all]
 //! ```
 //!
 //! Prints each figure as an aligned table (the paper-style rows/series)
@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use dds_bench::experiments::{all, parse_args};
+use dds_bench::experiments::{all, ext_obs_overhead, parse_args};
 use dds_bench::output::{default_output_dir, emit};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
         print_help();
         return;
     }
-    let (scale, chosen) = match parse_args(&args) {
+    let (scale, chosen, noop_bin) = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(unknown) => {
             eprintln!("unknown argument(s) {unknown:?}; known ids:");
@@ -37,7 +37,10 @@ fn main() {
     for exp in chosen {
         println!("=== {} — {} ===\n", exp.id, exp.title);
         let started = Instant::now();
-        let sets = (exp.run)(&scale, &dir);
+        let sets = match (&noop_bin, exp.id) {
+            (Some(bin), "ext_obs_overhead") => ext_obs_overhead::gate(&scale, &dir, bin),
+            _ => (exp.run)(&scale, &dir),
+        };
         for set in &sets {
             if let Err(e) = emit(&dir, set) {
                 eprintln!("warning: failed to write CSV: {e}");
@@ -53,7 +56,7 @@ fn main() {
 }
 
 fn print_help() {
-    println!("Usage: experiments [--quick|--medium|--full] [ids... | all]\n");
+    println!("Usage: experiments [--quick|--medium|--full] [--noop-bin <path>] [ids... | all]\n");
     println!("Experiments:");
     for e in all() {
         println!("  {:<16} {}", e.id, e.title);
@@ -62,4 +65,7 @@ fn print_help() {
     println!("  --quick   1/400 of each dataset, 3 runs per point (default)");
     println!("  --medium  1/40 of each dataset, 10 runs per point");
     println!("  --full    the paper's sizes, 50 runs (sliding: 10)");
+    println!("\nGate:");
+    println!("  --noop-bin <path>  the obs-noop build of this binary: ext_obs_overhead");
+    println!("                     alternates rounds of both builds and gates the overhead");
 }

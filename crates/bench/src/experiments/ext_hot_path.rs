@@ -21,12 +21,15 @@
 //!   in CI; the JSON records it next to `WIRE_RATIO_TARGET` so a
 //!   regression is visible in the artifact.
 //!
+//! Each rate is the best of `scale.runs` runs. In a run the two sides
+//! of a comparison take turns going first, and each re-feeds its stream
+//! for at least `RUN_TIME`: single ~20 ms passes wandered ~10 %.
+//!
 //! The `gate` field is `"pass"` only when both gated invariants hold;
 //! CI greps for it after a smoke run.
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 use dds_core::sampler::{DistinctSampler, SamplerKind, SamplerSpec};
 use dds_data::{MultiTenantStream, TraceProfile};
@@ -36,6 +39,7 @@ use dds_server::{Client, Server};
 use dds_sim::metrics::{Series, SeriesSet};
 use dds_sim::Element;
 
+use super::{in_turn, timed_rate};
 use crate::output::write_record;
 use crate::Scale;
 
@@ -78,31 +82,48 @@ fn sampler_feed(scale: &Scale, run: u32) -> Vec<Element> {
         .collect()
 }
 
-/// Best-of-runs rates for the two ingest shapes over one boxed sampler.
-/// Returns `(looped_eps, batched_eps)`; the pair is sample-checked for
-/// agreement so the fast shape cannot drift from the slow one.
+/// Best-of-runs rates for the two ingest shapes over one boxed sampler,
+/// each side re-feeding its stream for at least `RUN_TIME` and the two
+/// taking turns to go first. Returns `(looped_eps, batched_eps)`; the
+/// pair is sample-checked for agreement so the fast shape cannot drift
+/// from the slow one.
 fn measure_sampler(scale: &Scale) -> (f64, f64) {
     let mut best_looped = 0.0f64;
     let mut best_batched = 0.0f64;
     for run in 0..scale.runs {
         let feed = sampler_feed(scale, run);
-        let elements = feed.len() as f64;
         let spec = SamplerSpec::new(SamplerKind::Infinite, SAMPLE_SIZE, 91 + u64::from(run));
-
         let mut looped: Box<dyn DistinctSampler> = spec.build();
-        let started = Instant::now();
-        for &e in &feed {
-            looped.observe(e);
-        }
-        best_looped = best_looped.max(elements / started.elapsed().as_secs_f64().max(1e-9));
-
         let mut batched: Box<dyn DistinctSampler> = spec.build();
-        let started = Instant::now();
-        for chunk in feed.chunks(FUSED_BATCH) {
-            batched.observe_batch(chunk);
-        }
-        best_batched = best_batched.max(elements / started.elapsed().as_secs_f64().max(1e-9));
-
+        let (looped_eps, batched_eps) = in_turn(
+            run,
+            || {
+                timed_rate(
+                    |_| {
+                        for &e in &feed {
+                            looped.observe(e);
+                        }
+                        feed.len() as u64
+                    },
+                    || {},
+                )
+            },
+            || {
+                timed_rate(
+                    |_| {
+                        for chunk in feed.chunks(FUSED_BATCH) {
+                            batched.observe_batch(chunk);
+                        }
+                        feed.len() as u64
+                    },
+                    || {},
+                )
+            },
+        );
+        best_looped = best_looped.max(looped_eps);
+        best_batched = best_batched.max(batched_eps);
+        // Every pass re-feeds the same stream, so both samples are the
+        // stream's bottom-s however many passes each side ran.
         assert_eq!(
             batched.sample(),
             looped.sample(),
@@ -142,8 +163,9 @@ fn measure_delta() -> (usize, usize) {
     (base.len(), delta.len())
 }
 
-/// Best-of-runs durable ingest rates at batch [`WIRE_BATCH`]:
-/// `(in_process_eps, wire_eps)`, twin-verified.
+/// Best-of-runs durable ingest rates at batch [`WIRE_BATCH`], each
+/// side re-feeding its stream for at least `RUN_TIME` and the two taking
+/// turns to go first: `(in_process_eps, wire_eps)`, twin-verified.
 fn measure_wire(scale: &Scale) -> (f64, f64) {
     let total = (WIRE_TOTAL_BASE / scale.divisor).max(WIRE_TENANTS * 10);
     let per_tenant = TraceProfile {
@@ -158,17 +180,8 @@ fn measure_wire(scale: &Scale) -> (f64, f64) {
             MultiTenantStream::new(WIRE_TENANTS, per_tenant, 7_000 + u64::from(run))
                 .map(|(t, e)| (TenantId(t), e))
                 .collect();
-        let elements = feed.len() as f64;
         let spec = SamplerSpec::new(SamplerKind::Infinite, SAMPLE_SIZE, 23 + u64::from(run));
-
         let local = Engine::spawn(EngineConfig::new(spec).with_shards(SHARDS));
-        let started = Instant::now();
-        for chunk in feed.chunks(WIRE_BATCH) {
-            local.observe_batch(chunk.iter().copied());
-        }
-        local.flush();
-        best_local = best_local.max(elements / started.elapsed().as_secs_f64().max(1e-9));
-
         let engine = Engine::spawn(EngineConfig::new(spec).with_shards(SHARDS));
         let server = Server::bind_tcp("127.0.0.1:0", Arc::new(EngineHost::new(engine)))
             .expect("benchmark server binds");
@@ -176,13 +189,37 @@ fn measure_wire(scale: &Scale) -> (f64, f64) {
         let client = Client::connect_tcp(addr)
             .expect("benchmark client connects")
             .with_batch_capacity(WIRE_BATCH);
-        let started = Instant::now();
-        for &(t, e) in &feed {
-            client.observe(t, e).expect("wire ingest");
-        }
-        client.flush().expect("wire barrier");
-        best_wire = best_wire.max(elements / started.elapsed().as_secs_f64().max(1e-9));
 
+        let (local_eps, wire_eps) = in_turn(
+            run,
+            || {
+                timed_rate(
+                    |_| {
+                        for chunk in feed.chunks(WIRE_BATCH) {
+                            local.observe_batch(chunk.iter().copied());
+                        }
+                        feed.len() as u64
+                    },
+                    || local.flush(),
+                )
+            },
+            || {
+                timed_rate(
+                    |_| {
+                        for &(t, e) in &feed {
+                            client.observe(t, e).expect("wire ingest");
+                        }
+                        feed.len() as u64
+                    },
+                    || client.flush().expect("wire barrier"),
+                )
+            },
+        );
+        best_local = best_local.max(local_eps);
+        best_wire = best_wire.max(wire_eps);
+
+        // Both sides re-fed one stream, so every tenant's sample is its
+        // bottom-s of that stream however many passes each side ran.
         for t in (0..WIRE_TENANTS).step_by(32) {
             assert_eq!(
                 client.snapshot(TenantId(t)).expect("tenant hosted"),

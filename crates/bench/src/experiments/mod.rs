@@ -28,11 +28,48 @@ pub mod fig5758;
 pub mod fig59510;
 pub mod table51;
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use dds_sim::metrics::SeriesSet;
 
 use crate::Scale;
+
+/// Shortest timed run of a gated rate measurement: passes repeat until
+/// it is reached. `ext_obs_overhead`'s ~1 ms runs read −35 % to +188 %
+/// on an unchanged engine, and `ext_hot_path`'s ~20 ms points wandered
+/// ~10 %.
+pub(crate) const RUN_TIME: Duration = Duration::from_millis(200);
+
+/// Elements per second of `pass` run back to back until [`RUN_TIME`]
+/// has elapsed, the clock stopping after `settle` (a flush barrier).
+/// `pass(i)` feeds pass `i` and returns the elements it fed.
+pub(crate) fn timed_rate(mut pass: impl FnMut(u64) -> u64, settle: impl FnOnce()) -> f64 {
+    let started = Instant::now();
+    let mut elements = 0u64;
+    for i in 0u64.. {
+        elements += pass(i);
+        if started.elapsed() >= RUN_TIME {
+            break;
+        }
+    }
+    settle();
+    elements as f64 / started.elapsed().as_secs_f64().max(1e-9)
+}
+
+/// Run the two sides of a compared measurement in round `round`'s
+/// order — `a` first in even rounds, `b` first in odd ones, so neither
+/// side always runs on the warmer or the quieter half of a round — and
+/// return their results as `(a, b)`.
+pub(crate) fn in_turn<T>(round: u32, a: impl FnOnce() -> T, b: impl FnOnce() -> T) -> (T, T) {
+    if round % 2 == 0 {
+        let first = a();
+        (first, b())
+    } else {
+        let first = b();
+        (a(), first)
+    }
+}
 
 /// A named, runnable experiment.
 pub struct Experiment {
@@ -159,20 +196,31 @@ pub fn all() -> Vec<Experiment> {
 }
 
 /// Parse the `experiments` arguments (after `--help`): the last scale
-/// flag wins, and no id or `all` means every experiment. Every other
-/// argument must be a catalog id or an alias (`fig58`, `fig510`); the
-/// ones that are not come back as the error, so a misspelled id or flag
-/// stops the run instead of being skipped.
+/// flag wins, and no id or `all` means every experiment. `--noop-bin
+/// <path>` names the obs-noop build of the binary, which turns
+/// `ext_obs_overhead` into its gate. Every other argument must be a
+/// catalog id or an alias (`fig58`, `fig510`); the ones that are not
+/// come back as the error, so a misspelled id or flag stops the run
+/// instead of being skipped.
 ///
 /// # Errors
-/// The arguments that are neither a scale flag, `all`, nor an id.
-pub fn parse_args(args: &[String]) -> Result<(Scale, Vec<Experiment>), Vec<String>> {
+/// The arguments that are neither a scale flag, `all`, an id, nor
+/// `--noop-bin` with its path.
+pub fn parse_args(
+    args: &[String],
+) -> Result<(Scale, Vec<Experiment>, Option<PathBuf>), Vec<String>> {
     let mut scale = Scale::quick();
+    let mut noop_bin = None;
     let mut ids = Vec::new();
-    for arg in args {
-        match Scale::from_flag(arg) {
-            Some(s) => scale = s,
-            None => ids.push(arg.as_str()),
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match (Scale::from_flag(arg), arg.as_str()) {
+            (Some(s), _) => scale = s,
+            (None, "--noop-bin") => match args.next() {
+                Some(path) => noop_bin = Some(PathBuf::from(path)),
+                None => ids.push(arg.as_str()),
+            },
+            _ => ids.push(arg.as_str()),
         }
     }
     let wanted: Vec<&str> = ids
@@ -197,7 +245,7 @@ pub fn parse_args(args: &[String]) -> Result<(Scale, Vec<Experiment>), Vec<Strin
         .into_iter()
         .filter(|e| every || wanted.contains(&e.id))
         .collect();
-    Ok((scale, chosen))
+    Ok((scale, chosen, noop_bin))
 }
 
 #[cfg(test)]
@@ -236,7 +284,7 @@ mod tests {
 
     fn ids(args: &[&str]) -> Result<Vec<&'static str>, Vec<String>> {
         let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
-        parse_args(&args).map(|(_, chosen)| chosen.iter().map(|e| e.id).collect())
+        parse_args(&args).map(|(_, chosen, _)| chosen.iter().map(|e| e.id).collect())
     }
 
     #[test]
@@ -248,6 +296,10 @@ mod tests {
         assert_eq!(ids(&["fig510", "table51"]), Ok(vec!["table51", "fig59"]));
         let args = ["--medium".to_string(), "fig57".into()];
         assert_eq!(parse_args(&args).unwrap().0, Scale::medium());
+        let args = ["ext_obs_overhead", "--noop-bin", "noop/experiments"].map(String::from);
+        let (_, chosen, noop_bin) = parse_args(&args).unwrap();
+        assert_eq!(chosen.len(), 1);
+        assert_eq!(noop_bin, Some(PathBuf::from("noop/experiments")));
     }
 
     #[test]
@@ -255,5 +307,6 @@ mod tests {
         assert_eq!(ids(&["table51", "bogus_id"]), Err(vec!["bogus_id".into()]));
         assert_eq!(ids(&["--ful", "table51"]), Err(vec!["--ful".into()]));
         assert_eq!(ids(&["all", "fig5"]), Err(vec!["fig5".into()]));
+        assert_eq!(ids(&["--noop-bin"]), Err(vec!["--noop-bin".into()]));
     }
 }

@@ -62,6 +62,14 @@ impl Scale {
         profile.scaled_down(self.divisor)
     }
 
+    /// The CLI flag that selects this scale (`None` for a custom one).
+    #[must_use]
+    pub fn flag(&self) -> Option<&'static str> {
+        ["--quick", "--medium", "--full"]
+            .into_iter()
+            .find(|flag| Scale::from_flag(flag) == Some(*self))
+    }
+
     /// Parse from a CLI flag.
     #[must_use]
     pub fn from_flag(flag: &str) -> Option<Scale> {

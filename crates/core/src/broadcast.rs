@@ -37,7 +37,7 @@ impl BroadcastConfig {
     pub fn with_seed(s: usize, seed: u64) -> Self {
         Self {
             s,
-            family: HashFamily::murmur2(seed),
+            family: HashFamily::new(seed),
         }
     }
 

@@ -57,9 +57,10 @@
 //!
 //! Hash functions serialize as `(kind u8, seed u64)` — state, not code,
 //! exactly like Algorithm 1's "receive hash function from the
-//! coordinator" step. Derived values (per-element hashes) are *not*
-//! stored: decoders recompute them from the serialized hash function, so
-//! an envelope cannot smuggle in an inconsistent `(element, hash)` pair.
+//! coordinator" step; the kind byte is always 0, MurmurHash64A. Derived
+//! values (per-element hashes) are *not* stored: decoders recompute them
+//! from the serialized hash function, so an envelope cannot smuggle in
+//! an inconsistent `(element, hash)` pair.
 //! Candidate sets serialize as their sorted staircase entries and are
 //! rebuilt through the ordinary [`CandidateSet::insert_or_refresh`]
 //! path, which re-establishes every structural invariant.
@@ -72,7 +73,7 @@
 //! [`DistinctSampler::checkpoint`]: crate::sampler::DistinctSampler::checkpoint
 //! [`CandidateSet::insert_or_refresh`]: dds_treap::CandidateSet::insert_or_refresh
 
-use dds_hash::unit::{HashKind, UnitValue};
+use dds_hash::unit::UnitValue;
 use dds_hash::SeededHash;
 use dds_sim::{Element, MessageCounters, SiteId, Slot};
 
@@ -635,29 +636,20 @@ impl Wire for SiteId {
     }
 }
 
-/// A hash function as `(kind tag u8, seed u64)` — state, not code.
+/// A hash function as `(kind tag u8, seed u64)` — state, not code. The
+/// tag names the algorithm; the one sampling hash, MurmurHash64A, is
+/// tag 0, and any other tag is refused.
 impl Wire for SeededHash {
     const MIN_BYTES: usize = 9;
     fn put(&self, w: &mut StateWriter) {
-        w.put_u8(match self.kind() {
-            HashKind::Murmur2 => 0,
-            HashKind::Murmur3 => 1,
-            HashKind::SplitMix => 2,
-            HashKind::Sip13 => 3,
-            HashKind::Fmix => 4,
-        });
+        w.put_u8(0);
         w.put_u64(self.seed());
     }
     fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
-        let kind = match r.get_u8()? {
-            0 => HashKind::Murmur2,
-            1 => HashKind::Murmur3,
-            2 => HashKind::SplitMix,
-            3 => HashKind::Sip13,
-            4 => HashKind::Fmix,
-            _ => return Err(CheckpointError::Corrupt("unknown hash kind tag")),
-        };
-        Ok(SeededHash::new(kind, r.get_u64()?))
+        if r.get_u8()? != 0 {
+            return Err(CheckpointError::Corrupt("unknown hash kind tag"));
+        }
+        Ok(SeededHash::new(r.get_u64()?))
     }
 }
 
@@ -989,7 +981,7 @@ mod tests {
         w.put_len(3);
         w.put(&Element(42));
         w.put(&Slot(99));
-        w.put(&SeededHash::new(HashKind::Murmur2, 1234));
+        w.put(&SeededHash::new(1234));
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -1000,10 +992,7 @@ mod tests {
         assert_eq!(r.get_len(1).unwrap(), 3);
         assert_eq!(r.get::<Element>().unwrap(), Element(42));
         assert_eq!(r.get::<Slot>().unwrap(), Slot(99));
-        assert_eq!(
-            r.get::<SeededHash>().unwrap(),
-            SeededHash::new(HashKind::Murmur2, 1234)
-        );
+        assert_eq!(r.get::<SeededHash>().unwrap(), SeededHash::new(1234));
         r.expect_end().unwrap();
     }
 

@@ -56,7 +56,7 @@ impl InfiniteConfig {
     pub fn with_seed(s: usize, seed: u64) -> Self {
         Self {
             s,
-            family: HashFamily::murmur2(seed),
+            family: HashFamily::new(seed),
         }
     }
 

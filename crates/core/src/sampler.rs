@@ -719,8 +719,8 @@ impl DistinctSampler for FusedSlidingMulti {
 ///
 /// The enum is as large as its largest inline kind, and every hosted
 /// tenant pays that size. Four kinds sit inline, the largest being
-/// [`CentralizedSampler`] at 112 bytes. [`FusedSliding`] is boxed: at
-/// 208 bytes it is nearly twice that, and it serves only `s = 1`
+/// [`CentralizedSampler`] at 104 bytes. [`FusedSliding`] is boxed: at
+/// 192 bytes it is nearly twice that, and it serves only `s = 1`
 /// sliding tenants, so holding it inline would make every other kind's
 /// tenants pay for it. A `Sliding` call pays one pointer chase instead.
 #[derive(Debug, Clone)]
@@ -910,7 +910,7 @@ impl SamplerSpec {
     /// The hash family all builds of this spec share.
     #[must_use]
     pub fn family(&self) -> HashFamily {
-        HashFamily::murmur2(self.seed)
+        HashFamily::new(self.seed)
     }
 
     /// The primary hash function (what a bottom-`s` oracle should use).
@@ -1019,7 +1019,7 @@ mod tests {
     #[test]
     fn fused_wr_matches_k1_cluster() {
         let s = 6;
-        let family = HashFamily::murmur2(7);
+        let family = HashFamily::new(7);
         let mut fused = FusedWr::new(s, family);
         let hashers: Vec<SeededHash> = family.members(s).collect();
         let mut sim: Cluster<WrSite, WrCoordinator> = Cluster::new(
@@ -1313,7 +1313,7 @@ mod tests {
     #[test]
     fn any_sampler_stays_at_its_inline_bound() {
         use std::mem::size_of;
-        const BOUND: usize = 112;
+        const BOUND: usize = 104;
         assert!(
             size_of::<AnySampler>() <= BOUND,
             "{}",

@@ -122,7 +122,7 @@ impl SlidingConfig {
     pub fn with_seed(window: u64, seed: u64) -> Self {
         Self {
             window,
-            family: HashFamily::murmur2(seed),
+            family: HashFamily::new(seed),
             mode: CoordinatorMode::Registry,
         }
     }

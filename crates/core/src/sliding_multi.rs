@@ -46,7 +46,7 @@ impl MultiSlidingConfig {
         Self {
             s,
             window,
-            family: HashFamily::murmur2(seed),
+            family: HashFamily::new(seed),
             mode: CoordinatorMode::Registry,
         }
     }

@@ -59,7 +59,7 @@ impl NfConfig {
         Self {
             s,
             window,
-            family: HashFamily::murmur2(seed),
+            family: HashFamily::new(seed),
         }
     }
 

@@ -42,7 +42,7 @@ impl WrConfig {
         assert!(s > 0, "sample size must be at least 1");
         Self {
             s,
-            family: HashFamily::murmur2(seed),
+            family: HashFamily::new(seed),
         }
     }
 

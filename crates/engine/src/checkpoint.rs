@@ -84,8 +84,6 @@
 //! `crates/engine/tests/recovery.rs` for all four sampler kinds.
 
 use std::collections::{BTreeMap, HashSet};
-use std::io;
-
 use std::sync::mpsc::{channel, Sender};
 
 use dds_core::checkpoint::{
@@ -121,39 +119,6 @@ const TRAILER_BYTES: usize = 8;
 
 /// Per-shard counters carried by the container, in encode order.
 const COUNTERS: usize = 10;
-
-/// Why an engine checkpoint could not be restored: a format error
-/// ([`CheckpointError`]) or, for the reader-based API, an I/O error.
-#[derive(Debug)]
-pub enum RestoreError {
-    /// The bytes do not form a valid engine checkpoint.
-    Format(CheckpointError),
-    /// Reading the checkpoint source failed.
-    Io(io::Error),
-}
-
-impl std::fmt::Display for RestoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RestoreError::Format(e) => write!(f, "restore failed: {e}"),
-            RestoreError::Io(e) => write!(f, "restore failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RestoreError {}
-
-impl From<CheckpointError> for RestoreError {
-    fn from(e: CheckpointError) -> Self {
-        RestoreError::Format(e)
-    }
-}
-
-impl From<io::Error> for RestoreError {
-    fn from(e: io::Error) -> Self {
-        RestoreError::Io(e)
-    }
-}
 
 /// One tenant record: `(id, parked, stamp, sampler envelope)`.
 type Tenant = (u64, bool, u64, Vec<u8>);
@@ -213,6 +178,38 @@ struct FullShard {
 }
 
 wire_record! { FullShard { watermark: Slot, seq: u64, section: Section } }
+
+/// A full document's shard section read for its sequence number alone
+/// — all [`Engine::checkpoint_delta`] needs of its base. The section's
+/// records are stepped over by their length words, so no tenant blob is
+/// copied.
+struct BaseSeq(u64);
+
+impl Wire for BaseSeq {
+    const MIN_BYTES: usize = FullShard::MIN_BYTES;
+
+    fn put(&self, _: &mut StateWriter) {
+        unreachable!("a delta's base is read, never written")
+    }
+
+    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        r.get::<Slot>()?;
+        let seq = r.get_u64()?;
+        r.get_bytes(COUNTERS * 8)?;
+        for _ in 0..r.get_len_of::<Tenant>()? {
+            // id ‖ parked ‖ stamp, then the blob behind its length.
+            r.get_bytes(8 + 1 + 8)?;
+            let blob = r.get_len_of::<u8>()?;
+            r.get_bytes(blob)?;
+        }
+        for _ in 0..r.get_len_of::<BufferSlot>()? {
+            r.get::<u64>()?;
+            let entries = r.get_len_of::<(u64, u64)>()?;
+            r.get_bytes(entries * 16)?;
+        }
+        Ok(BaseSeq(seq))
+    }
+}
 
 /// A delta document's shard section.
 struct DeltaShard {
@@ -431,14 +428,6 @@ impl Engine {
         self.try_checkpoint().expect("engine checkpoints")
     }
 
-    /// Stream [`Engine::checkpoint`] to a writer (a file, a socket, …).
-    ///
-    /// # Errors
-    /// Propagates the writer's I/O errors.
-    pub fn checkpoint_to<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(&self.checkpoint())
-    }
-
     /// Serialize only what changed since `base` (a full document from
     /// [`Engine::checkpoint`] or [`compact`] of this same deployment):
     /// each shard answers with the tenants whose dirty stamp postdates
@@ -449,17 +438,19 @@ impl Engine {
     /// [`Engine::restore_with_deltas`].
     ///
     /// Consistency is the same FIFO barrier as [`Engine::checkpoint`].
+    /// Of `base` it reads the shape and each shard's sequence number,
+    /// stepping over the tenant records; [`compact`] validates them.
     ///
     /// # Errors
-    /// Returns a [`CheckpointError`] if `base` is not a valid full
-    /// document or describes a different deployment shape (shards,
-    /// queue capacity, or spec).
+    /// Returns a [`CheckpointError`] if `base` is not a sealed full
+    /// document of the current version or describes a different
+    /// deployment shape (shards, queue capacity, spec, or lateness).
     ///
     /// # Panics
     /// Panics if the engine is shut down or a worker is gone (like
     /// [`Engine::checkpoint`]).
     pub fn checkpoint_delta(&self, base: &[u8]) -> Result<Vec<u8>, CheckpointError> {
-        let base = parse_full(base)?;
+        let base = Document::<BaseSeq>::parse(base, MAGIC, VERSION)?;
         let shape = (
             self.shards.len(),
             self.queue_capacity,
@@ -473,7 +464,7 @@ impl Engine {
         }
         let states = self
             .shard_states(|i, reply| ShardCmd::CheckpointDelta {
-                since: base.shards[i].seq,
+                since: base.shards[i].0,
                 reply,
             })
             .expect("engine checkpoints");
@@ -481,7 +472,7 @@ impl Engine {
             .into_iter()
             .zip(&base.shards)
             .map(|((state, counters), base)| DeltaShard {
-                base_seq: base.seq,
+                base_seq: base.0,
                 new_seq: state.seq,
                 watermark: state.watermark,
                 section: Section {
@@ -585,17 +576,6 @@ impl Engine {
         // gauges are set) before the engine is handed to the caller.
         engine.flush();
         Ok(engine)
-    }
-
-    /// Read a checkpoint to its end from `r` and [`Engine::restore`] it.
-    ///
-    /// # Errors
-    /// Returns [`RestoreError::Io`] if reading fails, or
-    /// [`RestoreError::Format`] if the bytes do not restore.
-    pub fn restore_from<R: io::Read>(r: &mut R) -> Result<Engine, RestoreError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        Ok(Engine::restore(&bytes)?)
     }
 }
 
@@ -982,6 +962,41 @@ mod tests {
         let _ = other.shutdown();
     }
 
+    /// `checkpoint_delta` steps over its base's tenant records rather
+    /// than decoding them. It still refuses a base that is not a sealed
+    /// full document, and a re-sealed base whose length words or counts
+    /// lie is answered or refused, never a panic.
+    #[test]
+    fn delta_reads_its_base_defensively() {
+        let engine = Engine::spawn(EngineConfig::new(sliding_spec()).with_shards(2));
+        for t in 0..6u64 {
+            engine.observe_at(TenantId(t), Element(t), Slot(1));
+        }
+        engine.advance(Slot(2));
+        let base = engine.checkpoint();
+        assert!(engine.checkpoint_delta(&base).is_ok());
+        for cut in 0..base.len() {
+            assert!(engine.checkpoint_delta(&base[..cut]).is_err());
+        }
+        let body = &base[..base.len() - TRAILER_BYTES];
+        for i in HEADER_BYTES..body.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 0x40;
+            assert_eq!(
+                engine.checkpoint_delta(&flipped).err(),
+                Some(CheckpointError::ChecksumMismatch)
+            );
+            for v in [0x00, 0xff, body[i] ^ 0x40] {
+                let mut resealed = body.to_vec();
+                resealed[i] = v;
+                let check = checksum(MAGIC, &resealed);
+                resealed.extend_from_slice(&check.to_le_bytes());
+                let _ = engine.checkpoint_delta(&resealed);
+            }
+        }
+        let _ = engine.shutdown();
+    }
+
     #[test]
     fn out_of_order_and_corrupt_deltas_fail_cleanly() {
         let engine = Engine::spawn(EngineConfig::new(sliding_spec()).with_shards(2));
@@ -1137,23 +1152,5 @@ mod tests {
         for delta in [twice, moved] {
             assert_eq!(compact(&base, &[delta]).err(), Some(REPEATED_TENANT));
         }
-    }
-
-    #[test]
-    fn restore_from_reader_works_and_reports_io() {
-        let engine = Engine::spawn(EngineConfig::new(sliding_spec()).with_shards(1));
-        engine.observe_at(TenantId(3), Element(9), Slot(1));
-        let mut buf = Vec::new();
-        engine.checkpoint_to(&mut buf).unwrap();
-        let _ = engine.shutdown();
-        let restored = Engine::restore_from(&mut buf.as_slice()).expect("reader restore");
-        assert_eq!(restored.snapshot(TenantId(3)), Some(vec![Element(9)]));
-        let _ = restored.shutdown();
-
-        let Err(err) = Engine::restore_from(&mut io::empty()) else {
-            panic!("empty reader restored an engine");
-        };
-        assert!(matches!(err, RestoreError::Format(_)));
-        assert!(!err.to_string().is_empty());
     }
 }

@@ -33,7 +33,7 @@
 //!   sliding-window (Algorithms 3 & 4, single- and multi-copy) samplers
 //!   all serve unchanged, dispatched by `match` rather than a vtable.
 //! * **One tenant table per shard.** A directory from tenant id to a
-//!   dense slot index over one `Vec` of 128-byte slots, each holding
+//!   dense slot index over one `Vec` of 120-byte slots, each holding
 //!   the tenant's sampler (or its parked blob) and its dirty stamp
 //!   inline: a same-tenant run costs one lookup, and sweeps, advances,
 //!   censuses and checkpoints walk the slots. Each shard reports the

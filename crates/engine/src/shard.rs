@@ -3,7 +3,7 @@
 //! queue.
 //!
 //! Tenants live in a [`TenantTable`]: a directory from tenant id to a
-//! dense slot index, over one `Vec` of 128-byte slots that hold each
+//! dense slot index, over one `Vec` of 120-byte slots that hold each
 //! tenant's [`AnySampler`] (or its parked blob) and its dirty stamp
 //! inline. A tenant run costs one directory lookup; sweeps, advances,
 //! the census, checkpoints and restores walk the slots.
@@ -124,7 +124,7 @@ fn record_snapshot_latency(metrics: &ShardMetrics, enqueued: Instant) {
 /// common case, and a box would bring back the pointer chase per tenant
 /// run that the slab removes. Only `AnySampler::Sliding` (`s = 1`
 /// sliding windows) is boxed inside the enum, which keeps `AnySampler`
-/// at 112 bytes and a [`TenantSlot`] at 128. A parked slot pays the
+/// at 104 bytes and a [`TenantSlot`] at 120. A parked slot pays the
 /// same size.
 pub(crate) enum TenantState {
     /// The running instance.
@@ -756,8 +756,8 @@ mod tests {
     /// to the slot, or to any sampler `AnySampler` holds inline, must
     /// fail here rather than silently add bytes to every tenant.
     #[test]
-    fn tenant_slot_stays_at_128_bytes() {
+    fn tenant_slot_stays_at_120_bytes() {
         let size = std::mem::size_of::<TenantSlot>();
-        assert!(size <= 128, "TenantSlot is {size} B");
+        assert!(size <= 120, "TenantSlot is {size} B");
     }
 }

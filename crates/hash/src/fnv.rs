@@ -1,41 +1,19 @@
-//! FNV-1a — Fowler–Noll–Vo hash, 32- and 64-bit.
+//! FNV-1a 64 — the Fowler–Noll–Vo byte hash.
 //!
-//! FNV-1a is deliberately the *weakest* hash in the crate. It exists for
-//! differential testing (a second, structurally unrelated hash to cross-
-//! check family independence assumptions) and as a worked example in the
-//! documentation of why hash quality matters for bottom-`s` sampling: its
-//! poor low-bit diffusion on short inputs makes uniformity tests fail where
-//! Murmur passes them.
+//! The workspace digests a cluster spec with it (`ClusterSpec::digest`
+//! in `dds-proto`), and the wire-pin tests fingerprint encodings with
+//! it. It is byte-serial, so nothing on a hot path uses it: frames and
+//! checkpoints are sealed with MurmurHash64A instead.
 
-/// FNV-1a 32-bit offset basis.
-pub const FNV1A_32_OFFSET: u32 = 0x811c_9dc5;
-/// FNV-1a 32-bit prime.
-pub const FNV1A_32_PRIME: u32 = 0x0100_0193;
 /// FNV-1a 64-bit offset basis.
 pub const FNV1A_64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV1A_64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice, 32-bit.
-#[must_use]
-pub fn fnv1a_32(data: &[u8]) -> u32 {
-    let mut h = FNV1A_32_OFFSET;
-    for &b in data {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(FNV1A_32_PRIME);
-    }
-    h
-}
-
 /// FNV-1a over a byte slice, 64-bit.
 #[must_use]
 pub fn fnv1a_64(data: &[u8]) -> u64 {
-    let mut h = FNV1A_64_OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV1A_64_PRIME);
-    }
-    h
+    fnv1a_64_update(FNV1A_64_OFFSET, data)
 }
 
 /// Incremental FNV-1a 64-bit: fold `data` into a running `state`.
@@ -51,17 +29,6 @@ pub fn fnv1a_64_update(mut state: u64, data: &[u8]) -> u64 {
         state = state.wrapping_mul(FNV1A_64_PRIME);
     }
     state
-}
-
-/// Seeded FNV-1a 64-bit: folds the seed in as a prefix block.
-#[must_use]
-pub fn fnv1a_64_seeded(data: &[u8], seed: u64) -> u64 {
-    let mut h = FNV1A_64_OFFSET ^ seed;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV1A_64_PRIME);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -82,17 +49,8 @@ mod tests {
     #[test]
     fn fnv1a_published_vectors() {
         // Canonical vectors from the FNV reference page.
-        assert_eq!(fnv1a_32(b""), 0x811c_9dc5);
-        assert_eq!(fnv1a_32(b"a"), 0xe40c_292c);
-        assert_eq!(fnv1a_32(b"foobar"), 0xbf9c_f968);
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn seeded_zero_matches_unseeded() {
-        assert_eq!(fnv1a_64_seeded(b"xyz", 0), fnv1a_64(b"xyz"));
-        assert_ne!(fnv1a_64_seeded(b"xyz", 1), fnv1a_64(b"xyz"));
     }
 }

@@ -7,8 +7,8 @@
 
 use std::fmt::Write as _;
 
-use crate::murmur2::{murmur2_32, murmur64a, murmur64a_u64};
-use crate::murmur3::murmur3_x64_128;
+use crate::murmur2::{murmur64a, murmur64a_u64};
+use crate::{HashFamily, UnitHash};
 
 /// Render the golden-vector report: every input/seed pair the workspace
 /// freezes, one `name label = value` line each.
@@ -28,18 +28,27 @@ pub fn golden_vector_report() -> String {
     ] {
         let _ = writeln!(out, "m64a {label} = 0x{:016x}", murmur64a(data, seed));
     }
-    for (label, data, seed) in [
-        ("empty/1", b"".as_slice(), 1u32),
-        ("a/0", b"a".as_slice(), 0),
-        ("abc/0", b"abc".as_slice(), 0),
-        ("hello/42", b"hello world".as_slice(), 42),
-    ] {
-        let _ = writeln!(out, "m2_32 {label} = 0x{:08x}", murmur2_32(data, seed));
-    }
     for x in [0u64, 1, 42, 0xdead_beef, u64::MAX] {
         let _ = writeln!(out, "m64a_u64 {x} seed3 = 0x{:016x}", murmur64a_u64(x, 3));
     }
-    let (a, b) = murmur3_x64_128(b"distinct sampling", 2015);
-    let _ = writeln!(out, "m3_128 = 0x{a:016x} 0x{b:016x}");
+    // Family derivation: member seeds and one hash each. `7` is the
+    // family of `SamplerSpec::new(SamplerKind::Infinite, 8, 7)`; member 7
+    // is the last copy a with-replacement spec of that `s` and seed runs.
+    for (label, family, j) in [
+        ("default", HashFamily::default(), 0usize),
+        ("default", HashFamily::default(), 1),
+        ("7", HashFamily::new(7), 0),
+        ("7", HashFamily::new(7), 7),
+        ("0", HashFamily::new(0), 0),
+        ("max", HashFamily::new(u64::MAX), 1_000),
+    ] {
+        let h = family.member(j);
+        let _ = writeln!(
+            out,
+            "family {label}/{j} seed = 0x{:016x} unit 42 = 0x{:016x}",
+            h.seed(),
+            h.unit(42).0
+        );
+    }
     out
 }

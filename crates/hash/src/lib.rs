@@ -7,16 +7,15 @@
 //! smallest hash values*, so everything — correctness, message complexity,
 //! memory bounds — rides on the quality and determinism of `h`.
 //!
-//! This crate provides:
+//! This crate keeps one implementation per job:
 //!
-//! * [`murmur2`] — MurmurHash2 (32-bit) and MurmurHash64A, the family the
-//!   paper's reference implementation used.
-//! * [`murmur3`] — MurmurHash3 x86_32 and x64_128 plus the `fmix` finalizers.
-//! * [`splitmix`] — the SplitMix64 mixer, used both as a cheap integer hash
-//!   and as the seed-expansion PRNG for hash families.
-//! * [`fnv`] — FNV-1a (32/64-bit) for differential testing.
-//! * [`sip`] — a compact SipHash-1-3 keyed hash for adversarially robust
-//!   families.
+//! * [`murmur2`] — MurmurHash64A, the family the paper's reference
+//!   implementation used: the sampling hash every [`SeededHash`] runs,
+//!   and the integrity trailer of every wire frame and checkpoint.
+//! * [`splitmix`] — the SplitMix64 mixer, which derives the seeds of a
+//!   hash family, routes tenants to shards, and drives the workspace's
+//!   deterministic generators.
+//! * [`fnv`] — FNV-1a 64, the digest that fingerprints a cluster spec.
 //! * [`unit`](mod@unit) — the [`unit::UnitHash`] abstraction mapping elements to the
 //!   unit interval, in both `f64` form and an exact total-order `u64` form
 //!   (the form the protocols actually compare, so ties and precision are
@@ -44,8 +43,6 @@ pub mod family;
 pub mod fnv;
 pub mod golden;
 pub mod murmur2;
-pub mod murmur3;
-pub mod sip;
 pub mod splitmix;
 pub mod unit;
 

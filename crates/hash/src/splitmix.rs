@@ -5,7 +5,8 @@
 //! 1. [`splitmix64`] is a strong, branch-free bijective mixer used to derive
 //!    the per-copy seeds of a [`crate::family::HashFamily`] from a single
 //!    master seed — guaranteeing distinct, well-separated seeds without any
-//!    RNG dependency.
+//!    RNG dependency — and, keyed ([`splitmix64_keyed`]), to route tenants
+//!    to engine shards.
 //! 2. [`SplitMix64`] is a tiny deterministic PRNG for tests and data
 //!    generators, keeping the workspace free of external RNG dependencies.
 
@@ -23,7 +24,8 @@ pub fn splitmix64(state: u64) -> u64 {
 }
 
 /// Mix `x` with a seed: a keyed variant of [`splitmix64`] for quick keyed
-/// integer hashing (not adversarially robust — use [`crate::sip`] for that).
+/// integer hashing (not adversarially robust: a client that learns the
+/// key can pick inputs that collide).
 #[must_use]
 #[inline]
 pub fn splitmix64_keyed(x: u64, seed: u64) -> u64 {

@@ -7,11 +7,6 @@
 //! 64 bits of discrimination (an `f64` mantissa would truncate to 53 bits
 //! and create avoidable ties on billion-element streams).
 
-use crate::murmur2::murmur64a_u64;
-use crate::murmur3::{fmix64, murmur3_u64};
-use crate::sip::siphash13_u64;
-use crate::splitmix::splitmix64_keyed;
-
 /// A point in `[0, 1)` with 64-bit resolution: the value is `raw / 2⁶⁴`.
 ///
 /// `Ord` on `UnitValue` is exactly the order of the corresponding reals, so
@@ -64,68 +59,6 @@ pub trait UnitHash {
     fn unit(&self, element: u64) -> UnitValue;
 }
 
-/// Which underlying hash algorithm a [`crate::family::SeededHash`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HashKind {
-    /// MurmurHash64A — the paper's choice; the default.
-    #[default]
-    Murmur2,
-    /// MurmurHash3 x64_128 (first lane).
-    Murmur3,
-    /// SplitMix64 keyed mix — fastest, fine for trusted inputs.
-    SplitMix,
-    /// SipHash-1-3 — keyed, adversarially robust.
-    Sip13,
-    /// Raw fmix64 of `element ^ seed` — cheapest possible; test use only.
-    Fmix,
-}
-
-impl HashKind {
-    /// Hash `element` under this algorithm with the given seed.
-    #[must_use]
-    #[inline]
-    pub fn hash_u64(self, element: u64, seed: u64) -> u64 {
-        match self {
-            HashKind::Murmur2 => murmur64a_u64(element, seed),
-            HashKind::Murmur3 => murmur3_u64(element, seed),
-            HashKind::SplitMix => splitmix64_keyed(element, seed),
-            HashKind::Sip13 => {
-                siphash13_u64(element, seed, seed.rotate_left(32) ^ 0xa5a5_a5a5_a5a5_a5a5)
-            }
-            HashKind::Fmix => fmix64(element ^ seed),
-        }
-    }
-
-    /// Hash a whole batch of element identifiers in one pass, appending
-    /// the results to `out` (cleared first).
-    ///
-    /// The algorithm dispatch happens once per *batch* instead of once
-    /// per element, so each arm's inner loop is a branch-free run of
-    /// multiply/xor/rotate over the input — the batch-ingest hot path.
-    /// Output is byte-identical to calling [`HashKind::hash_u64`] per
-    /// element, in input order.
-    pub fn hash_u64_batch_into(
-        self,
-        elements: impl IntoIterator<Item = u64>,
-        seed: u64,
-        out: &mut Vec<u64>,
-    ) {
-        out.clear();
-        match self {
-            HashKind::Murmur2 => out.extend(elements.into_iter().map(|x| murmur64a_u64(x, seed))),
-            HashKind::Murmur3 => out.extend(elements.into_iter().map(|x| murmur3_u64(x, seed))),
-            HashKind::SplitMix => {
-                out.extend(elements.into_iter().map(|x| splitmix64_keyed(x, seed)));
-            }
-            HashKind::Sip13 => {
-                let k1 = seed.rotate_left(32) ^ 0xa5a5_a5a5_a5a5_a5a5;
-                out.extend(elements.into_iter().map(|x| siphash13_u64(x, seed, k1)));
-            }
-            HashKind::Fmix => out.extend(elements.into_iter().map(|x| fmix64(x ^ seed))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,48 +93,6 @@ mod tests {
         assert_eq!(UnitValue::ZERO.as_f64(), 0.0);
         assert!(UnitValue::ONE.as_f64() < 1.0);
         assert!(UnitValue::ONE.as_f64() > 0.999_999);
-    }
-
-    #[test]
-    fn all_kinds_deterministic_and_distinct() {
-        let kinds = [
-            HashKind::Murmur2,
-            HashKind::Murmur3,
-            HashKind::SplitMix,
-            HashKind::Sip13,
-            HashKind::Fmix,
-        ];
-        for kind in kinds {
-            assert_eq!(kind.hash_u64(42, 7), kind.hash_u64(42, 7));
-            assert_ne!(kind.hash_u64(42, 7), kind.hash_u64(43, 7));
-            assert_ne!(kind.hash_u64(42, 7), kind.hash_u64(42, 8));
-        }
-        // Different algorithms disagree on the same input (sanity check that
-        // dispatch actually dispatches).
-        let outs: std::collections::HashSet<u64> =
-            kinds.iter().map(|k| k.hash_u64(42, 7)).collect();
-        assert_eq!(outs.len(), kinds.len());
-    }
-
-    #[test]
-    fn batch_hashing_matches_per_element_for_every_kind() {
-        let elements: Vec<u64> = (0..257u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9) ^ 11)
-            .collect();
-        let mut out = vec![0xdead]; // must be cleared, not appended to
-        for kind in [
-            HashKind::Murmur2,
-            HashKind::Murmur3,
-            HashKind::SplitMix,
-            HashKind::Sip13,
-            HashKind::Fmix,
-        ] {
-            kind.hash_u64_batch_into(elements.iter().copied(), 7, &mut out);
-            assert_eq!(out.len(), elements.len());
-            for (&x, &h) in elements.iter().zip(&out) {
-                assert_eq!(h, kind.hash_u64(x, 7), "batch diverged for {kind:?}");
-            }
-        }
     }
 
     #[test]

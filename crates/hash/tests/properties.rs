@@ -3,40 +3,25 @@
 //! analysis rests on, probed mechanically.
 
 use dds_hash::family::HashFamily;
-use dds_hash::unit::{HashKind, UnitHash};
+use dds_hash::unit::UnitHash;
 use proptest::prelude::*;
 
 proptest! {
-    /// Determinism: every algorithm is a pure function of (input, seed).
-    #[test]
-    fn all_kinds_pure(x in any::<u64>(), seed in any::<u64>()) {
-        for kind in [
-            HashKind::Murmur2,
-            HashKind::Murmur3,
-            HashKind::SplitMix,
-            HashKind::Sip13,
-            HashKind::Fmix,
-        ] {
-            prop_assert_eq!(kind.hash_u64(x, seed), kind.hash_u64(x, seed));
-        }
-    }
-
     /// Distinct inputs (almost) never collide under 64-bit hashes; for a
     /// random pair the probability is 2⁻⁶⁴, so any observed collision is
     /// a bug, not bad luck.
     #[test]
     fn no_casual_collisions(a in any::<u64>(), b in any::<u64>(), seed in any::<u64>()) {
         prop_assume!(a != b);
-        for kind in [HashKind::Murmur2, HashKind::Murmur3, HashKind::SplitMix] {
-            prop_assert_ne!(kind.hash_u64(a, seed), kind.hash_u64(b, seed));
-        }
+        let h = dds_hash::SeededHash::new(seed);
+        prop_assert_ne!(h.hash_u64(a), h.hash_u64(b));
     }
 
     /// Seed sensitivity: different family members disagree on any input.
     #[test]
     fn family_members_disagree(x in any::<u64>(), master in any::<u64>(), j in 0usize..64, l in 0usize..64) {
         prop_assume!(j != l);
-        let family = HashFamily::murmur2(master);
+        let family = HashFamily::new(master);
         prop_assert_ne!(family.member(j).unit(x), family.member(l).unit(x));
     }
 

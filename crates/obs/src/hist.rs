@@ -19,8 +19,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::timer::SpanTimer;
-
 /// Sub-buckets per octave, as a bit count (8 sub-buckets).
 const SUB_BITS: u32 = 3;
 
@@ -112,13 +110,6 @@ impl Histogram {
         c.count.fetch_add(1, Ordering::Relaxed);
         c.sum.fetch_add(v, Ordering::Relaxed);
         c.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Start a span timer that records its elapsed nanoseconds into
-    /// this histogram when dropped (or explicitly stopped).
-    #[must_use]
-    pub fn start(&self) -> SpanTimer<'_> {
-        SpanTimer::new(self)
     }
 
     /// Values recorded so far (0 under `obs-noop`).

@@ -20,9 +20,10 @@
 //!    already depends on `dds-core`, so this one sits under all of them
 //!    without widening the build graph.
 //! 3. **Measurably cheap.** With the `obs-noop` feature every record
-//!    call (and every clock read behind [`maybe_now`]) compiles to a
-//!    no-op; the `ext_obs_overhead` experiment pins the instrumented
-//!    build within 10% of that baseline.
+//!    call (and every clock read behind [`maybe_now`], which with
+//!    [`nanos_since`] times every span) compiles to a no-op; the
+//!    `ext_obs_overhead` experiment pins the instrumented build within
+//!    10% of that baseline.
 //!
 //! ```
 //! use dds_obs::Registry;
@@ -46,7 +47,6 @@ pub mod hist;
 pub mod metric;
 pub mod registry;
 pub mod snapshot;
-pub mod timer;
 mod wire;
 
 pub use events::{Event, EventRing};
@@ -57,16 +57,15 @@ pub use hist::{
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;
 pub use snapshot::{HistogramValue, MetricValue, TelemetrySnapshot, TELEMETRY_VERSION};
-pub use timer::SpanTimer;
 
 /// True when this build compiled instrumentation to no-ops (`obs-noop`).
 pub const IS_NOOP: bool = cfg!(feature = "obs-noop");
 
 /// A clock read that the `obs-noop` build skips entirely.
 ///
-/// Instrumented code paths that need an explicit duration (rather than
-/// a drop-recorded [`SpanTimer`]) pair this with [`nanos_since`]; under
-/// `obs-noop` no syscall/vDSO read happens at all.
+/// Instrumented code paths time a span by pairing this with
+/// [`nanos_since`] and recording the result; under `obs-noop` no
+/// syscall/vDSO read happens at all.
 #[inline]
 #[must_use]
 pub fn maybe_now() -> Option<std::time::Instant> {

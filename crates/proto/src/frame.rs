@@ -155,22 +155,12 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8]), CheckpointError> {
     Ok((opcode, payload))
 }
 
-/// Write one frame to a stream, returning the bytes put on the wire
-/// (`OVERHEAD_BYTES + payload.len()` — the number every byte counter
-/// accumulates).
-///
-/// # Errors
-/// Propagates the writer's I/O errors.
-pub fn write_frame<W: Write + ?Sized>(w: &mut W, opcode: u8, payload: &[u8]) -> io::Result<usize> {
-    let frame = frame_bytes(opcode, payload);
-    w.write_all(&frame)?;
-    Ok(frame.len())
-}
-
 /// Stream one frame to a writer without materializing it: a
 /// stack-allocated header, the caller's payload slice, and a trailer
 /// whose checksum is hashed straight from that slice — no intermediate
-/// `Vec`, byte-identical to [`frame_bytes`] output.
+/// `Vec`, byte-identical to [`frame_bytes`] output. Returns the bytes
+/// put on the wire (`OVERHEAD_BYTES + payload.len()`, the number every
+/// byte counter accumulates).
 ///
 /// This is the encode half of the zero-copy hot path: a buffered writer
 /// sees three `write_all` calls instead of one heap-allocated copy of

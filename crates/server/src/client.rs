@@ -29,12 +29,10 @@
 //! counters.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{self, BufReader, BufWriter, Write};
+use std::net::ToSocketAddrs;
 #[cfg(unix)]
-use std::os::unix::net::UnixStream;
-#[cfg(unix)]
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -45,6 +43,8 @@ use dds_proto::frame::{frame_bytes, read_frame_into, write_frame_to, OVERHEAD_BY
 use dds_proto::message::{Request, Response};
 use dds_proto::EngineService;
 use dds_sim::{Element, Slot};
+
+use crate::net::{Endpoint, Stream};
 
 /// Reconnect policy for a [`Client`], set with
 /// [`Client::with_config`]. Off by default: a transport failure is
@@ -112,8 +112,8 @@ enum PendingBatch {
 }
 
 struct Conn {
-    reader: BufReader<Box<dyn Read + Send>>,
-    writer: BufWriter<Box<dyn Write + Send>>,
+    reader: BufReader<Stream>,
+    writer: BufWriter<Stream>,
     pending: PendingBatch,
     /// Error that came back for a pipelined ingest frame; surfaced by
     /// the next synchronous call.
@@ -129,62 +129,46 @@ struct Conn {
     stats: ClientStats,
 }
 
-/// How to re-reach the server after a broken connection.
-enum Redial {
-    Tcp(SocketAddr),
-    #[cfg(unix)]
-    Unix(PathBuf),
-}
-
 /// A typed connection to a [`crate::Server`].
 ///
 /// All methods take `&self` (a mutex serializes the connection), so a
 /// client can be shared across threads like the engine itself.
 pub struct Client {
     conn: Mutex<Conn>,
-    redial: Redial,
+    /// Where to redial after a broken connection.
+    endpoint: Endpoint,
     config: ClientConfig,
     batch_capacity: usize,
 }
 
 impl Client {
-    fn from_halves(
-        reader: Box<dyn Read + Send>,
-        writer: Box<dyn Write + Send>,
-        redial: Redial,
-    ) -> Client {
-        Client {
+    fn over(stream: Stream, endpoint: Endpoint) -> Result<Client, EngineError> {
+        let (reader, writer) = halves(stream)?;
+        Ok(Client {
             conn: Mutex::new(Conn {
-                reader: BufReader::new(reader),
-                writer: BufWriter::new(writer),
+                reader,
+                writer,
                 pending: PendingBatch::Empty,
                 deferred: None,
                 read_buf: Vec::new(),
                 unacked: VecDeque::new(),
                 stats: ClientStats::default(),
             }),
-            redial,
+            endpoint,
             config: ClientConfig::default(),
             batch_capacity: 1,
-        }
+        })
     }
 
     /// Connect over TCP.
     ///
     /// # Errors
     /// [`EngineError::Transport`] on connect failure.
-    pub fn connect_tcp(addr: impl std::net::ToSocketAddrs) -> Result<Client, EngineError> {
-        let stream = TcpStream::connect(addr)?;
-        // Small frames back-to-back are the common case; don't let
-        // Nagle hold acks hostage.
-        let _ = stream.set_nodelay(true);
-        let redial = Redial::Tcp(stream.peer_addr()?);
-        let read_half = stream.try_clone()?;
-        Ok(Client::from_halves(
-            Box::new(read_half),
-            Box::new(stream),
-            redial,
-        ))
+    pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<Client, EngineError> {
+        let stream = Stream::connect_tcp(addr)?;
+        // Redial the address that answered.
+        let endpoint = Endpoint::Tcp(stream.peer_addr()?);
+        Client::over(stream, endpoint)
     }
 
     /// Connect over a Unix-domain socket.
@@ -193,13 +177,8 @@ impl Client {
     /// [`EngineError::Transport`] on connect failure.
     #[cfg(unix)]
     pub fn connect_unix(path: impl AsRef<Path>) -> Result<Client, EngineError> {
-        let stream = UnixStream::connect(&path)?;
-        let read_half = stream.try_clone()?;
-        Ok(Client::from_halves(
-            Box::new(read_half),
-            Box::new(stream),
-            Redial::Unix(path.as_ref().to_path_buf()),
-        ))
+        let endpoint = Endpoint::Unix(path.as_ref().to_path_buf());
+        Client::over(endpoint.connect()?, endpoint)
     }
 
     /// Buffer up to `capacity` observations per ingest frame
@@ -375,15 +354,15 @@ impl Client {
         let mut last = cause;
         for _ in 0..self.config.max_retries {
             std::thread::sleep(self.config.backoff);
-            let (reader, writer) = match dial(&self.redial) {
+            let (reader, writer) = match self.endpoint.connect().and_then(halves) {
                 Ok(halves) => halves,
                 Err(e) => {
                     last = EngineError::from(e);
                     continue;
                 }
             };
-            conn.reader = BufReader::new(reader);
-            conn.writer = BufWriter::new(writer);
+            conn.reader = reader;
+            conn.writer = writer;
             conn.stats.acks_pending = 0;
             // Replay what was sent but never acknowledged. Frames whose
             // acks were read are gone from the window — they are never
@@ -396,7 +375,7 @@ impl Client {
                     .iter()
                     .try_fold(0u64, |n, frame| {
                         writer.write_all(frame)?;
-                        Ok::<u64, std::io::Error>(n + frame.len() as u64)
+                        Ok::<u64, io::Error>(n + frame.len() as u64)
                     })
                     .and_then(|n| writer.flush().map(|()| n))
             };
@@ -659,22 +638,9 @@ impl TenantHandle<'_> {
 // the lock can call them without re-borrowing `self`).
 // ---------------------------------------------------------------------
 
-/// Dial the redial target afresh, returning boxed read/write halves.
-fn dial(redial: &Redial) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
-    match redial {
-        Redial::Tcp(addr) => {
-            let stream = TcpStream::connect(addr)?;
-            let _ = stream.set_nodelay(true);
-            let read_half = stream.try_clone()?;
-            Ok((Box::new(read_half), Box::new(stream)))
-        }
-        #[cfg(unix)]
-        Redial::Unix(path) => {
-            let stream = UnixStream::connect(path)?;
-            let read_half = stream.try_clone()?;
-            Ok((Box::new(read_half), Box::new(stream)))
-        }
-    }
+/// Buffered read and write halves of one connection.
+fn halves(stream: Stream) -> io::Result<(BufReader<Stream>, BufWriter<Stream>)> {
+    Ok((BufReader::new(stream.try_clone()?), BufWriter::new(stream)))
 }
 
 /// Ship the buffered ingest, if any, as one pipelined frame. A

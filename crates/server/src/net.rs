@@ -48,6 +48,19 @@ impl Stream {
         Ok(Stream::Unix(UnixStream::connect(path)?))
     }
 
+    /// The TCP peer's address: where to dial this connection again.
+    ///
+    /// # Errors
+    /// `NotConnected` once the peer is gone; `Unsupported` on a Unix
+    /// stream, whose dialer already holds its path.
+    pub fn peer_addr(&self) -> io::Result<SocketAddr> {
+        match self {
+            Stream::Tcp(s) => s.peer_addr(),
+            #[cfg(unix)]
+            Stream::Unix(_) => Err(io::ErrorKind::Unsupported.into()),
+        }
+    }
+
     /// A second handle to the same connection (independent read/write
     /// position — the usual reader-half/writer-half split).
     ///

@@ -12,7 +12,6 @@
 //!   relative-error theory.
 //! * [`subset`] — predicate-restricted distinct counts and means over the
 //!   distinct population, from a bottom-`s` sample.
-//! * [`harmonic`](mod@harmonic) — harmonic numbers (exact + asymptotic).
 //! * [`summary`] — running mean/variance/min/max (Welford) for experiment
 //!   reporting.
 //! * [`tests`] — chi-square goodness-of-fit and Kolmogorov–Smirnov
@@ -22,12 +21,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harmonic;
 pub mod kmv;
 pub mod subset;
 pub mod summary;
 pub mod tests;
 
-pub use harmonic::harmonic;
 pub use kmv::KmvEstimate;
 pub use summary::Summary;

@@ -40,8 +40,10 @@ fn registry_basics() {
         depth.set(i % 17);
         nanos.observe(i * 31);
     }
-    // A span timer records the elapsed nanoseconds on stop (or drop).
-    let elapsed = nanos.start().stop();
+    // A span: read the clock (skipped under obs-noop), then record.
+    let started = obs::maybe_now();
+    let elapsed = obs::nanos_since(started);
+    nanos.observe(elapsed);
     registry
         .events()
         .note("tour_start", "registry basics recorded");

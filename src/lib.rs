@@ -40,14 +40,14 @@
 //! | [`dds_core`] | the paper's algorithms: infinite window (Alg. 1–2), sliding windows (Alg. 3–4), Broadcast baseline, with-replacement, no-feedback variant, DRS baselines, analytic bounds |
 //! | [`dds_sim`] | the continuous distributed monitoring model: site/coordinator traits, synchronous runner, exact message accounting |
 //! | [`dds_treap`] | candidate-set structures for sliding windows: the flat staircase every sliding site runs (Lemma 10 keeps it logarithmic, so a sorted `Vec` replaces the paper's treap), its naive oracle, the s-skyband generalisation |
-//! | [`dds_hash`] | MurmurHash2/3, SplitMix64, SipHash-1-3, seeded unit-interval families |
+//! | [`dds_hash`] | one implementation per job: MurmurHash64A, the sampling hash behind seeded unit-interval families; SplitMix64 for seeding and mixing; FNV-1a 64 for spec digests |
 //! | [`dds_data`] | calibrated OC48-like / Enron-like synthetic traces, Zipf, routing strategies, slotted schedules |
 //! | [`dds_stats`] | KMV distinct-count estimation, predicate estimators, chi-square / KS machinery |
 //! | [`dds_engine`] | sharded multi-tenant serving layer: thousands of sampler instances (infinite- or sliding-window) behind one batched, timestamped ingest path |
 //! | [`dds_proto`] | the engine's formal service API: versioned request/response frames, byte-accounted codec, the transport-agnostic `EngineService` trait |
 //! | [`dds_reactor`] | zero-dependency readiness core: raw-syscall `epoll` (with a `poll(2)` fallback), edge/level interest, and a cross-thread `Waker` |
 //! | [`dds_server`] | wire transport: a TCP/Unix-socket server whose reactor-driven event loop holds thousands of sockets, plus the typed batching, reconnecting `Client` |
-//! | [`dds_obs`] | zero-dependency observability core: lock-free counters/gauges, mergeable log-scale histograms, labeled registry, span timers, bounded event ring, wire-portable telemetry snapshots |
+//! | [`dds_obs`] | zero-dependency observability core: lock-free counters/gauges, mergeable log-scale histograms, labeled registry, bounded event ring, wire-portable telemetry snapshots |
 //! | [`dds_cluster`] | true distributed deployment: site-daemon and coordinator processes speaking the paper's protocols over sockets, byte-exact with the in-process twin |
 //!
 //! Run the evaluation-reproduction harness with
@@ -75,6 +75,7 @@ pub mod prelude {
         ClusterError, ClusterHandle, ClusterSpec, ClusterStats, LocalCluster, ProcessCluster,
         SiteDaemon, SiteDaemonStats,
     };
+    pub use dds_core::bounds::harmonic;
     pub use dds_core::broadcast::BroadcastConfig;
     pub use dds_core::centralized::{BottomS, CentralizedSampler, SlidingOracle};
     pub use dds_core::checkpoint::{restore_sampler, CheckpointError};
@@ -101,7 +102,7 @@ pub mod prelude {
         Client, ClientConfig, ClientStats, Server, ServerConfig, ServerStats, TenantHandle,
     };
     pub use dds_sim::{Cluster, CoordinatorNode, Element, MessageCounters, SiteId, SiteNode, Slot};
-    pub use dds_stats::{harmonic, KmvEstimate, Summary};
+    pub use dds_stats::{KmvEstimate, Summary};
 }
 
 #[cfg(test)]
