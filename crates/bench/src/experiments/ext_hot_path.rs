@@ -7,8 +7,9 @@
 //! * **Sampler batch fusion.** A boxed [`DistinctSampler`] fed the same
 //!   stream two ways: one virtual `observe` per element (the pre-fusion
 //!   shape) versus `observe_batch` in chunks of ≥ 256 (one virtual call
-//!   and one fused hashing pass per chunk). Gated: the batched rate
-//!   must be at least `SPEEDUP_FLOOR` × the per-element rate.
+//!   per chunk, each element hashed and compared inline). Gated: the
+//!   batched rate must be at least `SPEEDUP_FLOOR` × the per-element
+//!   rate.
 //! * **Incremental checkpoints.** A 1200-tenant engine, a full base
 //!   document, 1 % of tenants churned, then `checkpoint_delta`. Gated:
 //!   the delta must be at most `DELTA_CEILING` of the full document's

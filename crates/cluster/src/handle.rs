@@ -299,17 +299,6 @@ impl ClusterHandle {
         Ok(next)
     }
 
-    /// Advance slot by slot until the clock reads `slot`.
-    ///
-    /// # Errors
-    /// As [`advance_slot`](ClusterHandle::advance_slot).
-    pub fn advance_to(&mut self, slot: Slot) -> Result<(), ClusterError> {
-        while self.now < slot {
-            self.advance_slot()?;
-        }
-        Ok(())
-    }
-
     /// A shipping call: ship the barrier, wait until at most this one
     /// is unanswered, then report a remembered `SiteDown`.
     fn ship_barrier(&mut self, advance: Option<Slot>) -> Result<(), ClusterError> {

@@ -27,8 +27,9 @@ use dds_hash::{SeededHash, UnitHash, UnitValue};
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 
 use crate::centralized::BottomS;
-use crate::checkpoint::{CheckpointError, StateReader, StateWriter, Wire};
+use crate::checkpoint::{self, CheckpointError, StateReader, StateWriter, Wire};
 use crate::messages::{DownThreshold, UpElem};
+use crate::sampler::{sealed, FusedSite};
 
 /// Everything needed to instantiate the protocol identically at every
 /// node: the sample size and the shared hash function (the "receive hash
@@ -123,23 +124,6 @@ impl LazySite {
     pub fn sends(&self) -> u64 {
         self.sends
     }
-
-    /// The protocol hash function (for batch pre-hashing by fused
-    /// adapters).
-    pub(crate) fn hasher(&self) -> &SeededHash {
-        &self.hasher
-    }
-
-    /// Algorithm 1's observation step with the hash supplied by the
-    /// caller — the batch hot path. `h` must equal `hasher.unit(e.0)`.
-    /// Returns the up-message if `h` beats `uᵢ`; never more than one.
-    pub(crate) fn observe_hashed(&mut self, e: Element, h: UnitValue) -> Option<UpElem> {
-        debug_assert_eq!(h, self.hasher.unit(e.0), "caller-supplied hash mismatch");
-        (h < self.u_i).then(|| {
-            self.sends += 1;
-            UpElem { element: e }
-        })
-    }
 }
 
 // Checkpoint layout: the whole Algorithm 1 state — hash function, `uᵢ`,
@@ -150,11 +134,8 @@ impl SiteNode for LazySite {
     type Up = UpElem;
     type Down = DownThreshold;
 
-    fn observe(&mut self, e: Element, _now: Slot, out: &mut Vec<UpElem>) {
-        let h = self.hasher.unit(e.0);
-        if let Some(up) = self.observe_hashed(e, h) {
-            out.push(up);
-        }
+    fn observe(&mut self, e: Element, now: Slot, out: &mut Vec<UpElem>) {
+        out.extend(self.observe_lane(0, e, now));
     }
 
     fn handle(&mut self, msg: DownThreshold, _now: Slot, _out: &mut Vec<UpElem>) {
@@ -169,6 +150,27 @@ impl SiteNode for LazySite {
 
     fn memory_tuples(&self) -> usize {
         1 // uᵢ is the whole state: O(1) per site (Theorem 1).
+    }
+}
+
+impl sealed::Sealed for LazySite {}
+
+impl FusedSite for LazySite {
+    type Coordinator = LazyCoordinator;
+    const KIND: u8 = checkpoint::kind::INFINITE;
+    const CLOCKED: bool = false;
+
+    /// Algorithm 1's observation step: send `e` up if `h(e)` beats `uᵢ`.
+    #[inline]
+    fn observe_lane(&mut self, _lane: usize, e: Element, _now: Slot) -> Option<UpElem> {
+        (self.hasher.unit(e.0) < self.u_i).then(|| {
+            self.sends += 1;
+            UpElem { element: e }
+        })
+    }
+
+    fn threshold(coordinator: &LazyCoordinator) -> Option<UnitValue> {
+        Some(coordinator.threshold())
     }
 }
 

@@ -5,16 +5,20 @@
 //! run apart (sites + coordinator). A serving layer that hosts thousands
 //! of independent sampling instances needs the opposite shape: one opaque
 //! object per tenant with an `observe`/`sample` surface and nothing else.
-//! [`DistinctSampler`] is that surface, and the *fused* adapters
-//! ([`FusedInfinite`], [`FusedWr`]) provide it by wiring a protocol's two
-//! halves together in-process: site output feeds the coordinator, the
-//! coordinator's replies feed back, and the would-be wire traffic is
-//! tallied in [`DistinctSampler::protocol_messages`]. The queues of that
-//! in-process pump live for one call, so an adapter holds protocol
-//! state, a message counter and at most a batch-hash buffer. Fusing
-//! changes *where* the halves run, not *what* they compute — a fused
-//! instance produces exactly the sample (and exactly the message count)
-//! of a `k = 1` deployment, which the tests pin down.
+//! [`DistinctSampler`] is that surface, and one host, [`Fused`], provides
+//! it for every protocol by wiring its two halves together in-process:
+//! site output feeds the coordinator, the coordinator's replies feed
+//! back, and the would-be wire traffic is tallied in
+//! [`DistinctSampler::protocol_messages`]. What differs between the
+//! protocols — coordinator type, kind tag, slot clock, parallel copies,
+//! threshold, idle test — is the sealed [`FusedSite`] trait that each
+//! protocol's site implements beside its protocol; [`FusedInfinite`],
+//! [`FusedWr`], [`FusedSliding`] and [`FusedSlidingMulti`] name the four
+//! hosts. The queues of the in-process pump live for one call, so a host
+//! holds protocol state, a clock and a message counter and nothing more.
+//! Fusing changes *where* the halves run, not *what* they compute — a
+//! fused instance produces exactly the sample (and exactly the message
+//! count) of a `k = 1` deployment, which the tests pin down.
 //!
 //! [`SamplerSpec`] is the value-level description of an instance
 //! (protocol + sample size + hash seed) from which a serving layer can
@@ -28,22 +32,24 @@
 //! The interface is *time-aware*: every instance carries a slot clock
 //! driven by [`DistinctSampler::advance`], and observations may be
 //! timestamped via [`DistinctSampler::observe_at`]. Infinite-window
-//! samplers ignore time entirely (`advance` is a default no-op), so the
-//! pre-existing protocols serve unchanged; the sliding-window adapters
+//! samplers ignore time entirely (their clock stays at 0), so the
+//! pre-existing protocols serve unchanged; the sliding-window hosts
 //! ([`FusedSliding`], [`FusedSlidingMulti`] — Algorithms 3 & 4 and their
 //! parallel-copies generalisation) use the clock to expire candidates
 //! exactly as a distributed deployment would at its slot boundaries.
 
+use std::fmt::Debug;
+
 use dds_hash::family::HashFamily;
-use dds_hash::{SeededHash, UnitHash, UnitValue};
+use dds_hash::{SeededHash, UnitValue};
 use dds_sim::{CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 
 use crate::centralized::{CentralizedSampler, SlidingOracle};
 use crate::checkpoint::{self, CheckpointError, StateReader, StateWriter, Wire};
-use crate::infinite::{InfiniteConfig, LazyCoordinator, LazySite};
+use crate::infinite::{InfiniteConfig, LazySite};
 use crate::sliding::{SlidingConfig, SwCoordinator, SwSite};
 use crate::sliding_multi::{MultiSlidingConfig, MultiSwCoordinator, MultiSwSite};
-use crate::with_replacement::{WrCoordinator, WrSite};
+use crate::with_replacement::{WrConfig, WrCoordinator, WrSite};
 
 /// One self-contained distinct-sampling instance.
 ///
@@ -90,12 +96,12 @@ pub trait DistinctSampler: Send {
 
     /// Observe a whole batch at the current clock. Observationally
     /// identical to `for e in batch { observe(e) }` — the default *is*
-    /// that loop — but the fused adapters override it with a batch-level
-    /// hot path: hash the entire batch in one branch-free pass (one
-    /// algorithm dispatch per batch instead of one virtual call plus one
-    /// dispatch per element), then run the threshold compares against the
-    /// precomputed hashes. Samples, thresholds, memory, and message
-    /// counts are bit-identical either way, which the twin tests pin.
+    /// that loop — but [`Fused`] overrides it with one call per batch
+    /// instead of one per element: each parallel copy in turn runs its
+    /// hash-and-compare step over the whole batch, and only threshold
+    /// beats reach the message pump. Samples, thresholds, memory,
+    /// message counts and checkpoint bytes are identical either way,
+    /// which the twin tests pin.
     fn observe_batch(&mut self, batch: &[Element]) {
         for &e in batch {
             self.observe(e);
@@ -138,58 +144,6 @@ pub trait DistinctSampler: Send {
     fn checkpoint(&self, out: &mut Vec<u8>);
 }
 
-/// The in-process message pump shared by the fused adapters: deliver one
-/// observation to the site, route every resulting up-message to the
-/// coordinator, feed every reply back to the site, and tally both
-/// directions. Termination: site replies never generate new up-messages
-/// in these protocols, and each up-message produces at most one reply.
-fn pump_observe<S, C>(site: &mut S, coordinator: &mut C, e: Element, now: Slot, messages: &mut u64)
-where
-    S: SiteNode,
-    C: CoordinatorNode<Up = S::Up, Down = S::Down>,
-{
-    let mut up_buf = Vec::new();
-    site.observe(e, now, &mut up_buf);
-    pump_ups(
-        site,
-        coordinator,
-        now,
-        &mut up_buf,
-        &mut Vec::new(),
-        messages,
-    );
-}
-
-/// Settle pending up-messages (and every message they transitively
-/// trigger) between the fused halves — the `k = 1` specialization of the
-/// simulator's `settle` loop, with identical per-message accounting.
-///
-/// The queues are the caller's locals, not fields of the adapter:
-/// `Vec::new` does not allocate, so a call that sends nothing costs
-/// nothing, and a hosted tenant keeps no pump heap between calls.
-/// Messages are rare after warm-up (Lemma 4: O(s log n) over a stream's
-/// life), so the allocation a message does pay is off the hot path.
-fn pump_ups<S, C>(
-    site: &mut S,
-    coordinator: &mut C,
-    now: Slot,
-    up_buf: &mut Vec<S::Up>,
-    down_buf: &mut Vec<(Destination, C::Down)>,
-    messages: &mut u64,
-) where
-    S: SiteNode,
-    C: CoordinatorNode<Up = S::Up, Down = S::Down>,
-{
-    while let Some(up) = up_buf.pop() {
-        *messages += 1;
-        coordinator.handle(SiteId(0), up, now, down_buf);
-        while let Some((_, down)) = down_buf.pop() {
-            *messages += 1;
-            site.handle(down, now, up_buf);
-        }
-    }
-}
-
 impl DistinctSampler for CentralizedSampler {
     fn observe(&mut self, e: Element) {
         CentralizedSampler::observe(self, e);
@@ -212,178 +166,120 @@ impl DistinctSampler for CentralizedSampler {
     }
 }
 
-/// Algorithms 1 & 2 fused into one object: a single [`LazySite`] wired
-/// directly to its [`LazyCoordinator`].
+pub(crate) mod sealed {
+    /// Only this crate's protocol sites are hosted by [`super::Fused`].
+    pub trait Sealed {}
+}
+
+/// The site half of a protocol that [`Fused`] hosts, with what differs
+/// between the protocols and nothing else. Sealed: [`LazySite`],
+/// [`WrSite`], [`SwSite`] and [`MultiSwSite`] implement it, each beside
+/// its protocol.
+pub trait FusedSite: SiteNode + Wire + Clone + Debug + Send + sealed::Sealed {
+    /// The coordinator half.
+    type Coordinator: CoordinatorNode<Up = Self::Up, Down = Self::Down>
+        + Wire
+        + Clone
+        + Debug
+        + Send;
+
+    /// The checkpoint envelope's kind tag (see [`checkpoint::kind`]).
+    const KIND: u8;
+
+    /// Whether the protocol runs a slot clock. A clockless host ignores
+    /// [`DistinctSampler::advance`] and leaves its clock out of its
+    /// checkpoint.
+    const CLOCKED: bool;
+
+    /// The parallel copies: 1, or `s` for sampling with replacement.
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    /// Lane `lane`'s observation step at slot `now`: hash `e` under the
+    /// lane's hash function and return the up-message if it beats the
+    /// lane's threshold. [`SiteNode::observe`] is this step over every
+    /// lane in order.
+    fn observe_lane(&mut self, lane: usize, e: Element, now: Slot) -> Option<Self::Up>;
+
+    /// The single bottom-`s` threshold, or `None` when each lane keeps
+    /// its own.
+    fn threshold(coordinator: &Self::Coordinator) -> Option<UnitValue>;
+
+    /// True when neither half holds live state at `now`, so that every
+    /// further slot boundary is silent: the licence to fast-forward the
+    /// clock. Asked only of clocked protocols.
+    fn idle(&self, coordinator: &Self::Coordinator, now: Slot) -> bool {
+        let _ = (coordinator, now);
+        false
+    }
+}
+
+/// One protocol's two halves fused into one [`DistinctSampler`]: a
+/// single site wired directly to its coordinator, with the slot clock
+/// and the message count owned by the host.
 ///
 /// The site filter still runs in front of the coordinator, so the hot
-/// path for an out-of-sample element is one hash + one compare — the same
-/// O(1) work a remote site would do — and `protocol_messages` reports the
-/// traffic a `k = 1` deployment would have put on the wire.
+/// path for an out-of-sample element is one inline hash and one compare
+/// per lane — the same O(1) work a remote site would do — and
+/// `protocol_messages` reports the traffic a `k = 1` deployment would
+/// have put on the wire.
 ///
-/// It holds protocol state and a message counter only: the message
-/// pump's queues live for one call, as in every fused adapter, so they
-/// are neither stored nor checkpointed, and they allocate only when a
-/// message is sent.
+/// For clocked protocols, [`DistinctSampler::advance`] replays the
+/// deployment's slot-boundary protocol one slot at a time — coordinator
+/// hook first, then the site's expiry/fallback hook, with every
+/// triggered exchange settled inside the boundary — so a host produces
+/// exactly the sample *and* message count of a `k = 1` cluster driven
+/// to the same slot. When neither half holds live state
+/// ([`FusedSite::idle`]: a fresh or fully drained window, in either
+/// coordinator mode), the rest of the gap is fast-forwarded in O(1):
+/// the protocol is silent on an empty system, so jumping and replaying
+/// the coordinator's slot hook once is observationally identical to
+/// stepping — which keeps `advance` cheap for serving layers whose idle
+/// tenants wake up far in the future.
 #[derive(Debug, Clone)]
-pub struct FusedInfinite {
-    site: LazySite,
-    coordinator: LazyCoordinator,
+pub struct Fused<S: FusedSite> {
+    site: S,
+    coordinator: S::Coordinator,
+    now: Slot,
     messages: u64,
 }
+
+/// Algorithms 1 & 2 fused: a single [`LazySite`] wired to its
+/// [`crate::LazyCoordinator`].
+pub type FusedInfinite = Fused<LazySite>;
+
+/// §3's with-replacement construction fused: a single [`WrSite`] (`s`
+/// per-copy thresholds) wired to its [`WrCoordinator`].
+pub type FusedWr = Fused<WrSite>;
+
+/// Algorithms 3 & 4 fused: a single [`SwSite`] wired to its
+/// [`SwCoordinator`].
+pub type FusedSliding = Fused<SwSite>;
+
+/// The multi-window (`s > 1`, with replacement) variant of
+/// [`FusedSliding`]: one [`MultiSwSite`] wired to its
+/// [`MultiSwCoordinator`] — `s` independent copies of Algorithms 3 & 4
+/// advanced by one shared clock.
+pub type FusedSlidingMulti = Fused<MultiSwSite>;
 
 impl FusedInfinite {
     /// Build from the same config a distributed deployment would use.
     #[must_use]
     pub fn new(config: &InfiniteConfig) -> Self {
-        Self {
-            site: LazySite::new(config.hasher()),
-            coordinator: config.coordinator(),
-            messages: 0,
-        }
+        Self::from_halves(LazySite::new(config.hasher()), config.coordinator())
     }
-
-    /// The coordinator half (e.g. for threshold-based estimation).
-    #[must_use]
-    pub fn coordinator(&self) -> &LazyCoordinator {
-        &self.coordinator
-    }
-}
-
-// Checkpoint layout: site, coordinator, message counter.
-crate::wire_record! { FusedInfinite { site: LazySite, coordinator: LazyCoordinator, messages: u64 } }
-
-impl DistinctSampler for FusedInfinite {
-    fn observe(&mut self, e: Element) {
-        pump_observe(
-            &mut self.site,
-            &mut self.coordinator,
-            e,
-            Slot(0),
-            &mut self.messages,
-        );
-    }
-
-    fn observe_batch(&mut self, batch: &[Element]) {
-        // Algorithm 1's hash-and-compare loop with no scratch buffer:
-        // an engine tenant's run is often a single element, where a
-        // per-tenant hash buffer costs more than it saves. Only
-        // threshold beats (rare after warm-up) touch the message pump.
-        for &e in batch {
-            let h = self.site.hasher().unit(e.0);
-            if let Some(up) = self.site.observe_hashed(e, h) {
-                pump_ups(
-                    &mut self.site,
-                    &mut self.coordinator,
-                    Slot(0),
-                    &mut vec![up],
-                    &mut Vec::new(),
-                    &mut self.messages,
-                );
-            }
-        }
-    }
-
-    fn sample(&self) -> Vec<Element> {
-        CoordinatorNode::sample(&self.coordinator)
-    }
-
-    fn threshold(&self) -> Option<UnitValue> {
-        Some(self.coordinator.threshold())
-    }
-
-    fn memory_tuples(&self) -> usize {
-        SiteNode::memory_tuples(&self.site) + CoordinatorNode::memory_tuples(&self.coordinator)
-    }
-
-    fn protocol_messages(&self) -> u64 {
-        self.messages
-    }
-
-    fn checkpoint(&self, out: &mut Vec<u8>) {
-        checkpoint::seal_state(checkpoint::kind::INFINITE, self, out);
-    }
-}
-
-/// §3's with-replacement construction fused into one object: a single
-/// [`WrSite`] (s per-copy thresholds) wired to its [`WrCoordinator`].
-#[derive(Debug, Clone)]
-pub struct FusedWr {
-    site: WrSite,
-    coordinator: WrCoordinator,
-    messages: u64,
 }
 
 impl FusedWr {
-    /// Build `s` fused copies over `family`.
+    /// Build `s` fused copies from a deployment config.
     #[must_use]
-    pub fn new(s: usize, family: HashFamily) -> Self {
-        let hashers: Vec<SeededHash> = family.members(s).collect();
-        Self {
-            site: WrSite::new(hashers.clone()),
-            coordinator: WrCoordinator::new(hashers),
-            messages: 0,
-        }
+    pub fn new(config: &WrConfig) -> Self {
+        Self::from_halves(
+            WrSite::new(config.hashers()),
+            WrCoordinator::new(config.hashers()),
+        )
     }
-}
-
-// Checkpoint layout: site, coordinator, message counter.
-crate::wire_record! { FusedWr { site: WrSite, coordinator: WrCoordinator, messages: u64 } }
-
-impl DistinctSampler for FusedWr {
-    fn observe(&mut self, e: Element) {
-        pump_observe(
-            &mut self.site,
-            &mut self.coordinator,
-            e,
-            Slot(0),
-            &mut self.messages,
-        );
-    }
-
-    fn sample(&self) -> Vec<Element> {
-        self.coordinator.sample_with_replacement()
-    }
-
-    fn threshold(&self) -> Option<UnitValue> {
-        None // each of the s copies has its own threshold
-    }
-
-    fn memory_tuples(&self) -> usize {
-        SiteNode::memory_tuples(&self.site) + CoordinatorNode::memory_tuples(&self.coordinator)
-    }
-
-    fn protocol_messages(&self) -> u64 {
-        self.messages
-    }
-
-    fn checkpoint(&self, out: &mut Vec<u8>) {
-        checkpoint::seal_state(checkpoint::kind::WITH_REPLACEMENT, self, out);
-    }
-}
-
-/// Algorithms 3 & 4 fused into one object: a single [`SwSite`] wired to
-/// its [`SwCoordinator`], with the slot clock owned by the adapter.
-///
-/// [`DistinctSampler::advance`] replays the distributed deployment's
-/// slot-boundary protocol one slot at a time — coordinator fallback
-/// first, then the site's expiry/fallback hook, with every triggered
-/// exchange settled inside the boundary — so a fused instance produces
-/// exactly the sample *and* message count of a `k = 1` cluster driven to
-/// the same slot. When neither half holds live state (a fresh or fully
-/// drained window — in either coordinator mode), slots are
-/// fast-forwarded in O(1): the paper's protocol is silent on an empty
-/// system, so jumping and replaying the coordinator's slot hook once is
-/// observationally identical to stepping — which keeps `advance` cheap
-/// for serving layers whose idle tenants wake up far in the future.
-#[derive(Debug, Clone)]
-pub struct FusedSliding {
-    site: SwSite,
-    coordinator: SwCoordinator,
-    now: Slot,
-    /// Batch-hash scratch, reused across `observe_batch` calls (transient;
-    /// not part of checkpoints).
-    hash_buf: Vec<u64>,
-    messages: u64,
 }
 
 impl FusedSliding {
@@ -391,229 +287,92 @@ impl FusedSliding {
     /// (`k = 1` registry sizing, same hash, same coordinator mode).
     #[must_use]
     pub fn new(config: &SlidingConfig) -> Self {
-        Self {
-            site: SwSite::new(config.window, config.hasher()),
-            coordinator: SwCoordinator::new(config.hasher(), 1, config.mode),
-            now: Slot(0),
-            hash_buf: Vec::new(),
-            messages: 0,
-        }
+        Self::from_halves(
+            SwSite::new(config.window, config.hasher()),
+            SwCoordinator::new(config.hasher(), 1, config.mode),
+        )
     }
-
-    /// The adapter's slot clock (the last slot passed to `advance` /
-    /// `observe_at`, or 0 initially).
-    #[must_use]
-    pub fn now(&self) -> Slot {
-        self.now
-    }
-
-    /// The coordinator half (e.g. for expiry inspection).
-    #[must_use]
-    pub fn coordinator(&self) -> &SwCoordinator {
-        &self.coordinator
-    }
-
-    /// One slot boundary, in the simulator's order: coordinator hook,
-    /// deliver its output, site hook, settle.
-    fn step_slot(&mut self) {
-        self.now = self.now.next();
-        let (mut up_buf, mut down_buf) = (Vec::new(), Vec::new());
-        self.coordinator.on_slot_start(self.now, &mut down_buf);
-        while let Some((_, down)) = down_buf.pop() {
-            self.messages += 1;
-            self.site.handle(down, self.now, &mut up_buf);
-        }
-        pump_ups(
-            &mut self.site,
-            &mut self.coordinator,
-            self.now,
-            &mut up_buf,
-            &mut down_buf,
-            &mut self.messages,
-        );
-        self.site.on_slot_start(self.now, &mut up_buf);
-        pump_ups(
-            &mut self.site,
-            &mut self.coordinator,
-            self.now,
-            &mut up_buf,
-            &mut down_buf,
-            &mut self.messages,
-        );
-    }
-}
-
-/// Checkpoint layout: site, coordinator, clock, message counter (the
-/// batch-hash scratch is transient).
-impl Wire for FusedSliding {
-    const MIN_BYTES: usize = SwSite::MIN_BYTES + SwCoordinator::MIN_BYTES + 8 + 8;
-
-    fn put(&self, w: &mut StateWriter) {
-        w.put(&self.site);
-        w.put(&self.coordinator);
-        w.put(&self.now);
-        w.put(&self.messages);
-    }
-
-    fn get(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
-        Ok(Self {
-            site: r.get()?,
-            coordinator: r.get()?,
-            now: r.get()?,
-            hash_buf: Vec::new(),
-            messages: r.get()?,
-        })
-    }
-}
-
-impl DistinctSampler for FusedSliding {
-    fn clock(&self) -> Slot {
-        self.now
-    }
-
-    fn observe(&mut self, e: Element) {
-        pump_observe(
-            &mut self.site,
-            &mut self.coordinator,
-            e,
-            self.now,
-            &mut self.messages,
-        );
-    }
-
-    fn observe_batch(&mut self, batch: &[Element]) {
-        // One hash pass over the whole batch, then Algorithm 3's
-        // insert-and-compare loop against the precomputed hashes. Each
-        // observation yields at most one up-message, so the pump runs
-        // only on threshold beats.
-        let mut hashes = std::mem::take(&mut self.hash_buf);
-        self.site
-            .hasher()
-            .hash_u64_batch_into(batch.iter().map(|e| e.0), &mut hashes);
-        for (&e, &h) in batch.iter().zip(&hashes) {
-            if let Some(up) = self.site.observe_hashed(e, UnitValue(h), self.now) {
-                pump_ups(
-                    &mut self.site,
-                    &mut self.coordinator,
-                    self.now,
-                    &mut vec![up],
-                    &mut Vec::new(),
-                    &mut self.messages,
-                );
-            }
-        }
-        self.hash_buf = hashes;
-    }
-
-    fn advance(&mut self, now: Slot) {
-        while self.now < now {
-            if self.site.is_quiescent() && self.coordinator.is_inert_at(self.now) {
-                // Empty system ⇒ every remaining step is silent. Jump,
-                // then run the coordinator's slot hook once so its clock
-                // and dead-state bookkeeping (fallback-to-none, registry
-                // cleanup) land exactly where stepping would leave them.
-                self.now = now;
-                let mut down_buf = Vec::new();
-                self.coordinator.on_slot_start(self.now, &mut down_buf);
-                debug_assert!(down_buf.is_empty(), "inert coordinator spoke");
-                return;
-            }
-            self.step_slot();
-        }
-    }
-
-    fn sample(&self) -> Vec<Element> {
-        CoordinatorNode::sample(&self.coordinator)
-    }
-
-    fn threshold(&self) -> Option<UnitValue> {
-        Some(self.coordinator.threshold())
-    }
-
-    fn memory_tuples(&self) -> usize {
-        SiteNode::memory_tuples(&self.site) + CoordinatorNode::memory_tuples(&self.coordinator)
-    }
-
-    fn protocol_messages(&self) -> u64 {
-        self.messages
-    }
-
-    fn checkpoint(&self, out: &mut Vec<u8>) {
-        checkpoint::seal_state(checkpoint::kind::SLIDING, self, out);
-    }
-}
-
-/// The multi-window (`s > 1`, with replacement) variant of
-/// [`FusedSliding`]: one [`MultiSwSite`] wired to its
-/// [`MultiSwCoordinator`] — `s` independent copies of Algorithms 3 & 4
-/// advanced by one shared clock.
-#[derive(Debug, Clone)]
-pub struct FusedSlidingMulti {
-    site: MultiSwSite,
-    coordinator: MultiSwCoordinator,
-    now: Slot,
-    /// Batch-hash scratch, reused across `observe_batch` calls (transient;
-    /// not part of checkpoints).
-    hash_buf: Vec<u64>,
-    messages: u64,
 }
 
 impl FusedSlidingMulti {
     /// Build `s` fused sliding copies from a deployment config.
     #[must_use]
     pub fn new(config: &MultiSlidingConfig) -> Self {
+        Self::from_halves(
+            MultiSwSite::new(config.window, config.hashers()),
+            MultiSwCoordinator::new(config.hashers(), 1, config.mode),
+        )
+    }
+}
+
+impl<S: FusedSite> Fused<S> {
+    fn from_halves(site: S, coordinator: S::Coordinator) -> Self {
         Self {
-            site: MultiSwSite::new(config.window, config.hashers()),
-            coordinator: MultiSwCoordinator::new(config.hashers(), 1, config.mode),
+            site,
+            coordinator,
             now: Slot(0),
-            hash_buf: Vec::new(),
             messages: 0,
         }
     }
 
-    /// The adapter's slot clock.
+    /// The host's slot clock (the last slot passed to `advance` /
+    /// `observe_at`, or 0 initially; always 0 when clockless).
     #[must_use]
     pub fn now(&self) -> Slot {
         self.now
     }
 
+    /// Deliver `downs` to the site, then every pending up-message and
+    /// everything it triggers — the `k = 1` specialization of the
+    /// simulator's `settle` loop, with identical per-message accounting.
+    /// Termination: site replies never generate new up-messages in these
+    /// protocols, and each up-message produces at most one reply.
+    ///
+    /// The queues are the caller's locals, not fields of the host:
+    /// `Vec::new` does not allocate, so a call that sends nothing costs
+    /// nothing, and a hosted tenant keeps no pump heap between calls.
+    /// Messages are rare after warm-up (Lemma 4: O(s log n) over a
+    /// stream's life), so the allocation a message does pay is off the
+    /// hot path.
+    fn settle(&mut self, mut ups: Vec<S::Up>, mut downs: Vec<(Destination, S::Down)>) {
+        loop {
+            while let Some((_, down)) = downs.pop() {
+                self.messages += 1;
+                self.site.handle(down, self.now, &mut ups);
+            }
+            let Some(up) = ups.pop() else { return };
+            self.messages += 1;
+            self.coordinator.handle(SiteId(0), up, self.now, &mut downs);
+        }
+    }
+
+    /// One slot boundary, in the simulator's order: coordinator hook,
+    /// deliver its output, site hook, settle.
     fn step_slot(&mut self) {
         self.now = self.now.next();
-        let (mut up_buf, mut down_buf) = (Vec::new(), Vec::new());
-        self.coordinator.on_slot_start(self.now, &mut down_buf);
-        while let Some((_, down)) = down_buf.pop() {
-            self.messages += 1;
-            self.site.handle(down, self.now, &mut up_buf);
-        }
-        pump_ups(
-            &mut self.site,
-            &mut self.coordinator,
-            self.now,
-            &mut up_buf,
-            &mut down_buf,
-            &mut self.messages,
-        );
-        self.site.on_slot_start(self.now, &mut up_buf);
-        pump_ups(
-            &mut self.site,
-            &mut self.coordinator,
-            self.now,
-            &mut up_buf,
-            &mut down_buf,
-            &mut self.messages,
-        );
+        let mut downs = Vec::new();
+        self.coordinator.on_slot_start(self.now, &mut downs);
+        self.settle(Vec::new(), downs);
+        let mut ups = Vec::new();
+        self.site.on_slot_start(self.now, &mut ups);
+        self.settle(ups, Vec::new());
     }
 }
 
-/// Checkpoint layout: site, coordinator, clock, message counter (the
-/// batch-hash scratch is transient).
-impl Wire for FusedSlidingMulti {
-    const MIN_BYTES: usize = MultiSwSite::MIN_BYTES + MultiSwCoordinator::MIN_BYTES + 8 + 8;
+/// Checkpoint layout: site, coordinator, clock (clocked protocols
+/// only), message counter.
+impl<S: FusedSite> Wire for Fused<S> {
+    const MIN_BYTES: usize = S::MIN_BYTES
+        + <S::Coordinator as Wire>::MIN_BYTES
+        + if S::CLOCKED { Slot::MIN_BYTES } else { 0 }
+        + u64::MIN_BYTES;
 
     fn put(&self, w: &mut StateWriter) {
         w.put(&self.site);
         w.put(&self.coordinator);
-        w.put(&self.now);
+        if S::CLOCKED {
+            w.put(&self.now);
+        }
         w.put(&self.messages);
     }
 
@@ -621,65 +380,58 @@ impl Wire for FusedSlidingMulti {
         Ok(Self {
             site: r.get()?,
             coordinator: r.get()?,
-            now: r.get()?,
-            hash_buf: Vec::new(),
+            now: if S::CLOCKED { r.get()? } else { Slot(0) },
             messages: r.get()?,
         })
     }
 }
 
-impl DistinctSampler for FusedSlidingMulti {
+impl<S: FusedSite> DistinctSampler for Fused<S> {
     fn clock(&self) -> Slot {
         self.now
     }
 
     fn observe(&mut self, e: Element) {
-        pump_observe(
-            &mut self.site,
-            &mut self.coordinator,
-            e,
-            self.now,
-            &mut self.messages,
-        );
+        let mut ups = Vec::new();
+        self.site.observe(e, self.now, &mut ups);
+        // Most observations send nothing; they skip the pump's call.
+        if !ups.is_empty() {
+            self.settle(ups, Vec::new());
+        }
     }
 
     fn observe_batch(&mut self, batch: &[Element]) {
-        // Copy-major: hash the whole batch once per copy hash function,
-        // then run each copy's insert-and-compare loop. The copies are
-        // fully independent protocols (coordinator copy j handles only
-        // copy-j traffic), so reordering elements *across* copies — while
-        // preserving order within each copy — leaves every copy's final
-        // state, sample, and message count identical to element-major
-        // observation; the twin tests pin this.
-        let mut hashes = std::mem::take(&mut self.hash_buf);
-        for j in 0..self.site.copy_count() {
-            self.site.hash_batch_for_copy(j, batch, &mut hashes);
-            for (i, &e) in batch.iter().enumerate() {
-                if let Some(up) =
-                    self.site
-                        .observe_hashed_copy(j, e, UnitValue(hashes[i]), self.now)
-                {
-                    pump_ups(
-                        &mut self.site,
-                        &mut self.coordinator,
-                        self.now,
-                        &mut vec![up],
-                        &mut Vec::new(),
-                        &mut self.messages,
-                    );
+        // Copy-major: each lane runs its hash-and-compare step over the
+        // whole batch before the next lane starts. The lanes are fully
+        // independent protocols (coordinator copy j handles only copy-j
+        // traffic), so reordering elements *across* lanes — while
+        // preserving their order within each lane — leaves every lane's
+        // state, sample and message count as element-major observation
+        // would; the twin tests pin this. Only threshold beats (rare
+        // after warm-up) touch the message pump.
+        for lane in 0..self.site.lanes() {
+            for &e in batch {
+                if let Some(up) = self.site.observe_lane(lane, e, self.now) {
+                    self.settle(vec![up], Vec::new());
                 }
             }
         }
-        self.hash_buf = hashes;
     }
 
     fn advance(&mut self, now: Slot) {
+        if !S::CLOCKED {
+            return;
+        }
         while self.now < now {
-            if self.site.is_quiescent() && self.coordinator.is_inert_at(self.now) {
+            if self.site.idle(&self.coordinator, self.now) {
+                // Empty system ⇒ every remaining step is silent. Jump,
+                // then run the coordinator's slot hook once so its clock
+                // and dead-state bookkeeping (fallback-to-none, registry
+                // cleanup) land exactly where stepping would leave them.
                 self.now = now;
-                let mut down_buf = Vec::new();
-                self.coordinator.on_slot_start(self.now, &mut down_buf);
-                debug_assert!(down_buf.is_empty(), "inert coordinator spoke");
+                let mut downs = Vec::new();
+                self.coordinator.on_slot_start(now, &mut downs);
+                debug_assert!(downs.is_empty(), "idle coordinator spoke");
                 return;
             }
             self.step_slot();
@@ -687,15 +439,15 @@ impl DistinctSampler for FusedSlidingMulti {
     }
 
     fn sample(&self) -> Vec<Element> {
-        self.coordinator.sample_with_replacement()
+        self.coordinator.sample()
     }
 
     fn threshold(&self) -> Option<UnitValue> {
-        None // each of the s copies has its own threshold
+        S::threshold(&self.coordinator)
     }
 
     fn memory_tuples(&self) -> usize {
-        SiteNode::memory_tuples(&self.site) + CoordinatorNode::memory_tuples(&self.coordinator)
+        self.site.memory_tuples() + self.coordinator.memory_tuples()
     }
 
     fn protocol_messages(&self) -> u64 {
@@ -703,7 +455,7 @@ impl DistinctSampler for FusedSlidingMulti {
     }
 
     fn checkpoint(&self, out: &mut Vec<u8>) {
-        checkpoint::seal_state(checkpoint::kind::SLIDING_MULTI, self, out);
+        checkpoint::seal_state(S::KIND, self, out);
     }
 }
 
@@ -720,9 +472,9 @@ impl DistinctSampler for FusedSlidingMulti {
 /// The enum is as large as its largest inline kind, and every hosted
 /// tenant pays that size. Four kinds sit inline, the largest being
 /// [`CentralizedSampler`] at 104 bytes. [`FusedSliding`] is boxed: at
-/// 192 bytes it is nearly twice that, and it serves only `s = 1`
-/// sliding tenants, so holding it inline would make every other kind's
-/// tenants pay for it. A `Sliding` call pays one pointer chase instead.
+/// 168 bytes it is well over that, and it serves only `s = 1` sliding
+/// tenants, so holding it inline would make every other kind's tenants
+/// pay for it. A `Sliding` call pays one pointer chase instead.
 #[derive(Debug, Clone)]
 pub enum AnySampler {
     /// [`SamplerKind::Centralized`].
@@ -931,9 +683,10 @@ impl SamplerSpec {
                 s: self.s,
                 family: self.family(),
             })),
-            SamplerKind::WithReplacement => {
-                AnySampler::WithReplacement(FusedWr::new(self.s, self.family()))
-            }
+            SamplerKind::WithReplacement => AnySampler::WithReplacement(FusedWr::new(&WrConfig {
+                s: self.s,
+                family: self.family(),
+            })),
             SamplerKind::Sliding { window } => AnySampler::Sliding(Box::new(FusedSliding::new(
                 &SlidingConfig::with_seed(window, self.seed),
             ))),
@@ -1020,7 +773,7 @@ mod tests {
     fn fused_wr_matches_k1_cluster() {
         let s = 6;
         let family = HashFamily::new(7);
-        let mut fused = FusedWr::new(s, family);
+        let mut fused = FusedWr::new(&WrConfig { s, family });
         let hashers: Vec<SeededHash> = family.members(s).collect();
         let mut sim: Cluster<WrSite, WrCoordinator> = Cluster::new(
             vec![WrSite::new(hashers.clone())],
@@ -1307,34 +1060,23 @@ mod tests {
     }
 
     /// Every hosted tenant pays `size_of::<AnySampler>()`, so a field
-    /// added to any inline kind must fail here rather than silently add
-    /// bytes to every tenant. `FusedSliding` is the boxed kind: it is
-    /// about twice the bound (see the `AnySampler` docs).
+    /// added to any kind must fail here rather than silently add bytes
+    /// to every tenant. The pins are the measured sizes on a 64-bit
+    /// target; `FusedSliding` is the boxed kind, well over the inline
+    /// bound (see the `AnySampler` docs).
     #[test]
     fn any_sampler_stays_at_its_inline_bound() {
         use std::mem::size_of;
-        const BOUND: usize = 104;
-        assert!(
-            size_of::<AnySampler>() <= BOUND,
-            "{}",
-            size_of::<AnySampler>()
-        );
-        for (kind, size) in [
-            ("CentralizedSampler", size_of::<CentralizedSampler>()),
-            ("FusedInfinite", size_of::<FusedInfinite>()),
-            ("FusedWr", size_of::<FusedWr>()),
-            ("FusedSlidingMulti", size_of::<FusedSlidingMulti>()),
-            ("Box<FusedSliding>", size_of::<Box<FusedSliding>>()),
+        for (kind, size, pin) in [
+            ("AnySampler", size_of::<AnySampler>(), 104),
+            ("CentralizedSampler", size_of::<CentralizedSampler>(), 104),
+            ("FusedInfinite", size_of::<FusedInfinite>(), 88),
+            ("FusedWr", size_of::<FusedWr>(), 64),
+            ("FusedSlidingMulti", size_of::<FusedSlidingMulti>(), 64),
+            ("FusedSliding", size_of::<FusedSliding>(), 168),
         ] {
-            assert!(
-                size <= BOUND,
-                "{kind} is {size} B, over the {BOUND} B bound"
-            );
+            assert_eq!(size, pin, "{kind} is {size} B, pinned at {pin} B");
         }
-        assert!(
-            size_of::<FusedSliding>() > BOUND,
-            "FusedSliding fits inline now"
-        );
     }
 
     /// `clock()` tracks the slot clock on windowed kinds and stays 0 on

@@ -49,8 +49,9 @@ use dds_sim::model::is_expired;
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 use dds_treap::{CandidateSet, FlatStaircase};
 
-use crate::checkpoint::{CheckpointError, StateReader, StateWriter, Wire};
+use crate::checkpoint::{self, CheckpointError, StateReader, StateWriter, Wire};
 use crate::messages::{SwDown, SwUp};
+use crate::sampler::{sealed, FusedSite};
 
 /// A sample tuple as tracked by sites and coordinator: element, its hash,
 /// and its expiry slot.
@@ -179,27 +180,6 @@ impl SwSite {
         self.view.map_or(UnitValue::ONE, |v| v.hash)
     }
 
-    /// The protocol hash function (for batch pre-hashing by fused
-    /// adapters).
-    pub(crate) fn hasher(&self) -> &SeededHash {
-        &self.hasher
-    }
-
-    /// Algorithm 3's observation step with the hash supplied by the
-    /// caller — the batch hot path, where a fused adapter hashes a whole
-    /// batch in one pass and feeds the results back in. `h` must equal
-    /// `hasher.unit(e.0)`. Returns the up-message, if the element beats
-    /// the threshold; a sliding observation never produces more than one.
-    pub(crate) fn observe_hashed(&mut self, e: Element, h: UnitValue, now: Slot) -> Option<SwUp> {
-        debug_assert_eq!(h, self.hasher.unit(e.0), "caller-supplied hash mismatch");
-        let expiry = Slot(now.0 + self.window);
-        // Algorithm 3 lines 4–11: insert or refresh; expiry and dominance
-        // maintenance live inside the candidate set.
-        self.candidates.insert_or_refresh(e, h.0, expiry);
-        // Line 12: compare against the threshold view.
-        (h < self.threshold()).then_some(SwUp { element: e, expiry })
-    }
-
     /// The candidate set `Tᵢ` (for memory probes and tests).
     #[must_use]
     pub fn candidates(&self) -> &FlatStaircase {
@@ -210,13 +190,6 @@ impl SwSite {
     #[must_use]
     pub fn view(&self) -> Option<SampleTuple> {
         self.view
-    }
-
-    /// True when the site holds no state at all (no candidates, no
-    /// view): advancing time can produce no message and no state change,
-    /// which lets a fused adapter fast-forward its clock.
-    pub(crate) fn is_quiescent(&self) -> bool {
-        self.view.is_none() && self.candidates.is_empty()
     }
 }
 
@@ -267,10 +240,7 @@ impl SiteNode for SwSite {
     type Down = SwDown;
 
     fn observe(&mut self, e: Element, now: Slot, out: &mut Vec<SwUp>) {
-        let h = self.hasher.unit(e.0);
-        if let Some(up) = self.observe_hashed(e, h, now) {
-            out.push(up);
-        }
+        out.extend(self.observe_lane(0, e, now));
     }
 
     fn handle(&mut self, msg: SwDown, _now: Slot, _out: &mut Vec<SwUp>) {
@@ -314,6 +284,46 @@ impl SiteNode for SwSite {
 
     fn memory_tuples(&self) -> usize {
         self.candidates.len()
+    }
+}
+
+impl sealed::Sealed for SwSite {}
+
+impl FusedSite for SwSite {
+    type Coordinator = SwCoordinator;
+    const KIND: u8 = checkpoint::kind::SLIDING;
+    const CLOCKED: bool = true;
+
+    /// Algorithm 3's observation step; never more than one up-message.
+    #[inline]
+    fn observe_lane(&mut self, _lane: usize, e: Element, now: Slot) -> Option<SwUp> {
+        let h = self.hasher.unit(e.0);
+        let expiry = Slot(now.0 + self.window);
+        // Algorithm 3 lines 4–11: insert or refresh; expiry and dominance
+        // maintenance live inside the candidate set.
+        self.candidates.insert_or_refresh(e, h.0, expiry);
+        // Line 12: compare against the threshold view.
+        (h < self.threshold()).then_some(SwUp { element: e, expiry })
+    }
+
+    fn threshold(coordinator: &SwCoordinator) -> Option<UnitValue> {
+        Some(coordinator.threshold())
+    }
+
+    /// The site holds no state at all (no candidates, no view), and the
+    /// coordinator no *live* state at `now`: its sample is absent or
+    /// expired and every remembered announcement is expired. Stepping
+    /// such a pair can emit no message and can only perform the
+    /// coordinator's dead-state bookkeeping (fallback-to-`None`, registry
+    /// cleanup), which one `on_slot_start` call replays. Covers
+    /// `Faithful` mode too, where an expired `sample` lingers forever by
+    /// design.
+    fn idle(&self, coordinator: &SwCoordinator, now: Slot) -> bool {
+        let expired = |t: &SampleTuple| is_expired(t.expiry, now);
+        self.view.is_none()
+            && self.candidates.is_empty()
+            && coordinator.sample.as_ref().map_or(true, expired)
+            && coordinator.registry.iter().flatten().all(expired)
     }
 }
 
@@ -363,23 +373,6 @@ impl SwCoordinator {
             .filter(|t| !is_expired(t.expiry, self.now))
             .min_by_key(|t| (t.hash, t.element))
             .copied();
-    }
-
-    /// True when the coordinator holds no *live* state at `now`: the
-    /// sample is absent or expired and every remembered announcement is
-    /// expired. Stepping an inert coordinator can emit no message and
-    /// can only perform dead-state bookkeeping (fallback-to-`None`,
-    /// registry cleanup), which one `on_slot_start` call replays — the
-    /// licence a fused adapter needs to fast-forward across idle gaps.
-    /// Covers `Faithful` mode too, where an expired `sample` lingers
-    /// forever by design.
-    pub(crate) fn is_inert_at(&self, now: Slot) -> bool {
-        self.sample.map_or(true, |t| is_expired(t.expiry, now))
-            && self
-                .registry
-                .iter()
-                .flatten()
-                .all(|t| is_expired(t.expiry, now))
     }
 }
 

@@ -17,8 +17,9 @@ use dds_hash::family::HashFamily;
 use dds_hash::{SeededHash, UnitValue};
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 
-use crate::checkpoint::{CheckpointError, StateReader, StateWriter, Wire};
+use crate::checkpoint::{self, CheckpointError, StateReader, StateWriter, Wire};
 use crate::messages::{CopyDown, CopyUp, SwDown, SwUp};
+use crate::sampler::{sealed, FusedSite};
 use crate::sliding::{CoordinatorMode, SwCoordinator, SwSite};
 
 /// Configuration: `s` sliding copies over a hash family.
@@ -91,39 +92,6 @@ impl MultiSwSite {
             inner: m,
         }));
     }
-
-    /// True when every copy is stateless (see [`SwSite::is_quiescent`]).
-    pub(crate) fn is_quiescent(&self) -> bool {
-        self.copies.iter().all(SwSite::is_quiescent)
-    }
-
-    /// Number of parallel copies (`s`).
-    pub(crate) fn copy_count(&self) -> usize {
-        self.copies.len()
-    }
-
-    /// Hash a whole batch under copy `j`'s hash function into `out`
-    /// (cleared first) — one algorithm dispatch per (copy, batch).
-    pub(crate) fn hash_batch_for_copy(&self, j: usize, batch: &[Element], out: &mut Vec<u64>) {
-        self.copies[j]
-            .hasher()
-            .hash_u64_batch_into(batch.iter().map(|e| e.0), out);
-    }
-
-    /// Copy `j`'s observation step with a caller-supplied hash — the
-    /// batch hot path. Returns the copy-tagged up-message, if any.
-    pub(crate) fn observe_hashed_copy(
-        &mut self,
-        j: usize,
-        e: Element,
-        h: UnitValue,
-        now: Slot,
-    ) -> Option<CopyUp<SwUp>> {
-        self.copies[j].observe_hashed(e, h, now).map(|m| CopyUp {
-            copy: j as u32,
-            inner: m,
-        })
-    }
 }
 
 /// Checkpoint layout: the `s` per-copy site states (at least one).
@@ -150,10 +118,8 @@ impl SiteNode for MultiSwSite {
     type Down = CopyDown<SwDown>;
 
     fn observe(&mut self, e: Element, now: Slot, out: &mut Vec<Self::Up>) {
-        let mut inner = Vec::new();
-        for (j, site) in self.copies.iter_mut().enumerate() {
-            site.observe(e, now, &mut inner);
-            Self::fan_out(j, std::mem::take(&mut inner), out);
+        for j in 0..self.lanes() {
+            out.extend(self.observe_lane(j, e, now));
         }
     }
 
@@ -174,6 +140,42 @@ impl SiteNode for MultiSwSite {
 
     fn memory_tuples(&self) -> usize {
         self.copies.iter().map(SiteNode::memory_tuples).sum()
+    }
+}
+
+impl sealed::Sealed for MultiSwSite {}
+
+impl FusedSite for MultiSwSite {
+    type Coordinator = MultiSwCoordinator;
+    const KIND: u8 = checkpoint::kind::SLIDING_MULTI;
+    const CLOCKED: bool = true;
+
+    fn lanes(&self) -> usize {
+        self.copies.len()
+    }
+
+    /// Copy `lane`'s Algorithm 3 step, its up-message tagged with the
+    /// copy.
+    #[inline]
+    fn observe_lane(&mut self, lane: usize, e: Element, now: Slot) -> Option<Self::Up> {
+        self.copies[lane]
+            .observe_lane(0, e, now)
+            .map(|inner| CopyUp {
+                copy: lane as u32,
+                inner,
+            })
+    }
+
+    fn threshold(_: &MultiSwCoordinator) -> Option<UnitValue> {
+        None // each of the s copies has its own threshold
+    }
+
+    /// Every copy is idle (see [`SwSite`]'s idle test).
+    fn idle(&self, coordinator: &MultiSwCoordinator, now: Slot) -> bool {
+        self.copies
+            .iter()
+            .zip(&coordinator.copies)
+            .all(|(site, coordinator)| site.idle(coordinator, now))
     }
 }
 
@@ -203,12 +205,6 @@ impl MultiSwCoordinator {
             .iter()
             .filter_map(|c| c.current().map(|t| t.element))
             .collect()
-    }
-
-    /// True when every copy holds no live state at `now` (see
-    /// [`SwCoordinator::is_inert_at`]).
-    pub(crate) fn is_inert_at(&self, now: Slot) -> bool {
-        self.copies.iter().all(|c| c.is_inert_at(now))
     }
 }
 

@@ -20,8 +20,9 @@ use dds_hash::{SeededHash, UnitHash, UnitValue};
 use dds_sim::{Cluster, CoordinatorNode, Destination, Element, SiteId, SiteNode, Slot};
 
 use crate::centralized::BottomS;
-use crate::checkpoint::{CheckpointError, StateReader, StateWriter, Wire};
+use crate::checkpoint::{self, CheckpointError, StateReader, StateWriter, Wire};
 use crate::messages::{CopyDown, CopyUp, DownThreshold, UpElem};
+use crate::sampler::{sealed, FusedSite};
 
 /// Configuration: `s` copies over a hash family.
 #[derive(Debug, Clone, Copy)]
@@ -46,12 +47,17 @@ impl WrConfig {
         }
     }
 
+    /// The `s` copy hash functions.
+    #[must_use]
+    pub fn hashers(&self) -> Vec<SeededHash> {
+        self.family.members(self.s).collect()
+    }
+
     /// Assemble a cluster of `k` sites.
     #[must_use]
     pub fn cluster(&self, k: usize) -> Cluster<WrSite, WrCoordinator> {
-        let hashers: Vec<SeededHash> = self.family.members(self.s).collect();
-        let sites = (0..k).map(|_| WrSite::new(hashers.clone())).collect();
-        Cluster::new(sites, WrCoordinator::new(hashers))
+        let sites = (0..k).map(|_| WrSite::new(self.hashers())).collect();
+        Cluster::new(sites, WrCoordinator::new(self.hashers()))
     }
 }
 
@@ -101,14 +107,9 @@ impl SiteNode for WrSite {
     type Up = CopyUp<UpElem>;
     type Down = CopyDown<DownThreshold>;
 
-    fn observe(&mut self, e: Element, _now: Slot, out: &mut Vec<Self::Up>) {
-        for (j, (hasher, u_i)) in self.copies.iter().enumerate() {
-            if hasher.unit(e.0) < *u_i {
-                out.push(CopyUp {
-                    copy: j as u32,
-                    inner: UpElem { element: e },
-                });
-            }
+    fn observe(&mut self, e: Element, now: Slot, out: &mut Vec<Self::Up>) {
+        for j in 0..self.lanes() {
+            out.extend(self.observe_lane(j, e, now));
         }
     }
 
@@ -118,6 +119,33 @@ impl SiteNode for WrSite {
 
     fn memory_tuples(&self) -> usize {
         self.copies.len() // s thresholds: O(s) per site.
+    }
+}
+
+impl sealed::Sealed for WrSite {}
+
+impl FusedSite for WrSite {
+    type Coordinator = WrCoordinator;
+    const KIND: u8 = checkpoint::kind::WITH_REPLACEMENT;
+    const CLOCKED: bool = false;
+
+    fn lanes(&self) -> usize {
+        self.copies.len()
+    }
+
+    /// Copy `lane` is Algorithm 1 under `h_lane`: send `e` if it beats
+    /// the copy's threshold.
+    #[inline]
+    fn observe_lane(&mut self, lane: usize, e: Element, _now: Slot) -> Option<Self::Up> {
+        let (hasher, u_i) = self.copies[lane];
+        (hasher.unit(e.0) < u_i).then_some(CopyUp {
+            copy: lane as u32,
+            inner: UpElem { element: e },
+        })
+    }
+
+    fn threshold(_: &WrCoordinator) -> Option<UnitValue> {
+        None // each of the s copies has its own threshold
     }
 }
 

@@ -44,9 +44,9 @@ impl SeededHash {
     }
 
     /// Hash a whole batch of elements in one pass into `out` (cleared
-    /// first): a branch-free inner loop over a caller-owned scratch
-    /// buffer reused across batches. Byte-identical to per-element
-    /// [`SeededHash::hash_u64`] calls.
+    /// first). Byte-identical to per-element [`SeededHash::hash_u64`]
+    /// calls. No sampler calls it: each hashes inline, one element at a
+    /// time; the repository benchmark's isolated hash row times it.
     pub fn hash_u64_batch_into(&self, elements: impl IntoIterator<Item = u64>, out: &mut Vec<u64>) {
         let seed = self.seed;
         out.clear();
@@ -95,12 +95,6 @@ impl HashFamily {
     /// Iterator over the first `n` members.
     pub fn members(&self, n: usize) -> impl Iterator<Item = SeededHash> + '_ {
         (0..n).map(move |j| self.member(j))
-    }
-
-    /// The master seed.
-    #[must_use]
-    pub fn master_seed(&self) -> u64 {
-        self.master
     }
 }
 

@@ -51,11 +51,25 @@ pub fn murmur64a(data: &[u8], seed: u64) -> u64 {
 }
 
 /// Hash a `u64` element identifier with MurmurHash64A over its
-/// little-endian byte representation.
+/// little-endian byte representation: [`murmur64a`] on eight bytes,
+/// written out as its one word step and finalizer — no chunk loop and
+/// no tail — so that it inlines into every sampler's per-element step.
 #[must_use]
 #[inline]
 pub fn murmur64a_u64(x: u64, seed: u64) -> u64 {
-    murmur64a(&x.to_le_bytes(), seed)
+    const M: u64 = 0xc6a4_a793_5bd1_e995;
+    const R: u64 = 47;
+
+    let mut k = x.wrapping_mul(M);
+    k ^= k >> R;
+    k = k.wrapping_mul(M);
+    let mut h = (seed ^ 8u64.wrapping_mul(M)) ^ k;
+    h = h.wrapping_mul(M);
+
+    h ^= h >> R;
+    h = h.wrapping_mul(M);
+    h ^= h >> R;
+    h
 }
 
 #[cfg(test)]

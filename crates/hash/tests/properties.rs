@@ -3,10 +3,18 @@
 //! analysis rests on, probed mechanically.
 
 use dds_hash::family::HashFamily;
+use dds_hash::murmur2::{murmur64a, murmur64a_u64};
 use dds_hash::unit::UnitHash;
 use proptest::prelude::*;
 
 proptest! {
+    /// The one-word MurmurHash64A every sampler runs per element is the
+    /// byte-slice hash of the element's eight little-endian bytes.
+    #[test]
+    fn murmur64a_u64_is_the_byte_hash(x in any::<u64>(), seed in any::<u64>()) {
+        prop_assert_eq!(murmur64a_u64(x, seed), murmur64a(&x.to_le_bytes(), seed));
+    }
+
     /// Distinct inputs (almost) never collide under 64-bit hashes; for a
     /// random pair the probability is 2⁻⁶⁴, so any observed collision is
     /// a bug, not bad luck.

@@ -2,8 +2,8 @@
 //!
 //! Counters say *how much*; the ring says *what happened last*. It
 //! keeps the most recent `capacity` events (joins, leaves, faults,
-//! operations slower than a configurable threshold) and drops the
-//! oldest — bounded memory no matter how long the process runs. The
+//! operations of at least [`SLOW_OP_NS`]) and drops the oldest —
+//! bounded memory no matter how long the process runs. The
 //! write path takes a short mutex, so it must only be reached for
 //! *rare* events: hot paths compare against the threshold first and
 //! build the detail string lazily.
@@ -31,7 +31,6 @@ pub struct Event {
 struct Inner {
     events: Mutex<VecDeque<Event>>,
     seq: AtomicU64,
-    threshold_ns: AtomicU64,
     capacity: usize,
 }
 
@@ -44,8 +43,8 @@ pub struct EventRing {
 /// Default ring capacity.
 pub const DEFAULT_CAPACITY: usize = 128;
 
-/// Default slow-op threshold: 1ms.
-pub const DEFAULT_SLOW_OP_NS: u64 = 1_000_000;
+/// The slow-op threshold: an operation of at least 1 ms is logged.
+pub const SLOW_OP_NS: u64 = 1_000_000;
 
 impl Default for EventRing {
     fn default() -> Self {
@@ -54,32 +53,16 @@ impl Default for EventRing {
 }
 
 impl EventRing {
-    /// A ring holding at most `capacity` events (minimum 1), with the
-    /// default slow-op threshold of [`DEFAULT_SLOW_OP_NS`].
+    /// A ring holding at most `capacity` events (minimum 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         let inner = Inner {
             capacity: capacity.max(1),
             ..Inner::default()
         };
-        inner
-            .threshold_ns
-            .store(DEFAULT_SLOW_OP_NS, Ordering::Relaxed);
         Self {
             inner: Arc::new(inner),
         }
-    }
-
-    /// Change the slow-op threshold (nanoseconds). 0 records every
-    /// timed operation; `u64::MAX` disables the slow-op log.
-    pub fn set_slow_op_threshold_ns(&self, ns: u64) {
-        self.inner.threshold_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// The current slow-op threshold in nanoseconds.
-    #[must_use]
-    pub fn slow_op_threshold_ns(&self) -> u64 {
-        self.inner.threshold_ns.load(Ordering::Relaxed)
     }
 
     /// Record a lifecycle note (always kept, regardless of threshold).
@@ -90,12 +73,12 @@ impl EventRing {
         self.push(kind, detail.into(), 0);
     }
 
-    /// Record a timed operation *iff* it met the slow-op threshold.
+    /// Record a timed operation *iff* it took at least [`SLOW_OP_NS`].
     /// The detail closure only runs (and allocates) past the gate, so
-    /// this is a single relaxed load on the fast path.
+    /// this is a single compare on the fast path.
     #[inline]
     pub fn record_slow(&self, kind: &str, nanos: u64, detail: impl FnOnce() -> String) {
-        if crate::IS_NOOP || nanos < self.inner.threshold_ns.load(Ordering::Relaxed) {
+        if crate::IS_NOOP || nanos < SLOW_OP_NS {
             return;
         }
         self.push(kind, detail(), nanos);
@@ -152,21 +135,20 @@ mod tests {
     #[test]
     fn slow_op_gate_filters_and_defers_detail() {
         let ring = EventRing::new(8);
-        ring.set_slow_op_threshold_ns(1_000);
         let mut built = false;
-        ring.record_slow("fast", 999, || {
+        ring.record_slow("fast", SLOW_OP_NS - 1, || {
             built = true;
             "never".into()
         });
         assert!(!built, "detail built below threshold");
-        ring.record_slow("slow", 1_000, || "at threshold".into());
+        ring.record_slow("slow", SLOW_OP_NS, || "at threshold".into());
         let events = ring.snapshot();
         if crate::IS_NOOP {
             assert!(events.is_empty());
         } else {
             assert_eq!(events.len(), 1);
             assert_eq!(events[0].kind, "slow");
-            assert_eq!(events[0].nanos, 1_000);
+            assert_eq!(events[0].nanos, SLOW_OP_NS);
         }
     }
 }

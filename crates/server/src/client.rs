@@ -204,15 +204,6 @@ impl Client {
         self.conn.lock().expect("client connection lock").stats
     }
 
-    /// A tenant-bound convenience view.
-    #[must_use]
-    pub fn tenant(&self, tenant: TenantId) -> TenantHandle<'_> {
-        TenantHandle {
-            client: self,
-            tenant,
-        }
-    }
-
     // -- ingest (buffered + pipelined) --------------------------------
 
     /// Observe one element at the tenant's current clock.
@@ -576,60 +567,6 @@ impl EngineService for Client {
     /// pipelining on top).
     fn call(&self, request: Request) -> Result<Response, EngineError> {
         self.call_remote(&request)
-    }
-}
-
-/// A client bound to one tenant — ergonomic for per-user call sites.
-pub struct TenantHandle<'a> {
-    client: &'a Client,
-    tenant: TenantId,
-}
-
-impl TenantHandle<'_> {
-    /// The bound tenant.
-    #[must_use]
-    pub fn id(&self) -> TenantId {
-        self.tenant
-    }
-
-    /// Observe one element at the tenant's current clock.
-    ///
-    /// # Errors
-    /// As [`Client::observe`].
-    pub fn observe(&self, element: Element) -> Result<(), EngineError> {
-        self.client.observe(self.tenant, element)
-    }
-
-    /// Observe one element stamped at slot `now`.
-    ///
-    /// # Errors
-    /// As [`Client::observe_at`].
-    pub fn observe_at(&self, element: Element, now: Slot) -> Result<(), EngineError> {
-        self.client.observe_at(self.tenant, element, now)
-    }
-
-    /// This tenant's sample at the served watermark.
-    ///
-    /// # Errors
-    /// As [`Client::snapshot`].
-    pub fn snapshot(&self) -> Result<Vec<Element>, EngineError> {
-        self.client.snapshot(self.tenant)
-    }
-
-    /// This tenant's sample as of slot `now`.
-    ///
-    /// # Errors
-    /// As [`Client::snapshot_at`].
-    pub fn snapshot_at(&self, now: Slot) -> Result<Vec<Element>, EngineError> {
-        self.client.snapshot_at(self.tenant, now)
-    }
-
-    /// This tenant's full view, optionally as of a slot.
-    ///
-    /// # Errors
-    /// As [`Client::snapshot_view`].
-    pub fn view(&self, at: Option<Slot>) -> Result<TenantView, EngineError> {
-        self.client.snapshot_view(self.tenant, at)
     }
 }
 

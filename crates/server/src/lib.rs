@@ -9,8 +9,8 @@
 //! over a [`evented::Handler`]; the cluster coordinator in
 //! `dds-cluster` runs the same loop with its own handler.
 //! [`Client`] is the typed other end: the engine's full API with
-//! client-side batching, ack pipelining, a [`TenantHandle`] convenience
-//! view, and exact byte accounting on every frame.
+//! client-side batching, ack pipelining, and exact byte accounting on
+//! every frame.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -47,6 +47,6 @@ pub mod evented;
 pub mod net;
 mod server;
 
-pub use client::{Client, ClientConfig, ClientStats, TenantHandle};
+pub use client::{Client, ClientConfig, ClientStats};
 pub use net::{Endpoint, Listener, Stream};
 pub use server::{Server, ServerConfig, ServerStats};

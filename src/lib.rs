@@ -98,9 +98,7 @@ pub mod prelude {
     pub use dds_hash::{HashFamily, SeededHash, UnitHash, UnitValue};
     pub use dds_obs::{Registry, TelemetrySnapshot};
     pub use dds_proto::{EngineHost, EngineService, Request, Response};
-    pub use dds_server::{
-        Client, ClientConfig, ClientStats, Server, ServerConfig, ServerStats, TenantHandle,
-    };
+    pub use dds_server::{Client, ClientConfig, ClientStats, Server, ServerConfig, ServerStats};
     pub use dds_sim::{Cluster, CoordinatorNode, Element, MessageCounters, SiteId, SiteNode, Slot};
     pub use dds_stats::{KmvEstimate, Summary};
 }
